@@ -26,6 +26,10 @@ class ParseError(PhdaError):
     """A file could not be parsed into the expected structure."""
 
 
+class InvalidBound(PhdaError, ValueError):
+    """A length or depth bound is negative."""
+
+
 class DomainMismatch(PhdaError):
     """Morphisms do not compose or do not share the required endpoints."""
 

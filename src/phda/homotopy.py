@@ -4,16 +4,23 @@ Two paths are elementary-homotopic when they agree outside a window of
 future-directed steps whose composite face words are equal.  Equivalence
 is decided by breadth-first closure over elementary rewrites; the
 necessary-condition key serves only as an index and negative pre-filter.
+
+The rewrites of a window come from a `ChainIndex`: the future chains from
+each start cell, of each length, grouped by composite word and end cell.
+It is searched once per (cell, length) and per call of `partition_paths` or
+`are_confluently_homotopic`; each window is then one dictionary lookup.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, UnknownCell
+from .model import saturate
 from .paths import Path, enumerate_paths, step_moves
 from .words import EPSILON, FUTURE, FaceWord, single, star, star_fold
 
 Futures = dict[str, list[tuple[int, str]]]
+Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
 
 
 @dataclass(frozen=True)
@@ -44,43 +51,48 @@ def class_key(p: Path) -> tuple:
     return (len(p.steps), past, tuple(runs), p.end)
 
 
-def _future_chains(
-    x, start: str, length: int, target: FaceWord, futures: Futures
-) -> list[tuple[tuple[str, ...], tuple]]:
-    """All chains of `length` future steps from `start` whose composite is `target`."""
-    out = []
-    stack = [(start, EPSILON, (), ())]
-    while stack:
-        cell, acc, cells, steps = stack.pop()
-        if len(steps) == length:
-            if acc == target:
-                out.append((cells, steps))
-            continue
-        for i, z in futures.get(cell, []):
-            stack.append((z, star(acc, single(i, FUTURE)), cells + (z,), steps + ((i, FUTURE),)))
-    out.sort()
-    return out
+class ChainIndex:
+    """The future chains of one model, searched once per (start cell, length).
+
+    `index(cell, n)` maps (composite word, end cell) to the chains (cells
+    after each step, steps) of n future steps from `cell`; filled lazily,
+    each length from the one below, for one call over one model.
+    """
+
+    def __init__(self, futures: Futures) -> None:
+        self.futures = futures
+        self.table: dict[tuple[str, int], Chains] = {}
+
+    def __call__(self, start: str, length: int) -> Chains:
+        if length == 0:
+            return {(EPSILON, start): [((), ())]}
+        found = self.table.get((start, length))
+        if found is None:
+            found = self.table[(start, length)] = {}
+            for (w, mid), below in self(start, length - 1).items():
+                for i, z in self.futures.get(mid, []):
+                    group = found.setdefault((star(w, single(i, FUTURE)), z), [])
+                    group.extend((cells + (z,), steps + ((i, FUTURE),)) for cells, steps in below)
+        return found
 
 
-def elementary_neighbors(p: Path, futures: Futures | None = None) -> list[Path]:
+def elementary_neighbors(p: Path, chains: ChainIndex | None = None) -> list[Path]:
     """All paths one elementary rewrite away from p."""
-    if futures is None:
-        futures = step_moves(p.host)[1]
+    if chains is None:
+        chains = ChainIndex(step_moves(p.host)[1])
     found: dict[tuple, Path] = {}
-    n = len(p.steps)
-    for s in range(1, n):
+    for s in range(1, len(p.steps)):
         if p.steps[s - 1][1] != FUTURE:
             continue
-        for t in range(s + 1, n + 1):
+        target = single(*p.steps[s - 1])
+        for t in range(s + 1, len(p.steps) + 1):
             if p.steps[t - 1][1] != FUTURE:
                 break
-            window = list(p.steps[s - 1 : t])
-            target = star_fold(window)
-            for cells, steps in _future_chains(p.host, p.cells[s - 1], t - s + 1, target, futures):
-                if cells[-1] != p.cells[t]:
-                    continue
-                q = Path(p.host, p.cells[:s] + cells[:-1] + p.cells[t:], p.steps[: s - 1] + steps + p.steps[t:])
-                if q.key() != p.key():
+            target = star(target, single(*p.steps[t - 1]))
+            window = (p.cells[s : t + 1], p.steps[s - 1 : t])
+            for cells, steps in chains(p.cells[s - 1], t - s + 1).get((target, p.cells[t]), ()):
+                if (cells, steps) != window:
+                    q = Path(p.host, p.cells[:s] + cells[:-1] + p.cells[t:], p.steps[: s - 1] + steps + p.steps[t:])
                     found[q.key()] = q
     return [found[k] for k in sorted(found)]
 
@@ -93,13 +105,13 @@ def are_confluently_homotopic(p: Path, q: Path) -> bool:
         return True
     if class_key(p) != class_key(q):
         return False  # provably necessary conditions; a pure pre-filter
-    futures = step_moves(p.host)[1]
+    chains = ChainIndex(step_moves(p.host)[1])
     seen = {p.key()}
     frontier = [p]
     while frontier:
         nxt = []
         for r in frontier:
-            for nb in elementary_neighbors(r, futures):
+            for nb in elementary_neighbors(r, chains):
                 k = nb.key()
                 if k == q.key():
                     return True
@@ -116,8 +128,7 @@ def partition_paths(paths: list[Path], futures: Futures | None = None) -> list[l
     The input must be closed under rewrites (rewrites preserve length and
     endpoint, so length- or endpoint-filtered enumerations qualify).
     """
-    if futures is None and paths:
-        futures = step_moves(paths[0].host)[1]
+    chains = ChainIndex(step_moves(paths[0].host)[1] if futures is None and paths else futures)
     index = {p.key(): i for i, p in enumerate(paths)}
     parent = list(range(len(paths)))
 
@@ -128,9 +139,8 @@ def partition_paths(paths: list[Path], futures: Futures | None = None) -> list[l
         return i
 
     for i, p in enumerate(paths):
-        for nb in elementary_neighbors(p, futures):
-            j = index[nb.key()]
-            ri, rj = find(i), find(j)
+        for nb in elementary_neighbors(p, chains):
+            ri, rj = find(i), find(index[nb.key()])
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[Path]] = {}
@@ -151,32 +161,7 @@ def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
     return out
 
 
-def _single_moves(x) -> dict[str, list[tuple[tuple[int, int], str]]]:
-    singles: dict[str, list[tuple[tuple[int, int], str]]] = {}
-    for (src, word), tgt in x.faces.items():
-        if len(word) == 1:
-            singles.setdefault(src, []).append((word.pairs[0], tgt))
-    return singles
-
-
-def _single_chain_exists(x, cid: str, w: FaceWord, expect: str, singles) -> bool:
-    stack = [(cid, EPSILON, 0)]
-    while stack:
-        cell, acc, depth = stack.pop()
-        if depth == len(w):
-            if acc == w and cell == expect:
-                return True
-            continue
-        for (i, a), z in singles.get(cell, []):
-            stack.append((z, star(acc, single(i, a)), depth + 1))
-    return False
-
-
 def find_shortcuts(x) -> set[tuple[str, FaceWord]]:
-    """Defined composites admitting no chain of defined single faces with the same composite."""
-    singles = _single_moves(x)
-    out = set()
-    for (cid, w), tgt in x.faces.items():
-        if len(w) >= 2 and not _single_chain_exists(x, cid, w, tgt, singles):
-            out.add((cid, w))
-    return out
+    """Defined composites that the closure of the model's single faces does not produce."""
+    generated = saturate((src, w, tgt) for (src, w), tgt in x.faces.items() if len(w) == 1)
+    return {(cid, w) for (cid, w), tgt in x.faces.items() if len(w) >= 2 and generated.get((cid, w)) != tgt}

@@ -26,6 +26,12 @@ def _label(raw: Any) -> tuple[str, ...]:
     raise ParseError(f"label must be a list of letters: {raw!r}")
 
 
+def _cid(raw: Any) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise ParseError(f"cell id must be a string: {raw!r}")
+
+
 def _word(raw: Any) -> FaceWord:
     try:
         return FaceWord(tuple((int(i), int(a)) for i, a in raw))
@@ -36,11 +42,11 @@ def _word(raw: Any) -> FaceWord:
 def model_from_dict(doc: dict) -> PHDA:
     try:
         alphabet = frozenset(doc["alphabet"])
-        cells = {c["id"]: Cell(c["id"], int(c["dim"]), _label(c["label"])) for c in doc["cells"]}
-        initial = doc["initial"]
-        raw_entries = [(e["from"], _word(e["word"]), e["to"]) for e in doc.get("faces", [])]
+        cells = {_cid(c["id"]): Cell(c["id"], int(c["dim"]), _label(c["label"])) for c in doc["cells"]}
+        initial = _cid(doc["initial"])
+        raw_entries = [(_cid(e["from"]), _word(e["word"]), _cid(e["to"])) for e in doc.get("faces", [])]
         close = bool(doc.get("saturate", False))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed model document: {e!r}") from None
     if close:
         faces = saturate(raw_entries)
@@ -88,9 +94,10 @@ def morphism_from_dict(doc: dict, base_dir: str = ".") -> Morphism:
         raise ParseError(f"model reference must be a path or an inline object: {ref!r}")
 
     try:
-        f = Morphism(resolve(doc["source"]), resolve(doc["target"]), dict(doc["map"]))
-    except KeyError as e:
-        raise ParseError(f"malformed morphism document: missing {e}") from None
+        mapping = {_cid(k): _cid(v) for k, v in dict(doc["map"]).items()}
+        f = Morphism(resolve(doc["source"]), resolve(doc["target"]), mapping)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed morphism document: {e!r}") from None
     bad = validate_morphism(f)
     if bad:
         raise ModelInvalid(bad)
@@ -129,7 +136,7 @@ def diagram_from_dict(doc: dict) -> Diagram:
             Arrow(a["name"], a["src"], a["dst"], {int(k): int(v) for k, v in a["map"].items()})
             for a in doc.get("arrows", [])
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed diagram document: {e!r}") from None
     return Diagram(objects=objects, arrows=arrows)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSpine, NotAPathShape
+from .errors import InvalidBound, InvalidSpine, NotAPathShape
 from .model import PHDA, Morphism, build
 from .words import FUTURE, PAST, Label, single
 
@@ -194,6 +194,8 @@ def step_moves(x: PHDA) -> tuple[dict[str, list[tuple[int, str]]], dict[str, lis
 
 def enumerate_paths(x: PHDA, max_len: int) -> list[Path]:
     """All paths of length at most max_len, breadth first, deterministic order."""
+    if max_len < 0:
+        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
     up, future = step_moves(x)
     out = [empty_path(x)]
     frontier = [out[0]]

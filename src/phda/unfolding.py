@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotATree
+from .errors import InvalidBound, NotATree
 from .homotopy import find_shortcuts, partition_paths
 from .model import PHDA, Cell, Morphism, saturate
 from .paths import Path, empty_path, step_moves
@@ -41,6 +41,8 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
     A future face is materialised only when the extended execution stays
     within the depth bound; `truncated` reports whether anything was cut.
     """
+    if depth < 0:
+        raise InvalidBound(f"depth must be >= 0, got {depth}")
     up, futures = step_moves(x)
     paths: list[Path] = [empty_path(x)]
     frontier = list(paths)

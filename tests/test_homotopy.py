@@ -3,6 +3,7 @@ import pytest
 from phda import fixtures as F
 from phda.errors import DomainMismatch, UnknownCell
 from phda.homotopy import (
+    ChainIndex,
     are_confluently_homotopic,
     class_key,
     classes_to,
@@ -10,9 +11,98 @@ from phda.homotopy import (
     find_shortcuts,
     partition_paths,
 )
-from phda.model import build
-from phda.paths import Path, empty_path, enumerate_paths
-from phda.words import FUTURE, PAST, word
+from phda.model import PHDA, build
+from phda.paths import Path, empty_path, enumerate_paths, step_moves
+from phda.unfolding import unfold
+from phda.words import EPSILON, FUTURE, PAST, single, star, star_fold, word
+
+
+# Independent oracles for the chain index and the saturation-based shortcut
+# test: a depth-first chain search per window and per composite face, with
+# no table shared between searches.
+
+
+def oracle_future_chains(start, length, target, futures):
+    """All chains of `length` future steps from `start` whose composite is `target`."""
+    out = []
+    stack = [(start, EPSILON, (), ())]
+    while stack:
+        cell, acc, cells, steps = stack.pop()
+        if len(steps) == length:
+            if acc == target:
+                out.append((cells, steps))
+            continue
+        for i, z in futures.get(cell, []):
+            stack.append((z, star(acc, single(i, FUTURE)), cells + (z,), steps + ((i, FUTURE),)))
+    return out
+
+
+def oracle_neighbors(p, futures):
+    found = {}
+    n = len(p.steps)
+    for s in range(1, n):
+        if p.steps[s - 1][1] != FUTURE:
+            continue
+        for t in range(s + 1, n + 1):
+            if p.steps[t - 1][1] != FUTURE:
+                break
+            target = star_fold(list(p.steps[s - 1 : t]))
+            for cells, steps in oracle_future_chains(p.cells[s - 1], t - s + 1, target, futures):
+                if cells[-1] != p.cells[t]:
+                    continue
+                q = Path(p.host, p.cells[:s] + cells[:-1] + p.cells[t:], p.steps[: s - 1] + steps + p.steps[t:])
+                if q.key() != p.key():
+                    found[q.key()] = q
+    return [found[k] for k in sorted(found)]
+
+
+def oracle_partition(paths):
+    futures = step_moves(paths[0].host)[1]
+    index = {p.key(): i for i, p in enumerate(paths)}
+    parent = list(range(len(paths)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, p in enumerate(paths):
+        for nb in oracle_neighbors(p, futures):
+            ri, rj = find(i), find(index[nb.key()])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i, p in enumerate(paths):
+        groups.setdefault(find(i), []).append(p)
+    return [groups[r] for r in sorted(groups)]
+
+
+def oracle_shortcuts(x):
+    """Composites of length >= 2 reached by no chain of single faces with the same composite and end."""
+    singles = {}
+    for (src, w), tgt in x.faces.items():
+        if len(w) == 1:
+            singles.setdefault(src, []).append((w.pairs[0], tgt))
+
+    def chain_exists(cid, w, expect):
+        stack = [(cid, EPSILON, 0)]
+        while stack:
+            cell, acc, depth = stack.pop()
+            if depth == len(w):
+                if acc == w and cell == expect:
+                    return True
+                continue
+            for (i, a), z in singles.get(cell, []):
+                stack.append((z, star(acc, single(i, a)), depth + 1))
+        return False
+
+    return {(cid, w) for (cid, w), tgt in x.faces.items() if len(w) >= 2 and not chain_exists(cid, w, tgt)}
+
+
+def oracle_models():
+    models = {name: F.MODELS[name]() for name in ("full_cube", "punctured_cube", "notched_square", "glued_square", "self_loop")}
+    models["unfold(full_cube, 6)"] = unfold(F.full_cube(), 6).tree
+    return models
 
 
 def glued_square_paths_to_corner():
@@ -112,14 +202,17 @@ def test_path_shapes_have_no_shortcuts():
     assert find_shortcuts(shape) == set()
 
 
-def test_isolated_composite_is_a_shortcut():
-    x = build(
+def isolated_composite() -> PHDA:
+    return build(
         "ab",
         [("q", 2, "ab"), ("v", 0, ()), ("i", 0, ())],
         "i",
         [("q", word((1, 0), (2, 0)), "v")],
     )
-    assert find_shortcuts(x) == {("q", word((1, 0), (2, 0)))}
+
+
+def test_isolated_composite_is_a_shortcut():
+    assert find_shortcuts(isolated_composite()) == {("q", word((1, 0), (2, 0)))}
 
 
 def test_completions_have_no_shortcuts():
@@ -133,3 +226,51 @@ def test_completions_have_no_shortcuts():
 def test_fixture_models_have_no_shortcuts():
     for name, mk in F.MODELS.items():
         assert find_shortcuts(mk()) == set(), name
+
+
+@pytest.mark.parametrize("name", list(oracle_models()))
+def test_chain_index_matches_dfs_oracle(name):
+    x = oracle_models()[name]
+    futures = step_moves(x)[1]
+    chains = ChainIndex(futures)
+    for p in enumerate_paths(x, 6):
+        expect = [q.key() for q in oracle_neighbors(p, futures)]
+        assert [q.key() for q in elementary_neighbors(p, chains)] == expect, p.text()
+        assert [q.key() for q in elementary_neighbors(p)] == expect, p.text()
+
+
+@pytest.mark.parametrize("name", list(oracle_models()))
+def test_partition_paths_matches_oracle(name):
+    paths = enumerate_paths(oracle_models()[name], 6)
+    got = [[p.key() for p in group] for group in partition_paths(paths)]
+    assert got == [[p.key() for p in group] for group in oracle_partition(paths)]
+
+
+def _without_singles_of(x: PHDA, cells: set[str]) -> PHDA:
+    """x with the single faces of `cells` dropped; every composite stays, so closure still holds."""
+    faces = {(c, w): y for (c, w), y in x.faces.items() if len(w) != 1 or c not in cells}
+    return PHDA(x.alphabet, x.cells, x.initial, faces)
+
+
+def shortcut_models():
+    models = {}
+    for name, mk in F.MODELS.items():
+        models[name] = mk()
+        models[f"unfold({name}, 5)"] = unfold(mk(), 5).tree
+    models["isolated_composite"] = isolated_composite()
+    models["cube without the singles of ***"] = _without_singles_of(F.full_cube(), {"***"})
+    models["cube without the singles of 0**, *1*"] = _without_singles_of(F.full_cube(), {"0**", "*1*"})
+    models["punctured cube without the singles of ***"] = _without_singles_of(F.punctured_cube(), {"***"})
+    return models
+
+
+@pytest.mark.parametrize("name", list(shortcut_models()))
+def test_find_shortcuts_matches_chain_oracle(name):
+    x = shortcut_models()[name]
+    assert find_shortcuts(x) == oracle_shortcuts(x)
+
+
+def test_dropped_singles_make_shortcuts():
+    x = _without_singles_of(F.full_cube(), {"***"})
+    assert ("***", word((1, 0), (2, 0))) in find_shortcuts(x)
+    assert all(cid == "***" for cid, _ in find_shortcuts(x))

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import phda
 from phda import fixtures as F
 from phda import jsonio
 from phda.cli import main
@@ -230,11 +232,73 @@ def test_cli_error_exit_code(files):
     assert cli(["validate", missing])[0] == 2
 
 
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+MALFORMED_MODELS = {
+    "dim is not a number": _set(("cells", 0, "dim"), "x"),
+    "initial is a list": _set(("initial",), ["p"]),
+    "cell id is a number": _set(("cells", 0, "id"), 5),
+    "face source is a list": _set(("faces", 0, "from"), ["q"]),
+    "face target is an object": _set(("faces", 0, "to"), {"a": 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+def test_cli_malformed_model_is_parse_error(files, case):
+    _, write = files
+    doc = jsonio.model_to_dict(F.full_square())
+    MALFORMED_MODELS[case](doc)
+    code, out, _ = cli(["validate", write("malformed.json", doc)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_malformed_morphism_and_diagram_are_parse_errors():
+    doc = jsonio.morphism_to_dict(F.branch_fold(2, 1))
+    for bad_map in ([1, 2], {"0": ["x"]}):
+        with pytest.raises(ParseError):
+            jsonio.morphism_from_dict(dict(doc, map=bad_map))
+    doc = jsonio.diagram_to_dict(F.glued_square_diagram())
+    with pytest.raises(ParseError):
+        jsonio.diagram_from_dict(dict(doc, objects=[]))
+    arrows = [dict(a, map=[1]) for a in doc["arrows"]]
+    with pytest.raises(ParseError):
+        jsonio.diagram_from_dict(dict(doc, arrows=arrows))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["unfold", "full_square", "--depth", "-3"],
+        ["paths", "full_square", "--max-len", "-2"],
+        ["homotopy", "full_square", "--to", "11", "--max-len", "-1"],
+        ["check-open", "fold", "--max-len", "-1"],
+        ["check-covering", "fold", "--max-len", "-1"],
+    ],
+)
+def test_cli_negative_bound_is_an_error(model_files, args):
+    code, out, _ = cli([args[0], model_files[args[1]], *args[2:]])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidBound"
+
+
 def test_cli_subprocess_entry():
+    # the child imports the same package as this process, also when only pytest's pythonpath finds it
+    src = os.path.dirname(os.path.dirname(phda.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "phda", "validate", "/nonexistent.json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phda import fixtures as F
-from phda.errors import InvalidSpine, NotAPathShape
+from phda.errors import InvalidBound, InvalidSpine, NotAPathShape
+from phda.homotopy import classes_to
+from phda.lifting import is_covering, is_open
 from phda.model import validate_morphism, validate_phda, is_hda
 from phda.paths import (
     Path,
@@ -16,6 +18,7 @@ from phda.paths import (
     spine_of,
     validate_path,
 )
+from phda.unfolding import unfold
 from phda.words import FUTURE, PAST
 
 
@@ -132,6 +135,21 @@ def test_enumerate_paths_square_interleavings():
 def test_enumerate_paths_zero_length():
     x = F.full_square()
     assert [p.key() for p in enumerate_paths(x, 0)] == [empty_path(x).key()]
+
+
+def test_negative_bounds_rejected():
+    sq, fold = F.full_square(), F.branch_fold(2, 1)
+    calls = [
+        lambda: enumerate_paths(sq, -1),
+        lambda: unfold(sq, -3),
+        lambda: classes_to(sq, "11", -1),
+        lambda: is_open(fold, -1),
+        lambda: is_open(fold, -1, exhaustive=True),
+        lambda: is_covering(fold, -2),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidBound):
+            call()
 
 
 def test_enumerate_contains_canonical_path():
