@@ -23,7 +23,6 @@ from .lifting import (
     construct_lift,
     enumerate_lifts,
     enumerate_morphisms,
-    factor_universal,
     is_cofibrant,
     is_covering,
     is_open,

@@ -106,10 +106,10 @@ def cmd_colimit(args) -> int:
 
 def cmd_check_open(args) -> int:
     f = jsonio.load_morphism(args.morphism)
-    report = is_open(f, args.max_len, exhaustive=args.exhaustive)
+    report = is_open(f, args.max_len)
     doc = {
         "open": report.ok,
-        "mode": "exhaustive" if args.exhaustive else "prefix",
+        "mode": "prefix",
         "counterexample": str(report.square) if report.square else None,
     }
     _emit(doc, "open" if report.ok else f"not open: {report.square}")
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-open", help="right lifting property against execution extensions")
     p.add_argument("morphism")
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--max-len", type=int, default=6)
     p.set_defaults(run=cmd_check_open)
 

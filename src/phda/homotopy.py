@@ -7,8 +7,9 @@ necessary-condition key serves only as an index and negative pre-filter.
 
 The rewrites of a window come from a `ChainIndex`: the future chains from
 each start cell, of each length, grouped by composite word and end cell.
-It is searched once per (cell, length) and per call of `partition_paths` or
-`are_confluently_homotopic`; each window is then one dictionary lookup.
+It is searched once per (cell, length) and per index; `partition_paths`,
+`are_confluently_homotopic` and `is_tree` each build one, and each window
+is then one dictionary lookup.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from .errors import DomainMismatch, UnknownCell
 from .model import saturate
 from .paths import Path, enumerate_paths, step_moves
+from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star, star_fold
 
 Futures = dict[str, list[tuple[int, str]]]
@@ -122,31 +124,21 @@ def are_confluently_homotopic(p: Path, q: Path) -> bool:
     return False
 
 
-def partition_paths(paths: list[Path], futures: Futures | None = None) -> list[list[Path]]:
+def partition_paths(paths: list[Path], chains: ChainIndex | None = None) -> list[list[Path]]:
     """Group paths by closure under elementary rewrites, preserving first-seen order.
 
     The input must be closed under rewrites (rewrites preserve length and
-    endpoint, so length- or endpoint-filtered enumerations qualify).
+    endpoint, so length- or endpoint-filtered enumerations qualify).  A
+    caller partitioning several such sets of one model may share `chains`.
     """
-    chains = ChainIndex(step_moves(paths[0].host)[1] if futures is None and paths else futures)
+    if chains is None and paths:
+        chains = ChainIndex(step_moves(paths[0].host)[1])
     index = {p.key(): i for i, p in enumerate(paths)}
-    parent = list(range(len(paths)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(range(len(paths)))
     for i, p in enumerate(paths):
         for nb in elementary_neighbors(p, chains):
-            ri, rj = find(i), find(index[nb.key()])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[Path]] = {}
-    for i, p in enumerate(paths):
-        groups.setdefault(find(i), []).append(p)
-    return [groups[r] for r in sorted(groups)]
+            uf.union(i, index[nb.key()])
+    return [[paths[i] for i in group] for group in uf.groups().values()]
 
 
 def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:

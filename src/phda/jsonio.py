@@ -32,9 +32,15 @@ def _cid(raw: Any) -> str:
     raise ParseError(f"cell id must be a string: {raw!r}")
 
 
+def _int(raw: Any, what: str) -> int:
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise ParseError(f"{what} must be an integer: {raw!r}")
+
+
 def _word(raw: Any) -> FaceWord:
     try:
-        return FaceWord(tuple((int(i), int(a)) for i, a in raw))
+        return FaceWord(tuple((_int(i, "face index"), _int(a, "face direction")) for i, a in raw))
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad face word {raw!r}: {e}") from None
 
@@ -42,12 +48,14 @@ def _word(raw: Any) -> FaceWord:
 def model_from_dict(doc: dict) -> PHDA:
     try:
         alphabet = frozenset(doc["alphabet"])
-        cells = {_cid(c["id"]): Cell(c["id"], int(c["dim"]), _label(c["label"])) for c in doc["cells"]}
+        cells = {_cid(c["id"]): Cell(c["id"], _int(c["dim"], "dim"), _label(c["label"])) for c in doc["cells"]}
         initial = _cid(doc["initial"])
         raw_entries = [(_cid(e["from"]), _word(e["word"]), _cid(e["to"])) for e in doc.get("faces", [])]
-        close = bool(doc.get("saturate", False))
+        close = doc.get("saturate", False)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed model document: {e!r}") from None
+    if not isinstance(close, bool):
+        raise ParseError(f"saturate must be true or false: {close!r}")
     if close:
         faces = saturate(raw_entries)
     else:
@@ -119,7 +127,7 @@ def load_morphism(path: str) -> Morphism:
 def spine_from_dict(doc: dict) -> Spine:
     try:
         labels = [_label(w) for w in doc["labels"]]
-        steps = tuple((int(j), int(a)) for j, a in doc["steps"])
+        steps = tuple((_int(j, "step index"), _int(a, "step direction")) for j, a in doc["steps"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed spine: {e!r}") from None
     return Spine(tuple((len(w), w) for w in labels), steps)

@@ -2,8 +2,13 @@
 
 A map is open when every one-step extension of the image of an execution
 lifts to an extension of the execution itself; it is a covering when the
-lift is always unique.  Trees lift through open maps: the lift is built
-by induction on depth, solving one extension square per cell.
+lift is always unique.  One-step squares suffice: a lift of the first step
+of a longer extension is again an execution of the domain, so the next
+step is a one-step square over it, and induction on the extension's
+length lifts the whole of it (the open-map argument of Joyal, Nielsen and
+Winskel, *Bisimulation from open maps*, 1996).  Trees lift through open
+maps: the lift is built by induction on depth, solving one extension
+square per cell.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CorpusDisagreement, DomainMismatch, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
-from .paths import Path, enumerate_paths, map_path, step_moves
+from .paths import Path, enumerate_paths, step_moves
 from .unfolding import is_tree
 from .words import FUTURE, PAST, single
 
@@ -60,41 +65,12 @@ def _squares(f: Morphism, max_len: int, cod_moves):
             yield p, (i, FUTURE), z
 
 
-def _multi_step_lifts(f: Morphism, p: Path, suffix, dom_moves, limit: int | None = None) -> list[Path]:
-    """Extensions of p lifting a whole suffix of steps in the codomain."""
-    out = []
-    stack = [(p, 0)]
-    while stack:
-        cur, k = stack.pop()
-        if k == len(suffix):
-            out.append(cur)
-            if limit is not None and len(out) >= limit:
-                return out
-            continue
-        step, target = suffix[k]
-        for z in _one_step_lifts(f, cur, step, target, dom_moves):
-            stack.append((cur.extend(step, z), k + 1))
-    return out
-
-
-def is_open(f: Morphism, max_len: int, exhaustive: bool = False) -> LiftReport:
+def is_open(f: Morphism, max_len: int) -> LiftReport:
     """Right lifting against execution-shape inclusions, up to the given length."""
     dom_moves = step_moves(f.source)
-    cod_moves = step_moves(f.target)
-    if not exhaustive:
-        for p, step, target in _squares(f, max_len, cod_moves):
-            if not _one_step_lifts(f, p, step, target, dom_moves):
-                return LiftReport(False, ExtensionSquare(p, step, target), 0)
-        return LiftReport(True)
-    cod_paths = {q.key(): q for q in enumerate_paths(f.target, max_len)}
-    for p in enumerate_paths(f.source, max_len):
-        image = map_path(f, p)
-        for q in cod_paths.values():
-            if len(q) <= len(p) or q.prefix(len(p)).key() != image.key():
-                continue
-            suffix = [(q.steps[k], q.cells[k + 1]) for k in range(len(p), len(q))]
-            if not _multi_step_lifts(f, p, suffix, dom_moves, limit=1):
-                return LiftReport(False, ExtensionSquare(p, suffix[0][0], suffix[0][1]), 0)
+    for p, step, target in _squares(f, max_len, step_moves(f.target)):
+        if not _one_step_lifts(f, p, step, target, dom_moves):
+            return LiftReport(False, ExtensionSquare(p, step, target), 0)
     return LiftReport(True)
 
 
@@ -120,6 +96,9 @@ def _classes_by_cell(x: PHDA) -> dict[str, Path]:
 def construct_lift(g: Morphism, f: Morphism, order: list[str] | None = None) -> Morphism:
     """h with f o h = g, built by depth induction over the tree dom(g).
 
+    This is the universal factorisation of the unfolding: a map out of a
+    tree, such as the cover of an unfolding, factors through every open
+    map onto its codomain.
     A cell entered by a past step is solved as an extension square over
     its image; a cell entered by future steps is forced to be the future
     face of the already-lifted predecessor.  `order` may supply any
@@ -209,11 +188,6 @@ def enumerate_morphisms(x: PHDA, y: PHDA, limit: int | None = None) -> list[Morp
     """All morphisms x -> y, by backtracking; desk-scale inputs only."""
     fibres = {cid: _matching_cells(x, y, cid) for cid in x.cells}
     return _search_maps(x, y, fibres, limit)
-
-
-def factor_universal(f: Morphism, g: Morphism) -> Morphism:
-    """Factor a tree-domain covering through another covering of the same base."""
-    return construct_lift(f, g)
 
 
 def is_cofibrant(x: PHDA, corpus: tuple[Morphism, ...] = ()) -> bool:

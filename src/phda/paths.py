@@ -5,10 +5,14 @@ past face is the current cell (an action starts), direction 1 moves to
 the future face of the current cell (an action finishes).  The spine is
 the (dimension, label) shadow of a path; it freely generates a shape
 model whose morphisms into a host are exactly the host's paths.
+
+`executions` is the library's one execution explorer: enumeration,
+unfolding and tree recognition all read its breadth-first stream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidBound, InvalidSpine, NotAPathShape
 from .model import PHDA, Morphism, build
@@ -192,23 +196,31 @@ def step_moves(x: PHDA) -> tuple[dict[str, list[tuple[int, str]]], dict[str, lis
     return up, future
 
 
-def enumerate_paths(x: PHDA, max_len: int) -> list[Path]:
-    """All paths of length at most max_len, breadth first, deterministic order."""
+def executions(x: PHDA, max_len: int) -> Iterator[Path]:
+    """Paths of length at most max_len, breadth first, each yielded as soon as it is built.
+
+    Within a level, paths extend the previous level in order, past steps
+    before future steps; the stream ends when no path can be extended.
+    """
     if max_len < 0:
         raise InvalidBound(f"max_len must be >= 0, got {max_len}")
     up, future = step_moves(x)
-    out = [empty_path(x)]
-    frontier = [out[0]]
+    moves = {c: [((i, PAST), z) for i, z in up.get(c, ())] + [((i, FUTURE), z) for i, z in future.get(c, ())]
+             for c in up.keys() | future.keys()}
+    frontier = [empty_path(x)]
+    yield frontier[0]
     for _ in range(max_len):
         nxt = []
         for p in frontier:
-            e = p.end
-            for i, z in up.get(e, []):
-                nxt.append(p.extend((i, PAST), z))
-            for i, z in future.get(e, []):
-                nxt.append(p.extend((i, FUTURE), z))
+            for step, z in moves.get(p.end, ()):
+                q = p.extend(step, z)
+                nxt.append(q)
+                yield q
         if not nxt:
-            break
-        out.extend(nxt)
+            return
         frontier = nxt
-    return out
+
+
+def enumerate_paths(x: PHDA, max_len: int) -> list[Path]:
+    """All paths of length at most max_len, breadth first, deterministic order."""
+    return list(executions(x, max_len))

@@ -34,6 +34,7 @@ class UnionFind:
         return True
 
     def groups(self) -> dict:
+        """Members by root, in order of each group's first key; members in key order."""
         out: dict = {}
         for k in self.parent:
             out.setdefault(self.find(k), []).append(k)

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidBound, NotATree
-from .homotopy import find_shortcuts, partition_paths
+from .homotopy import ChainIndex, find_shortcuts, partition_paths
 from .model import PHDA, Cell, Morphism, saturate
-from .paths import Path, empty_path, step_moves
+from .paths import Path, empty_path, executions, step_moves
 from .words import FUTURE, PAST, single
 
 
@@ -43,27 +43,15 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
     """
     if depth < 0:
         raise InvalidBound(f"depth must be >= 0, got {depth}")
-    up, futures = step_moves(x)
-    paths: list[Path] = [empty_path(x)]
-    frontier = list(paths)
+    paths: list[Path] = []
     truncated = False
-    for step in range(depth + 1):
-        nxt = []
-        for p in frontier:
-            e = p.end
-            for i, z in up.get(e, []):
-                nxt.append(p.extend((i, PAST), z))
-            for i, z in futures.get(e, []):
-                nxt.append(p.extend((i, FUTURE), z))
-        if step == depth:
-            truncated = bool(nxt)
+    for p in executions(x, depth + 1):
+        if len(p) > depth:
+            truncated = True
             break
-        paths.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-
-    groups = partition_paths(paths, futures)
+        paths.append(p)
+    futures = step_moves(x)[1]
+    groups = partition_paths(paths, ChainIndex(futures))
     state_of: dict[tuple, str] = {}
     reps: list[Path] = []
     for ordinal, group in enumerate(groups):
@@ -96,27 +84,17 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
 
 
 def _bounded_paths(x: PHDA) -> tuple[list[Path], str | None]:
-    """Paths up to |cells| steps, aborting on a cell reached at two lengths."""
-    up, futures = step_moves(x)
-    first_len: dict[str, int] = {x.initial: 0}
-    paths = [empty_path(x)]
-    frontier = list(paths)
-    for _ in range(len(x.cells)):
-        nxt = []
-        for p in frontier:
-            e = p.end
-            moves = [((i, PAST), z) for i, z in up.get(e, [])]
-            moves += [((i, FUTURE), z) for i, z in futures.get(e, [])]
-            for step, z in moves:
-                q = p.extend(step, z)
-                seen = first_len.setdefault(z, len(q))
-                if seen != len(q):
-                    return paths, f"cell {z} is reached at lengths {seen} and {len(q)}"
-                nxt.append(q)
-        if not nxt:
-            break
-        paths.extend(nxt)
-        frontier = nxt
+    """Paths up to |cells| steps, aborting on a cell reached at two lengths.
+
+    On a clash only the whole levels below the clashing path are returned.
+    """
+    first_len: dict[str, int] = {}
+    paths: list[Path] = []
+    for p in executions(x, len(x.cells)):
+        seen = first_len.setdefault(p.end, len(p))
+        if seen != len(p):
+            return [q for q in paths if len(q) < len(p)], f"cell {p.end} is reached at lengths {seen} and {len(p)}"
+        paths.append(p)
     return paths, None
 
 
@@ -135,9 +113,9 @@ def is_tree(x: PHDA) -> TreeReport:
     for cid in sorted(x.cells):
         if cid not in by_end:
             return TreeReport(False, f"cell {cid} is not the endpoint of any execution")
-    futures = step_moves(x)[1]
+    chains = ChainIndex(step_moves(x)[1])
     for cid in sorted(by_end):
-        found = partition_paths(by_end[cid], futures)
+        found = partition_paths(by_end[cid], chains)
         if len(found) != 1:
             return TreeReport(False, f"cell {cid} has {len(found)} execution classes")
     return TreeReport(True)

@@ -8,7 +8,7 @@ from phda import fixtures as F
 from phda.colimits import colimit, mediate
 from phda.completion import complete, complete_morphism, completion_of, counit
 from phda.homotopy import are_confluently_homotopic, class_key, classes_to, partition_paths
-from phda.lifting import construct_lift, enumerate_lifts, factor_universal, is_covering, is_open
+from phda.lifting import construct_lift, enumerate_lifts, is_covering, is_open
 from phda.model import Morphism, compose, identity, is_hda, validate_morphism, validate_phda
 from phda.paths import enumerate_paths, map_path, morphism_to_path, path_to_morphism, validate_path
 from phda.unfolding import is_tree, tree_unit, unfold
@@ -194,7 +194,7 @@ def test_a9_universal_covering_factorisation():
     loop_cover = unfold(F.self_loop(), 6).cover
     unroll = F.loop_unrolling(2)
     assert bool(is_covering(unroll, 5))
-    h = factor_universal(loop_cover, unroll)
+    h = construct_lift(loop_cover, unroll)
     assert validate_morphism(h) == []
     assert all(unroll.mapping[h.mapping[c]] == loop_cover.mapping[c] for c in h.mapping)
     assert bool(is_covering(h, 5))

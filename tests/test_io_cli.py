@@ -248,6 +248,10 @@ MALFORMED_MODELS = {
     "cell id is a number": _set(("cells", 0, "id"), 5),
     "face source is a list": _set(("faces", 0, "from"), ["q"]),
     "face target is an object": _set(("faces", 0, "to"), {"a": 1}),
+    "saturate is a string": _set(("saturate",), "false"),
+    "dim is a fraction": _set(("cells", 0, "dim"), 0.5),
+    "face index is a fraction": _set(("faces", 0, "word", 0, 0), 1.7),
+    "face direction is a boolean": _set(("faces", 0, "word", 0, 1), True),
 }
 
 
@@ -272,6 +276,9 @@ def test_malformed_morphism_and_diagram_are_parse_errors():
     arrows = [dict(a, map=[1]) for a in doc["arrows"]]
     with pytest.raises(ParseError):
         jsonio.diagram_from_dict(dict(doc, arrows=arrows))
+    fractional = dict(doc["objects"]["A"], steps=[[1.5, 0]] + doc["objects"]["A"]["steps"][1:])
+    with pytest.raises(ParseError):
+        jsonio.diagram_from_dict(dict(doc, objects=dict(doc["objects"], A=fractional)))
 
 
 @pytest.mark.parametrize(
@@ -290,18 +297,33 @@ def test_cli_negative_bound_is_an_error(model_files, args):
     assert json.loads(out)["error"]["type"] == "InvalidBound"
 
 
-def test_cli_subprocess_entry():
+def run_module(args, **env):
     # the child imports the same package as this process, also when only pytest's pythonpath finds it
     src = os.path.dirname(os.path.dirname(phda.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "phda", "validate", "/nonexistent.json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "phda", *args], capture_output=True, text=True, env=env)
+
+
+def test_cli_subprocess_entry():
+    proc = run_module(["validate", "/nonexistent.json"])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["unfold", "glued_square", "--depth", "4"],
+        ["is-tree", "full_square"],
+        ["homotopy", "full_square", "--to", "11"],
+        ["check-open", "fold"],
+        ["check-covering", "fold"],
+    ],
+)
+def test_cli_output_independent_of_hash_seed(model_files, args):
+    argv = [args[0], model_files[args[1]], *args[2:]]
+    first, second = (run_module(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+    assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
 
 
 def test_cli_output_deterministic(model_files):

@@ -6,16 +6,15 @@ from phda.lifting import (
     construct_lift,
     enumerate_lifts,
     enumerate_morphisms,
-    factor_universal,
     is_cofibrant,
     is_covering,
     is_open,
 )
 from phda.colimits import colimit, mediate
 from phda.model import Morphism, compose, identity, validate_morphism
-from phda.paths import Spine, path_shape
+from phda.paths import Spine, enumerate_paths, map_path, path_shape
 from phda.unfolding import is_tree, unfold
-from phda.words import FUTURE, PAST
+from phda.words import FUTURE, PAST, single
 
 
 def square_cover():
@@ -65,16 +64,53 @@ def test_branch_fold_open_but_not_covering():
     assert not report and report.lifts == 2
 
 
+def oracle_extension_lifts(f, p, suffix):
+    """Whether some extension of p maps onto the given codomain steps, searched step by step."""
+    stack = [(p.end, 0)]
+    while stack:
+        cell, k = stack.pop()
+        if k == len(suffix):
+            return True
+        (i, a), target = suffix[k]
+        if a == FUTURE:
+            found = [f.source.faces.get((cell, single(i, FUTURE)))]
+        else:
+            found = [z for (z, w), y in f.source.faces.items() if w == single(i, PAST) and y == cell]
+        stack.extend((z, k + 1) for z in found if z is not None and f.mapping[z] == target)
+    return False
+
+
+def oracle_is_open(f, max_len):
+    """Every extension of every image path, of any length within the bound, lifts."""
+    cod_paths = enumerate_paths(f.target, max_len)
+    for p in enumerate_paths(f.source, max_len):
+        image = map_path(f, p)
+        for q in cod_paths:
+            if len(q) <= len(p) or q.prefix(len(p)).key() != image.key():
+                continue
+            if not oracle_extension_lifts(f, p, [(q.steps[k], q.cells[k + 1]) for k in range(len(p), len(q))]):
+                return False
+    return True
+
+
 def test_prefix_and_exhaustive_modes_agree():
+    long = Spine(((0, ()), (1, ("a",)), (0, ())), ((1, PAST), (1, FUTURE)))
+    short = Spine(((0, ()), (1, ("a",))), ((1, PAST),))
     cases = [
         identity(F.full_square()),
         F.branch_fold(2, 1),
         square_cover(),
         F.loop_unrolling(2),
         F.double_square_fold(),
+        Morphism(path_shape(short, frozenset("a")), path_shape(long, frozenset("a")), {"0": "0", "1": "1"}),
     ]
+    # one-step squares over executions of length <= n reach codomain paths of length <= n + 1
+    verdicts = set()
     for f in cases:
-        assert is_open(f, 3).ok == is_open(f, 3, exhaustive=True).ok
+        for n in (0, 1, 2, 3):
+            verdicts.add(is_open(f, n).ok)
+            assert is_open(f, n).ok == oracle_is_open(f, n + 1), (f.mapping, n)
+    assert verdicts == {True, False}
 
 
 def test_construct_lift_identity_square():
@@ -148,7 +184,7 @@ def test_factor_universal_loop():
     loop_cover = unfold(F.self_loop(), 6).cover
     unroll = F.loop_unrolling(2)
     assert bool(is_covering(unroll, 5))
-    h = factor_universal(loop_cover, unroll)
+    h = construct_lift(loop_cover, unroll)
     assert validate_morphism(h) == []
     assert all(unroll.mapping[h.mapping[c]] == loop_cover.mapping[c] for c in h.mapping)
     assert bool(is_covering(h, 5))
@@ -157,7 +193,7 @@ def test_factor_universal_loop():
 
 def test_factor_universal_self():
     cover = square_cover()
-    h = factor_universal(cover, cover)
+    h = construct_lift(cover, cover)
     assert h.mapping == identity(cover.source).mapping
 
 

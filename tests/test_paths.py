@@ -1,11 +1,14 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from phda import fixtures as F
+from phda import unfolding
 from phda.errors import InvalidBound, InvalidSpine, NotAPathShape
 from phda.homotopy import classes_to
 from phda.lifting import is_covering, is_open
-from phda.model import validate_morphism, validate_phda, is_hda
+from phda.model import build, validate_morphism, validate_phda, is_hda
 from phda.paths import (
     Path,
     Spine,
@@ -16,10 +19,166 @@ from phda.paths import (
     path_shape,
     path_to_morphism,
     spine_of,
+    step_moves,
     validate_path,
 )
 from phda.unfolding import unfold
-from phda.words import FUTURE, PAST
+from phda.words import FUTURE, PAST, single
+
+
+# Independent oracles for the execution explorer: the three breadth-first
+# frontier loops that enumeration, unfolding and tree recognition each ran
+# before they shared `paths.executions`.
+
+
+def oracle_enumerate_paths(x, max_len):
+    up, future = step_moves(x)
+    out = [empty_path(x)]
+    frontier = [out[0]]
+    for _ in range(max_len):
+        nxt = []
+        for p in frontier:
+            e = p.end
+            for i, z in up.get(e, []):
+                nxt.append(p.extend((i, PAST), z))
+            for i, z in future.get(e, []):
+                nxt.append(p.extend((i, FUTURE), z))
+        if not nxt:
+            break
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def oracle_unfold_paths(x, depth):
+    """The executions an unfolding to `depth` is built from, and whether any longer one exists."""
+    up, futures = step_moves(x)
+    paths = [empty_path(x)]
+    frontier = list(paths)
+    truncated = False
+    for step in range(depth + 1):
+        nxt = []
+        for p in frontier:
+            e = p.end
+            for i, z in up.get(e, []):
+                nxt.append(p.extend((i, PAST), z))
+            for i, z in futures.get(e, []):
+                nxt.append(p.extend((i, FUTURE), z))
+        if step == depth:
+            truncated = bool(nxt)
+            break
+        paths.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return paths, truncated
+
+
+def oracle_bounded_paths(x):
+    up, futures = step_moves(x)
+    first_len = {x.initial: 0}
+    paths = [empty_path(x)]
+    frontier = list(paths)
+    for _ in range(len(x.cells)):
+        nxt = []
+        for p in frontier:
+            e = p.end
+            moves = [((i, PAST), z) for i, z in up.get(e, [])]
+            moves += [((i, FUTURE), z) for i, z in futures.get(e, [])]
+            for step, z in moves:
+                q = p.extend(step, z)
+                seen = first_len.setdefault(z, len(q))
+                if seen != len(q):
+                    return paths, f"cell {z} is reached at lengths {seen} and {len(q)}"
+                nxt.append(q)
+        if not nxt:
+            break
+        paths.extend(nxt)
+        frontier = nxt
+    return paths, None
+
+
+def late_clash():
+    """Cell v is reached at lengths 2 and 4, the longer route after another path of its level."""
+    return build(
+        "a",
+        [(c, 0, ()) for c in ("i", "u", "v", "w")] + [(e, 1, ("a",)) for e in ("a", "b", "c", "d")],
+        "i",
+        [
+            ("a", single(1, PAST), "i"), ("a", single(1, FUTURE), "v"),
+            ("b", single(1, PAST), "i"), ("b", single(1, FUTURE), "u"),
+            ("c", single(1, PAST), "u"), ("c", single(1, FUTURE), "w"),
+            ("d", single(1, PAST), "u"), ("d", single(1, FUTURE), "v"),
+        ],
+    )
+
+
+def explorer_models():
+    models = {name: mk() for name, mk in F.MODELS.items()}
+    for name, f in (
+        ("loop_unrolling(2)", F.loop_unrolling(2)),
+        ("branch_fold(2, 1)", F.branch_fold(2, 1)),
+        ("double_square_fold", F.double_square_fold()),
+    ):
+        models[f"{name}.source"] = f.source
+        models[f"{name}.target"] = f.target
+    models["unfold(full_cube, 4)"] = unfold(F.full_cube(), 4).tree
+    models["late_clash"] = late_clash()
+    return models
+
+
+EXPLORER_MODELS = list(explorer_models())
+BOUNDS = (0, 1, 2, 5, 8)
+
+
+def keys(paths):
+    return [p.key() for p in paths]
+
+
+@pytest.mark.parametrize("name", EXPLORER_MODELS)
+def test_enumerate_paths_matches_oracle(name):
+    x = explorer_models()[name]
+    for bound in BOUNDS:
+        assert keys(enumerate_paths(x, bound)) == keys(oracle_enumerate_paths(x, bound)), bound
+
+
+@pytest.mark.parametrize("name", EXPLORER_MODELS)
+def test_unfold_paths_match_oracle(name, monkeypatch):
+    x = explorer_models()[name]
+    seen = []
+    partition_paths = unfolding.partition_paths
+
+    def recording(paths, *rest):
+        seen.append(list(paths))
+        return partition_paths(paths, *rest)
+
+    monkeypatch.setattr(unfolding, "partition_paths", recording)
+    for bound in BOUNDS:
+        seen.clear()
+        truncated = unfold(x, bound).truncated
+        expect, expect_truncated = oracle_unfold_paths(x, bound)
+        assert [keys(paths) for paths in seen] == [keys(expect)], bound
+        assert truncated == expect_truncated, bound
+
+
+@pytest.mark.parametrize("name", EXPLORER_MODELS)
+def test_bounded_paths_match_oracle(name):
+    x = explorer_models()[name]
+    paths, clash = unfolding._bounded_paths(x)
+    expect, expect_clash = oracle_bounded_paths(x)
+    assert keys(paths) == keys(expect)
+    assert clash == expect_clash
+    clashing = ("self_loop", "loop_unrolling(2).source", "loop_unrolling(2).target", "late_clash")
+    assert (clash is not None) == (name in clashing)
+
+
+def test_unbounded_exploration_stops_on_acyclic_models():
+    for x in (F.full_cube(), F.glued_square(), F.branch_tree(3)):
+        start = time.perf_counter()
+        assert keys(enumerate_paths(x, 10**9)) == keys(enumerate_paths(x, len(x.cells)))
+        far, near = unfold(x, 10**9), unfold(x, len(x.cells))
+        assert (far.tree, far.cover.mapping, far.truncated) == (near.tree, near.cover.mapping, False)
+        assert time.perf_counter() - start < 5
 
 
 def test_canonical_path_validates():
@@ -144,7 +303,6 @@ def test_negative_bounds_rejected():
         lambda: unfold(sq, -3),
         lambda: classes_to(sq, "11", -1),
         lambda: is_open(fold, -1),
-        lambda: is_open(fold, -1, exhaustive=True),
         lambda: is_covering(fold, -2),
     ]
     for call in calls:
