@@ -83,9 +83,7 @@ def colimit(d: Diagram) -> ColimitResult:
     # after a merge are harmless, the outer loop reruns until a clean fixpoint.
     while True:
         merged = False
-        members: dict = {}
-        for node in nodes:
-            members.setdefault(uf.find(node), []).append(node)
+        members = uf.groups()
         for root in sorted(members):
             level = {EPSILON: {root}}
             while level:
@@ -107,9 +105,7 @@ def colimit(d: Diagram) -> ColimitResult:
         if not merged:
             break
 
-    members = {}
-    for node in nodes:
-        members.setdefault(uf.find(node), []).append(node)
+    members = uf.groups()
     rep_of: dict = {}
     ids: dict = {}
     for root, group in members.items():

@@ -53,24 +53,14 @@ def completion_of(x: PHDA) -> Completion:
         AbstractFace(w, cid) for cid in sorted(x.cells) for w in enumerate_words(x.cells[cid].dim)
     ]
     uf = UnionFind(universe)
-    # (a) defined faces collapse onto their targets
-    for (cid, w), tgt in x.faces.items():
-        uf.union(AbstractFace(w, cid), AbstractFace(EPSILON, tgt))
-    # (b) congruence: merged faces stay merged after taking any further face
-    changed = True
-    while changed:
-        changed = False
-        for members in uf.groups().values():
-            if len(members) < 2:
-                continue
-            n = x.cells[members[0].cell].dim - len(members[0].word)
-            for i in range(1, n + 1):
-                for a in (0, 1):
-                    children = {uf.find(m.child(i, a)) for m in members}
-                    if len(children) > 1:
-                        first, *rest = sorted(children, key=AbstractFace.sort_key)
-                        for other in rest:
-                            changed |= uf.union(first, other)
+    # (a) defined faces collapse onto their targets; (b) congruence: every
+    # merge queues the merge of each pair of further faces of its two sides
+    pending = [(AbstractFace(w, cid), AbstractFace(EPSILON, tgt)) for (cid, w), tgt in x.faces.items()]
+    while pending:
+        a, b = pending.pop()
+        if uf.union(a, b):
+            n = x.cells[a.cell].dim - len(a.word)
+            pending.extend((a.child(i, d), b.child(i, d)) for i in range(1, n + 1) for d in (0, 1))
 
     reps: dict[AbstractFace, AbstractFace] = {}
     for members in uf.groups().values():

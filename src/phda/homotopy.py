@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, UnknownCell
-from .model import saturate
-from .paths import Path, enumerate_paths, step_moves
+from .model import PHDA, saturate
+from .paths import Path, enumerate_paths
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star, star_fold
 
-Futures = dict[str, list[tuple[int, str]]]
 Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
 
 
@@ -57,12 +56,13 @@ class ChainIndex:
     """The future chains of one model, searched once per (start cell, length).
 
     `index(cell, n)` maps (composite word, end cell) to the chains (cells
-    after each step, steps) of n future steps from `cell`; filled lazily,
-    each length from the one below, for one call over one model.
+    after each step, steps) of n future steps from `cell`, following the
+    future steps of `x.moves`; filled lazily, each length from the one
+    below, for one call over one model.
     """
 
-    def __init__(self, futures: Futures) -> None:
-        self.futures = futures
+    def __init__(self, x: PHDA) -> None:
+        self.moves = x.moves
         self.table: dict[tuple[str, int], Chains] = {}
 
     def __call__(self, start: str, length: int) -> Chains:
@@ -72,16 +72,17 @@ class ChainIndex:
         if found is None:
             found = self.table[(start, length)] = {}
             for (w, mid), below in self(start, length - 1).items():
-                for i, z in self.futures.get(mid, []):
-                    group = found.setdefault((star(w, single(i, FUTURE)), z), [])
-                    group.extend((cells + (z,), steps + ((i, FUTURE),)) for cells, steps in below)
+                for step, z in self.moves.get(mid, ()):
+                    if step[1] == FUTURE:
+                        group = found.setdefault((star(w, single(*step)), z), [])
+                        group.extend((cells + (z,), steps + (step,)) for cells, steps in below)
         return found
 
 
 def elementary_neighbors(p: Path, chains: ChainIndex | None = None) -> list[Path]:
     """All paths one elementary rewrite away from p."""
     if chains is None:
-        chains = ChainIndex(step_moves(p.host)[1])
+        chains = ChainIndex(p.host)
     found: dict[tuple, Path] = {}
     for s in range(1, len(p.steps)):
         if p.steps[s - 1][1] != FUTURE:
@@ -107,7 +108,7 @@ def are_confluently_homotopic(p: Path, q: Path) -> bool:
         return True
     if class_key(p) != class_key(q):
         return False  # provably necessary conditions; a pure pre-filter
-    chains = ChainIndex(step_moves(p.host)[1])
+    chains = ChainIndex(p.host)
     seen = {p.key()}
     frontier = [p]
     while frontier:
@@ -132,7 +133,7 @@ def partition_paths(paths: list[Path], chains: ChainIndex | None = None) -> list
     caller partitioning several such sets of one model may share `chains`.
     """
     if chains is None and paths:
-        chains = ChainIndex(step_moves(paths[0].host)[1])
+        chains = ChainIndex(paths[0].host)
     index = {p.key(): i for i, p in enumerate(paths)}
     uf = UnionFind(range(len(paths)))
     for i, p in enumerate(paths):

@@ -26,10 +26,10 @@ def _label(raw: Any) -> tuple[str, ...]:
     raise ParseError(f"label must be a list of letters: {raw!r}")
 
 
-def _cid(raw: Any) -> str:
+def _str(raw: Any, what: str = "cell id") -> str:
     if isinstance(raw, str):
         return raw
-    raise ParseError(f"cell id must be a string: {raw!r}")
+    raise ParseError(f"{what} must be a string: {raw!r}")
 
 
 def _int(raw: Any, what: str) -> int:
@@ -47,10 +47,14 @@ def _word(raw: Any) -> FaceWord:
 
 def model_from_dict(doc: dict) -> PHDA:
     try:
-        alphabet = frozenset(doc["alphabet"])
-        cells = {_cid(c["id"]): Cell(c["id"], _int(c["dim"], "dim"), _label(c["label"])) for c in doc["cells"]}
-        initial = _cid(doc["initial"])
-        raw_entries = [(_cid(e["from"]), _word(e["word"]), _cid(e["to"])) for e in doc.get("faces", [])]
+        alphabet = frozenset(_str(l, "letter") for l in doc["alphabet"])
+        cells: dict[str, Cell] = {}
+        for c in doc["cells"]:
+            cell = Cell(_str(c["id"]), _int(c["dim"], "dim"), _label(c["label"]))
+            if cells.setdefault(cell.id, cell) is not cell:
+                raise ParseError(f"repeated cell id: {cell.id!r}")
+        initial = _str(doc["initial"])
+        raw_entries = [(_str(e["from"]), _word(e["word"]), _str(e["to"])) for e in doc.get("faces", [])]
         close = doc.get("saturate", False)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed model document: {e!r}") from None
@@ -102,7 +106,7 @@ def morphism_from_dict(doc: dict, base_dir: str = ".") -> Morphism:
         raise ParseError(f"model reference must be a path or an inline object: {ref!r}")
 
     try:
-        mapping = {_cid(k): _cid(v) for k, v in dict(doc["map"]).items()}
+        mapping = {_str(k): _str(v) for k, v in dict(doc["map"]).items()}
         f = Morphism(resolve(doc["source"]), resolve(doc["target"]), mapping)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed morphism document: {e!r}") from None
@@ -141,7 +145,8 @@ def diagram_from_dict(doc: dict) -> Diagram:
     try:
         objects = {u: spine_from_dict(s) for u, s in doc["objects"].items()}
         arrows = tuple(
-            Arrow(a["name"], a["src"], a["dst"], {int(k): int(v) for k, v in a["map"].items()})
+            Arrow(_str(a["name"], "arrow name"), _str(a["src"], "arrow source"), _str(a["dst"], "arrow target"),
+                  {int(k): _int(v, "arrow map value") for k, v in a["map"].items()})
             for a in doc.get("arrows", [])
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from .errors import CorpusDisagreement, DomainMismatch, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
-from .paths import Path, enumerate_paths, step_moves
+from .paths import Path, enumerate_paths
 from .unfolding import is_tree
-from .words import FUTURE, PAST, single
 
 
 @dataclass(frozen=True)
@@ -44,45 +43,29 @@ class LiftReport:
         return self.ok
 
 
-def _one_step_lifts(f: Morphism, p: Path, step: tuple[int, int], target: str, dom_moves) -> list[str]:
-    """Domain cells completing one extension square, sorted for determinism."""
-    up, futures = dom_moves
-    i, a = step
-    e = p.end
-    if a == FUTURE:
-        z = f.source.faces.get((e, single(i, FUTURE)))
-        return [z] if z is not None and f.mapping[z] == target else []
-    return sorted(z for ii, z in up.get(e, []) if ii == i and f.mapping[z] == target)
+def _one_step_lifts(f: Morphism, p: Path, step: tuple[int, int], target: str) -> list[str]:
+    """Domain cells completing one extension square, in cell order."""
+    return [z for s, z in f.source.moves.get(p.end, ()) if s == step and f.mapping[z] == target]
 
 
-def _squares(f: Morphism, max_len: int, cod_moves):
-    up, futures = cod_moves
+def _first_failed_square(f: Morphism, max_len: int, enough) -> LiftReport:
+    """The first square, over executions of length <= max_len, whose number of lifts fails `enough`."""
     for p in enumerate_paths(f.source, max_len):
-        e_img = f.mapping[p.end]
-        for i, z in up.get(e_img, []):
-            yield p, (i, PAST), z
-        for i, z in futures.get(e_img, []):
-            yield p, (i, FUTURE), z
+        for step, target in f.target.moves.get(f.mapping[p.end], ()):
+            lifts = _one_step_lifts(f, p, step, target)
+            if not enough(len(lifts)):
+                return LiftReport(False, ExtensionSquare(p, step, target), len(lifts))
+    return LiftReport(True)
 
 
 def is_open(f: Morphism, max_len: int) -> LiftReport:
     """Right lifting against execution-shape inclusions, up to the given length."""
-    dom_moves = step_moves(f.source)
-    for p, step, target in _squares(f, max_len, step_moves(f.target)):
-        if not _one_step_lifts(f, p, step, target, dom_moves):
-            return LiftReport(False, ExtensionSquare(p, step, target), 0)
-    return LiftReport(True)
+    return _first_failed_square(f, max_len, lambda n: n > 0)
 
 
 def is_covering(f: Morphism, max_len: int) -> LiftReport:
     """Open with exactly one lift per extension square."""
-    dom_moves = step_moves(f.source)
-    cod_moves = step_moves(f.target)
-    for p, step, target in _squares(f, max_len, cod_moves):
-        lifts = _one_step_lifts(f, p, step, target, dom_moves)
-        if len(lifts) != 1:
-            return LiftReport(False, ExtensionSquare(p, step, target), len(lifts))
-    return LiftReport(True)
+    return _first_failed_square(f, max_len, lambda n: n == 1)
 
 
 def _classes_by_cell(x: PHDA) -> dict[str, Path]:
@@ -93,7 +76,7 @@ def _classes_by_cell(x: PHDA) -> dict[str, Path]:
     return reps
 
 
-def construct_lift(g: Morphism, f: Morphism, order: list[str] | None = None) -> Morphism:
+def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     """h with f o h = g, built by depth induction over the tree dom(g).
 
     This is the universal factorisation of the unfolding: a map out of a
@@ -101,8 +84,7 @@ def construct_lift(g: Morphism, f: Morphism, order: list[str] | None = None) -> 
     map onto its codomain.
     A cell entered by a past step is solved as an extension square over
     its image; a cell entered by future steps is forced to be the future
-    face of the already-lifted predecessor.  `order` may supply any
-    depth-monotone processing order; the result does not depend on it.
+    face of the already-lifted predecessor.
     """
     if g.target != f.target:
         raise DomainMismatch("both maps must share their codomain")
@@ -110,25 +92,18 @@ def construct_lift(g: Morphism, f: Morphism, order: list[str] | None = None) -> 
     report = is_tree(x)
     if not report:
         raise NotATree(report.reason)
-    dom_moves = step_moves(y)
     reps = _classes_by_cell(x)
-    if order is None:
-        order = sorted(reps, key=lambda c: (len(reps[c]), c))
-    elif sorted(order) != sorted(reps) or any(
-        len(reps[a]) > len(reps[b]) for a, b in zip(order, order[1:])
-    ):
-        raise DomainMismatch("order must list every cell, shallow to deep")
     h: dict[str, str] = {}
-    for cid in order:
+    for cid in sorted(reps, key=lambda c: (len(reps[c]), c)):
         p = reps[cid]
         if len(p) == 0:
             h[cid] = y.initial
             continue
-        i, a = p.steps[-1]
+        step = p.steps[-1]
         lifted = Path(y, tuple(h[c] for c in p.cells[:-1]), p.steps[:-1])
-        candidates = _one_step_lifts(f, lifted, (i, a), g.mapping[cid], dom_moves)
+        candidates = _one_step_lifts(f, lifted, step, g.mapping[cid])
         if not candidates:
-            raise NotOpen(f"no lift for cell {cid} over square {ExtensionSquare(lifted, (i, a), g.mapping[cid])}")
+            raise NotOpen(f"no lift for cell {cid} over square {ExtensionSquare(lifted, step, g.mapping[cid])}")
         h[cid] = candidates[0]
     out = Morphism(x, y, h)
     if validate_morphism(out) or any(f.mapping[h[c]] != g.mapping[c] for c in h):

@@ -6,13 +6,17 @@ The table stores every defined composite explicitly; `validate_phda`
 checks closure rather than computing it, and `saturate` closes a set of
 generator entries for builders that start from single faces.
 
-Instances are treated as immutable after construction; every operation
-here is pure, so models and morphisms can be shared freely.
+Models and morphisms are immutable after construction; every operation
+here is pure, so they can be shared freely.  `PHDA.moves`, the model's
+one table of single steps, is computed once per instance on first use and
+cached outside the dataclass fields, so `==` stays structural: it compares
+alphabet, cells, initial point and face table, never the cache.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DomainMismatch, ModelInvalid, UnknownCell
@@ -20,6 +24,8 @@ from .words import FUTURE, PAST, FaceWord, Label, delete_letters, single, star
 
 FaceTable = dict[tuple[str, FaceWord], str]
 FaceEntry = tuple[str, FaceWord, str]
+Step = tuple[int, int]
+Move = tuple[Step, str]
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,23 @@ class PHDA:
 
     def entries(self) -> list[FaceEntry]:
         return sorted((x, w, y) for (x, w), y in self.faces.items())
+
+    @cached_property
+    def moves(self) -> dict[str, tuple[Move, ...]]:
+        """The single steps out of each cell, as ((index, direction), next cell).
+
+        A past step (i, 0) enters a cell whose i-th past face is this one (an
+        action starts); a future step (i, 1) moves to this cell's i-th future
+        face (an action finishes).  Past steps come first, each kind sorted
+        by (index, cell); cells without steps are absent.
+        """
+        found: dict[str, list[tuple[int, int, str]]] = {}
+        for (src, w), tgt in self.faces.items():
+            if len(w) == 1:
+                ((i, a),) = w.pairs
+                here, there = (tgt, src) if a == PAST else (src, tgt)
+                found.setdefault(here, []).append((a, i, there))
+        return {c: tuple(((i, a), z) for a, i, z in sorted(found[c])) for c in sorted(found)}
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ the future face of the current cell (an action finishes).  The spine is
 the (dimension, label) shadow of a path; it freely generates a shape
 model whose morphisms into a host are exactly the host's paths.
 
-`executions` is the library's one execution explorer: enumeration,
-unfolding and tree recognition all read its breadth-first stream.
+The steps themselves come from `PHDA.moves`, the one step table of a
+model: executions, path validation, the shape walk, the homotopy chain
+index, unfolding and lifting all read it.  `executions` is the library's
+one execution explorer: enumeration, unfolding and tree recognition all
+read its breadth-first stream.
 """
 from __future__ import annotations
 
@@ -15,10 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidBound, InvalidSpine, NotAPathShape
-from .model import PHDA, Morphism, build
+from .model import PHDA, Morphism, Step, build
 from .words import FUTURE, PAST, Label, single
-
-Step = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,7 @@ def validate_path(p: Path) -> PathIssue | None:
         return PathIssue("BadStart")
     for k, (j, a) in enumerate(p.steps, start=1):
         prev, cur = p.cells[k - 1], p.cells[k]
-        if cur not in x.cells or j < 1:
-            return PathIssue("BadStep", k)
-        if a == PAST:
-            ok = x.faces.get((cur, single(j, PAST))) == prev
-        elif a == FUTURE:
-            ok = x.faces.get((prev, single(j, FUTURE))) == cur
-        else:
-            ok = False
-        if not ok:
+        if cur not in x.cells or ((j, a), cur) not in x.moves.get(prev, ()):
             return PathIssue("BadStep", k)
     return None
 
@@ -143,12 +136,11 @@ def path_to_morphism(p: Path) -> Morphism:
 
 def _shape_walk(x: PHDA) -> Path:
     """The unique maximal chain of a path shape; raises NotAPathShape otherwise."""
-    up, future = step_moves(x)
     cur = x.initial
     cells, steps = [cur], []
     seen = {cur}
     while True:
-        moves = [((i, PAST), z) for i, z in up.get(cur, [])] + [((i, FUTURE), z) for i, z in future.get(cur, [])]
+        moves = x.moves.get(cur, ())
         if not moves:
             break
         if len(moves) > 1:
@@ -178,24 +170,6 @@ def map_path(f: Morphism, p: Path) -> Path:
     return Path(f.target, tuple(f.mapping[c] for c in p.cells), p.steps)
 
 
-def step_moves(x: PHDA) -> tuple[dict[str, list[tuple[int, str]]], dict[str, list[tuple[int, str]]]]:
-    """Single-step move tables: up-moves keyed by the entered cell's past face, future moves by source."""
-    up: dict[str, list[tuple[int, str]]] = {}
-    future: dict[str, list[tuple[int, str]]] = {}
-    for (src, w), tgt in x.faces.items():
-        if len(w) != 1:
-            continue
-        (i, a) = w.pairs[0]
-        if a == PAST:
-            up.setdefault(tgt, []).append((i, src))
-        else:
-            future.setdefault(src, []).append((i, tgt))
-    for table in (up, future):
-        for moves in table.values():
-            moves.sort()
-    return up, future
-
-
 def executions(x: PHDA, max_len: int) -> Iterator[Path]:
     """Paths of length at most max_len, breadth first, each yielded as soon as it is built.
 
@@ -204,9 +178,7 @@ def executions(x: PHDA, max_len: int) -> Iterator[Path]:
     """
     if max_len < 0:
         raise InvalidBound(f"max_len must be >= 0, got {max_len}")
-    up, future = step_moves(x)
-    moves = {c: [((i, PAST), z) for i, z in up.get(c, ())] + [((i, FUTURE), z) for i, z in future.get(c, ())]
-             for c in up.keys() | future.keys()}
+    moves = x.moves
     frontier = [empty_path(x)]
     yield frontier[0]
     for _ in range(max_len):

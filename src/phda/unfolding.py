@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import InvalidBound, NotATree
 from .homotopy import ChainIndex, find_shortcuts, partition_paths
 from .model import PHDA, Cell, Morphism, saturate
-from .paths import Path, empty_path, executions, step_moves
+from .paths import Path, empty_path, executions
 from .words import FUTURE, PAST, single
 
 
@@ -50,8 +50,7 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
             truncated = True
             break
         paths.append(p)
-    futures = step_moves(x)[1]
-    groups = partition_paths(paths, ChainIndex(futures))
+    groups = partition_paths(paths, ChainIndex(x))
     state_of: dict[tuple, str] = {}
     reps: list[Path] = []
     for ordinal, group in enumerate(groups):
@@ -72,8 +71,9 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
             if a == PAST:
                 entries.append((sid, single(i, PAST), state_of[rep.prefix(len(rep) - 1).key()]))
         if len(rep) < depth:
-            for i, z in futures.get(rep.end, []):
-                entries.append((sid, single(i, FUTURE), state_of[rep.extend((i, FUTURE), z).key()]))
+            for step, z in x.moves.get(rep.end, ()):
+                if step[1] == FUTURE:
+                    entries.append((sid, single(*step), state_of[rep.extend(step, z).key()]))
     tree = PHDA(
         alphabet=x.alphabet,
         cells=cells,
@@ -113,7 +113,7 @@ def is_tree(x: PHDA) -> TreeReport:
     for cid in sorted(x.cells):
         if cid not in by_end:
             return TreeReport(False, f"cell {cid} is not the endpoint of any execution")
-    chains = ChainIndex(step_moves(x)[1])
+    chains = ChainIndex(x)
     for cid in sorted(by_end):
         found = partition_paths(by_end[cid], chains)
         if len(found) != 1:

@@ -43,9 +43,6 @@ class FaceWord:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
 
-    def __mul__(self, other: "FaceWord") -> "FaceWord":
-        return star(self, other)
-
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.pairs)
@@ -149,11 +146,10 @@ def canonical_chain(w: FaceWord) -> list[tuple[int, int]]:
     return list(reversed(w.pairs))
 
 
-def enumerate_words(max_index: int, max_len: int | None = None) -> list[FaceWord]:
-    """All face words over indices 1..max_index, optionally length-bounded."""
-    top = max_index if max_len is None else min(max_index, max_len)
+def enumerate_words(max_index: int) -> list[FaceWord]:
+    """All face words over indices 1..max_index, shortest first."""
     out = []
-    for k in range(top + 1):
+    for k in range(max_index + 1):
         for idx in itertools.combinations(range(1, max_index + 1), k):
             for dirs in itertools.product((PAST, FUTURE), repeat=k):
                 out.append(FaceWord(tuple(zip(idx, dirs))))

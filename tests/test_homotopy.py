@@ -12,14 +12,24 @@ from phda.homotopy import (
     partition_paths,
 )
 from phda.model import PHDA, build
-from phda.paths import Path, empty_path, enumerate_paths, step_moves
+from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
 from phda.words import EPSILON, FUTURE, PAST, single, star, star_fold, word
 
 
 # Independent oracles for the chain index and the saturation-based shortcut
 # test: a depth-first chain search per window and per composite face, with
-# no table shared between searches.
+# no table shared between searches, over future steps read from the face
+# table rather than from `PHDA.moves`.
+
+
+def oracle_futures(x):
+    """(index, target) of every single future face, by source cell, sorted."""
+    futures = {}
+    for (src, w), tgt in x.faces.items():
+        if len(w) == 1 and w.pairs[0][1] == FUTURE:
+            futures.setdefault(src, []).append((w.pairs[0][0], tgt))
+    return {src: sorted(moves) for src, moves in futures.items()}
 
 
 def oracle_future_chains(start, length, target, futures):
@@ -57,7 +67,7 @@ def oracle_neighbors(p, futures):
 
 
 def oracle_partition(paths):
-    futures = step_moves(paths[0].host)[1]
+    futures = oracle_futures(paths[0].host)
     index = {p.key(): i for i, p in enumerate(paths)}
     parent = list(range(len(paths)))
 
@@ -231,8 +241,8 @@ def test_fixture_models_have_no_shortcuts():
 @pytest.mark.parametrize("name", list(oracle_models()))
 def test_chain_index_matches_dfs_oracle(name):
     x = oracle_models()[name]
-    futures = step_moves(x)[1]
-    chains = ChainIndex(futures)
+    futures = oracle_futures(x)
+    chains = ChainIndex(x)
     for p in enumerate_paths(x, 6):
         expect = [q.key() for q in oracle_neighbors(p, futures)]
         assert [q.key() for q in elementary_neighbors(p, chains)] == expect, p.text()

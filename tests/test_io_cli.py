@@ -1,16 +1,19 @@
+import copy
+import functools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phda
 from phda import fixtures as F
 from phda import jsonio
 from phda.cli import main
 from phda.colimits import colimit
-from phda.errors import ModelInvalid, ParseError
+from phda.errors import ModelInvalid, ParseError, PhdaError
 from phda.unfolding import unfold
 
 
@@ -252,6 +255,8 @@ MALFORMED_MODELS = {
     "dim is a fraction": _set(("cells", 0, "dim"), 0.5),
     "face index is a fraction": _set(("faces", 0, "word", 0, 0), 1.7),
     "face direction is a boolean": _set(("faces", 0, "word", 0, 1), True),
+    "alphabet letter is a number": _set(("alphabet", 1), 3),
+    "cell id is listed twice": lambda doc: doc["cells"].append(dict(doc["cells"][0])),
 }
 
 
@@ -261,6 +266,25 @@ def test_cli_malformed_model_is_parse_error(files, case):
     doc = jsonio.model_to_dict(F.full_square())
     MALFORMED_MODELS[case](doc)
     code, out, _ = cli(["validate", write("malformed.json", doc)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+MALFORMED_DIAGRAMS = {
+    "arrow name is a number": _set(("arrows", 0, "name"), 7),
+    "arrow source is a list": _set(("arrows", 0, "src"), ["A"]),
+    "arrow target is null": _set(("arrows", 0, "dst"), None),
+    "arrow map value is a fraction": _set(("arrows", 0, "map", "1"), 1.7),
+    "arrow map value is a boolean": _set(("arrows", 0, "map", "1"), True),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DIAGRAMS))
+def test_cli_malformed_diagram_is_parse_error(files, case):
+    _, write = files
+    doc = jsonio.diagram_to_dict(F.glued_square_diagram())
+    MALFORMED_DIAGRAMS[case](doc)
+    code, out, _ = cli(["colimit", write("malformed.json", doc)])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
 
@@ -279,6 +303,68 @@ def test_malformed_morphism_and_diagram_are_parse_errors():
     fractional = dict(doc["objects"]["A"], steps=[[1.5, 0]] + doc["objects"]["A"]["steps"][1:])
     with pytest.raises(ParseError):
         jsonio.diagram_from_dict(dict(doc, objects=dict(doc["objects"], A=fractional)))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text("ab01*:AB", max_size=3)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab01*:", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# relative model references in fuzzed morphisms resolve against a directory that does not exist
+NOWHERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-directory")
+
+
+def _glue(doc):
+    d = jsonio.diagram_from_dict(doc)
+    return d, colimit(d)
+
+
+# letter c labels no cell, so a wrongly typed letter in its place passes every model law
+GENERATOR_ONLY_SQUARE = {
+    "alphabet": ["a", "b", "c"],
+    "cells": [{"id": c, "dim": c.count("*"), "label": [l for l, d in zip("ab", c) if d == "*"]}
+              for c in ("00", "*0", "0*", "**")],
+    "initial": "00",
+    "faces": [{"from": "*0", "word": [[1, 0]], "to": "00"}, {"from": "**", "word": [[2, 0]], "to": "*0"},
+              {"from": "**", "word": [[1, 0]], "to": "0*"}],
+    "saturate": True,
+}
+# name: (loader, serialiser of its result, fixture document)
+FUZZ_DOCS = {
+    "model": (jsonio.model_from_dict, jsonio.model_to_dict, jsonio.model_to_dict(F.notched_square())),
+    "saturated model": (jsonio.model_from_dict, jsonio.model_to_dict, GENERATOR_ONLY_SQUARE),
+    "morphism": (
+        functools.partial(jsonio.morphism_from_dict, base_dir=NOWHERE),
+        jsonio.morphism_to_dict,
+        jsonio.morphism_to_dict(F.branch_fold(2, 1)),
+    ),
+    "diagram and its colimit": (
+        _glue,
+        lambda glued: (jsonio.diagram_to_dict(glued[0]), jsonio.model_to_dict(glued[1].model)),
+        jsonio.diagram_to_dict(F.glued_square_diagram()),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_documents_load_or_fail_cleanly(data):
+    """Replace one node of a fixture document: loading raises a PhdaError or gives a serialisable result."""
+    load, dump, doc = FUZZ_DOCS[data.draw(st.sampled_from(sorted(FUZZ_DOCS)))]
+    # a random walk down from the root, stopping at each node below it with probability 1/3,
+    # so that every field of the format is hit about as often however long its lists are
+    path, node = (), doc
+    while isinstance(node, (dict, list)) and node and (not path or data.draw(st.integers(0, 2)) > 0):
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+    doc = copy.deepcopy(doc)
+    _set(path, data.draw(JSON_VALUES))(doc)
+    try:
+        result = load(doc)
+    except PhdaError:
+        return
+    json.dumps(dump(result))
 
 
 @pytest.mark.parametrize(

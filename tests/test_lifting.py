@@ -166,20 +166,6 @@ def test_construct_lift_requires_tree():
         construct_lift(identity(F.full_square()), cover)
 
 
-def test_construct_lift_order_independent():
-    phi = mediator_into_square()
-    cover = square_cover()
-    baseline = construct_lift(phi, cover)
-    from phda.unfolding import cell_depths
-
-    depths = cell_depths(phi.source)
-    by_depth = {}
-    for cid, depth in depths.items():
-        by_depth.setdefault(depth, []).append(cid)
-    permuted = [c for d in sorted(by_depth) for c in sorted(by_depth[d], reverse=True)]
-    assert construct_lift(phi, cover, order=permuted).mapping == baseline.mapping
-
-
 def test_factor_universal_loop():
     loop_cover = unfold(F.self_loop(), 6).cover
     unroll = F.loop_unrolling(2)

@@ -19,7 +19,6 @@ from phda.paths import (
     path_shape,
     path_to_morphism,
     spine_of,
-    step_moves,
     validate_path,
 )
 from phda.unfolding import unfold
@@ -28,11 +27,28 @@ from phda.words import FUTURE, PAST, single
 
 # Independent oracles for the execution explorer: the three breadth-first
 # frontier loops that enumeration, unfolding and tree recognition each ran
-# before they shared `paths.executions`.
+# before they shared `paths.executions`, over split step tables built from
+# the face table rather than from `PHDA.moves`.
+
+
+def split_moves(x):
+    """Past steps keyed by the entered cell's past face, future steps by source; (index, cell) sorted."""
+    up, future = {}, {}
+    for (src, w), tgt in x.faces.items():
+        if len(w) == 1:
+            ((i, a),) = w.pairs
+            if a == PAST:
+                up.setdefault(tgt, []).append((i, src))
+            else:
+                future.setdefault(src, []).append((i, tgt))
+    for table in (up, future):
+        for moves in table.values():
+            moves.sort()
+    return up, future
 
 
 def oracle_enumerate_paths(x, max_len):
-    up, future = step_moves(x)
+    up, future = split_moves(x)
     out = [empty_path(x)]
     frontier = [out[0]]
     for _ in range(max_len):
@@ -52,7 +68,7 @@ def oracle_enumerate_paths(x, max_len):
 
 def oracle_unfold_paths(x, depth):
     """The executions an unfolding to `depth` is built from, and whether any longer one exists."""
-    up, futures = step_moves(x)
+    up, futures = split_moves(x)
     paths = [empty_path(x)]
     frontier = list(paths)
     truncated = False
@@ -75,7 +91,7 @@ def oracle_unfold_paths(x, depth):
 
 
 def oracle_bounded_paths(x):
-    up, futures = step_moves(x)
+    up, futures = split_moves(x)
     first_len = {x.initial: 0}
     paths = [empty_path(x)]
     frontier = list(paths)

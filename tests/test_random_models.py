@@ -1,0 +1,207 @@
+"""Properties of the step table and its readers over random valid models.
+
+A random model is a face-closed set of cells of the n-cube (n <= 3)
+containing 0...0, with a random subset of its single faces, closed under
+composition.  The oracles are the loops the library ran before every
+reader shared `PHDA.moves`: split past/future step tables built from the
+face table, lifting squares solved by face lookups, path steps checked by
+face lookups, and completion by rescanning every class until nothing
+merges.
+"""
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from phda.completion import AbstractFace, complete, completion_of
+from phda.lifting import ExtensionSquare, is_covering, is_open
+from phda.model import Morphism, build, identity, validate_morphism, validate_phda
+from phda.paths import Path, enumerate_paths, validate_path
+from phda.uf import UnionFind
+from phda.unfolding import is_tree, unfold
+from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
+
+LETTERS = "abc"
+
+
+def cube_faces(cid):
+    """The single faces of one cube cell: the i-th star set to 0 (past) or 1 (future)."""
+    stars = [pos for pos, c in enumerate(cid) if c == "*"]
+    return [
+        (cid, single(i, a), cid[:pos] + digit + cid[pos + 1 :])
+        for i, pos in enumerate(stars, start=1)
+        for a, digit in ((PAST, "0"), (FUTURE, "1"))
+    ]
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(1, 3))
+    cells = ["".join(c) for c in itertools.product("01*", repeat=n)]
+    todo = [*draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)), "0" * n]
+    closed = set()
+    while todo:
+        cid = todo.pop()
+        if cid not in closed:
+            closed.add(cid)
+            todo.extend(tgt for _, _, tgt in cube_faces(cid))
+    singles = [e for cid in sorted(closed) for e in cube_faces(cid)]
+    keep = draw(st.lists(st.booleans(), min_size=len(singles), max_size=len(singles)))
+    x = build(
+        LETTERS[:n],
+        [(cid, cid.count("*"), tuple(LETTERS[p] for p, c in enumerate(cid) if c == "*")) for cid in sorted(closed)],
+        "0" * n,
+        [e for e, k in zip(singles, keep) if k],
+    )
+    assert validate_phda(x) == []
+    return x
+
+
+def doubled(x):
+    """Two copies of x glued at the initial cell, folded back onto x: open, with two lifts of every first step."""
+    def twin(cid):
+        return cid if cid == x.initial else cid + "'"
+
+    cells = [(cid, c.dim, c.label) for cid, c in x.cells.items()]
+    cells += [(twin(cid), c.dim, c.label) for cid, c in x.cells.items() if cid != x.initial]
+    entries = [(src, w, tgt) for (src, w), tgt in x.faces.items()]
+    entries += [(twin(src), w, twin(tgt)) for src, w, tgt in entries]
+    y = build(x.alphabet, cells, x.initial, entries, close=False)
+    fold = Morphism(y, x, {c: c for c in x.cells} | {twin(c): c for c in x.cells})
+    assert validate_phda(fold.source) == [] and validate_morphism(fold) == []
+    return fold
+
+
+def split_moves(x):
+    """Past steps keyed by the entered cell's past face, future steps by source; (index, cell) sorted."""
+    up, future = {}, {}
+    for (src, w), tgt in x.faces.items():
+        if len(w) == 1:
+            ((i, a),) = w.pairs
+            if a == PAST:
+                up.setdefault(tgt, []).append((i, src))
+            else:
+                future.setdefault(src, []).append((i, tgt))
+    for table in (up, future):
+        for moves in table.values():
+            moves.sort()
+    return up, future
+
+
+def oracle_lifting(f, max_len, unique):
+    """(ok, square, lifts) of the first failed extension square, by face-table lookups."""
+    dom_up, _ = split_moves(f.source)
+    cod_up, cod_future = split_moves(f.target)
+    for p in enumerate_paths(f.source, max_len):
+        e_img = f.mapping[p.end]
+        squares = [((i, PAST), z) for i, z in cod_up.get(e_img, [])]
+        squares += [((i, FUTURE), z) for i, z in cod_future.get(e_img, [])]
+        for (i, a), target in squares:
+            if a == FUTURE:
+                z = f.source.faces.get((p.end, single(i, FUTURE)))
+                lifts = [z] if z is not None and f.mapping[z] == target else []
+            else:
+                lifts = sorted(z for ii, z in dom_up.get(p.end, []) if ii == i and f.mapping[z] == target)
+            if len(lifts) != 1 if unique else not lifts:
+                return False, str(ExtensionSquare(p, (i, a), target)), len(lifts)
+    return True, None, None
+
+
+def oracle_validate_path(p):
+    x = p.host
+    if len(p.cells) != len(p.steps) + 1 or p.cells[0] != x.initial or p.cells[0] not in x.cells:
+        return "BadStart"
+    for k, (j, a) in enumerate(p.steps, start=1):
+        prev, cur = p.cells[k - 1], p.cells[k]
+        if cur not in x.cells or j < 1:
+            return f"BadStep({k})"
+        if a == PAST:
+            ok = x.faces.get((cur, single(j, PAST))) == prev
+        elif a == FUTURE:
+            ok = x.faces.get((prev, single(j, FUTURE))) == cur
+        else:
+            ok = False
+        if not ok:
+            return f"BadStep({k})"
+    return None
+
+
+def oracle_completion_classes(x):
+    """The classes of abstract faces, merged by rescanning every class until nothing changes."""
+    universe = [AbstractFace(w, cid) for cid in sorted(x.cells) for w in enumerate_words(x.cells[cid].dim)]
+    uf = UnionFind(universe)
+    for (cid, w), tgt in x.faces.items():
+        uf.union(AbstractFace(w, cid), AbstractFace(EPSILON, tgt))
+    changed = True
+    while changed:
+        changed = False
+        for members in uf.groups().values():
+            if len(members) < 2:
+                continue
+            n = x.cells[members[0].cell].dim - len(members[0].word)
+            for i in range(1, n + 1):
+                for a in (0, 1):
+                    children = {uf.find(m.child(i, a)) for m in members}
+                    if len(children) > 1:
+                        first, *rest = sorted(children, key=AbstractFace.sort_key)
+                        for other in rest:
+                            changed |= uf.union(first, other)
+    return sorted(sorted(m.sort_key() for m in members) for members in uf.groups().values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(models())
+def test_moves_merge_the_split_tables(x):
+    up, future = split_moves(x)
+    merged = {
+        c: tuple(((i, PAST), z) for i, z in up.get(c, [])) + tuple(((i, FUTURE), z) for i, z in future.get(c, []))
+        for c in up.keys() | future.keys()
+    }
+    assert x.moves == merged
+    assert x.moves is x.moves
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), st.integers(1, 4))
+def test_lifting_matches_face_lookups(x, depth):
+    result = unfold(x, depth)
+    maps = {
+        "identity": identity(x),
+        "unfold cover": result.cover,
+        "completion unit": complete(x)[1],
+        "fold of two copies": doubled(x),
+    }
+    for name, f in maps.items():
+        for check, unique in ((is_open, False), (is_covering, True)):
+            r = check(f, 3)
+            assert (r.ok, str(r.square) if r.square else None, r.lifts) == oracle_lifting(f, 3, unique), name
+    assert is_tree(result.tree) and is_covering(result.cover, depth - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.data())
+def test_validate_path_matches_face_lookups_on_mutated_paths(x, data):
+    p = data.draw(st.sampled_from(enumerate_paths(x, 4)))
+    assert validate_path(p) is None and oracle_validate_path(p) is None
+    if not p.steps:
+        return
+    k = data.draw(st.integers(0, len(p.steps) - 1))
+    (j, a), cells, steps = p.steps[k], list(p.cells), list(p.steps)
+    mutation = data.draw(st.sampled_from(["index", "direction", "cell"]))
+    if mutation == "index":
+        steps[k] = (j + data.draw(st.sampled_from([-1, 1, 2])), a)
+    elif mutation == "direction":
+        steps[k] = (j, 1 - a)
+    else:
+        cells[k + 1] = data.draw(st.sampled_from(sorted(x.cells)))
+    q = Path(x, tuple(cells), tuple(steps))
+    issue = validate_path(q)
+    assert (str(issue) if issue else None) == oracle_validate_path(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_completion_classes_match_the_rescan(x):
+    groups = {}
+    for face, rep in completion_of(x).reps.items():
+        groups.setdefault(rep, []).append(face.sort_key())
+    assert sorted(sorted(g) for g in groups.values()) == oracle_completion_classes(x)

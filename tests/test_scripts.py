@@ -1,0 +1,75 @@
+"""The demo scripts and the README's CLI block, run as a reader of the README would run them."""
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phda
+from phda.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, cwd=None):
+    # the child imports the same package as this process, also when only pytest's pythonpath finds it
+    src = os.path.dirname(os.path.dirname(phda.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+def readme_cli_lines():
+    """(arguments, exit code the README states, 0 when it states none) of each `phda` line of its CLI block."""
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command.split("|")[0])
+        if argv[:1] == ["phda"]:
+            stated = re.match(r"\s*exit (\d)", comment)
+            lines.append((argv[1:], int(stated.group(1)) if stated else 0))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """A directory holding `fixtures/`, written by the export script as the README's CLI block does."""
+    root = tmp_path_factory.mktemp("readme")
+    proc = run_script("export_fixtures.py", "fixtures", cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == len(list((root / "fixtures").iterdir())) > 0
+    return root
+
+
+README_LINES = readme_cli_lines()
+
+
+def test_readme_cli_block_is_parsed():
+    assert len(README_LINES) == 12
+    assert (["is-tree", "fixtures/full_square.json"], 1) in README_LINES
+    assert (["check-covering", "fixtures/branch_fold.json"], 1) in README_LINES
+
+
+@pytest.mark.parametrize("argv, code", README_LINES, ids=[" ".join(argv) for argv, _ in README_LINES])
+def test_readme_cli_line(exported, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(exported)
+    assert main(argv) == code
+    assert capsys.readouterr().out
+
+
+def test_unfold_demo_finds_trees_and_coverings():
+    proc = run_script("unfold_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("depth 6:") == 4
+    assert "NOT-TREE" not in proc.stdout and "NOT-COVERING" not in proc.stdout
+
+
+def test_glued_square_demo():
+    proc = run_script("glued_square_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "confluently homotopic: True" in proc.stdout and "is_tree: True" in proc.stdout
