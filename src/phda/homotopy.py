@@ -1,23 +1,27 @@
 """Confluent homotopy of paths: swapping blocks of future steps in place.
 
 Two paths are elementary-homotopic when they agree outside a window of
-future-directed steps whose composite face words are equal.  Equivalence
-is decided by breadth-first closure over elementary rewrites; the
-necessary-condition key serves only as an index and negative pre-filter.
+future-directed steps whose composite face words are equal; homotopy is
+the equivalence this generates.  `explore` builds its classes level by
+level, without enumerating paths: the classes of length n + 1 are the
+(class of length n, step) pairs, glued by the windows that end at the new
+step.  Unfolding, tree recognition, `classes_to` and
+`are_confluently_homotopic` all read it.
 
-The rewrites of a window come from a `ChainIndex`: the future chains from
-each start cell, of each length, grouped by composite word and end cell.
-It is searched once per (cell, length) and per index; `partition_paths`,
-`are_confluently_homotopic` and `is_tree` each build one, and each window
-is then one dictionary lookup.
+The windows come from a `ChainIndex`: the future chains from each start
+cell, of each length, grouped by composite word and end cell, searched
+once per (cell, length) and per index.  `elementary_neighbors` rewrites
+one path with it; the necessary-condition `class_key` serves only as a
+negative pre-filter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import DomainMismatch, UnknownCell
-from .model import PHDA, saturate
-from .paths import Path, enumerate_paths
+from .errors import DomainMismatch, InvalidBound, UnknownCell
+from .model import PHDA, Move, saturate
+from .paths import Path, empty_path
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star, star_fold
 
@@ -31,6 +35,26 @@ class HomotopyClass:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+@dataclass(eq=False, slots=True)
+class ExecutionClass:
+    """One class of executions, as `explore` yields it.
+
+    `representative` is the class's least member by `Path.key`, `size` its
+    number of members and `level` their length.  Classes refer to each
+    other by ordinal, their position in the stream: `prefix` is the class
+    of the representative's prefix, and `successors` maps each step out
+    of `end` to the class of the extended executions.
+    """
+
+    ordinal: int
+    end: str
+    level: int
+    size: int
+    representative: Path
+    prefix: int | None
+    successors: dict[Move, int]
 
 
 def class_key(p: Path) -> tuple:
@@ -100,58 +124,125 @@ def elementary_neighbors(p: Path, chains: ChainIndex | None = None) -> list[Path
     return [found[k] for k in sorted(found)]
 
 
+def _cone(x: PHDA, to: str) -> set[str]:
+    """The cells from which some execution reaches `to`."""
+    back: dict[str, list[str]] = {}
+    for c, moves in x.moves.items():
+        for _, z in moves:
+            back.setdefault(z, []).append(c)
+    cone, todo = {to}, [to]
+    while todo:
+        new = [c for c in back.get(todo.pop(), ()) if c not in cone]
+        cone.update(new)
+        todo += new
+    return cone
+
+
+def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionClass]:
+    """The classes of executions of length <= max_len, level by level, in first-seen order.
+
+    The classes of length n + 1 are the pairs (class of length n, step),
+    glued by the windows of future steps that end at the new step: for a
+    class R of length n + 1 - k and a group of k-step future chains from
+    R's end with one composite and one end cell, the chains reach pairs
+    through the successor maps, and those pairs are one class.  Homotopy
+    is preserved by extension, so nothing else is glued.  A class's
+    ordinal is its position in the stream, which is the order in which the
+    breadth-first path stream first meets the class; its successors are
+    filled in when the next level is built.  With `to`, only cells that
+    reach `to` are kept; rewrites never leave that set.
+    """
+    if max_len < 0:
+        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
+    cone = x.cells if to is None else _cone(x, to)
+    if x.initial not in cone:
+        return
+    moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
+    chains = ChainIndex(x)
+    found = [ExecutionClass(0, x.initial, 0, 1, empty_path(x), None, {})]
+    levels = [found[:]]
+    yield found[0]
+    for n in range(max_len):
+        pairs = [(c, m) for c in levels[n] for m in moves.get(c.end, ())]
+        if not pairs:
+            return
+        index = {(c.ordinal, m): i for i, (c, m) in enumerate(pairs)}
+        uf = UnionFind(range(len(pairs)))
+        for k in range(2, min(n + 1, x.max_dim) + 1):
+            for r in levels[n + 1 - k]:
+                for (_, z), group in chains(r.end, k).items():
+                    if len(group) < 2 or z not in cone:
+                        continue
+                    reached = []
+                    for cells, steps in group:
+                        o = r.ordinal
+                        for move in zip(steps[:-1], cells):
+                            o = found[o].successors[move]
+                        reached.append(index[(o, (steps[-1], cells[-1]))])
+                    for i in reached[1:]:
+                        uf.union(reached[0], i)
+        level = []
+        for members in uf.groups().values():
+            c, (step, z) = pairs[min(members, key=lambda i: _extension_key(*pairs[i]))]
+            new = ExecutionClass(
+                len(found), z, n + 1, sum(pairs[i][0].size for i in members), c.representative.extend(step, z), c.ordinal, {}
+            )
+            for i in members:
+                pc, m = pairs[i]
+                pc.successors[m] = new.ordinal
+            found.append(new)
+            level.append(new)
+        levels.append(level)
+        yield from level
+
+
+def _extension_key(c: ExecutionClass, move: Move) -> tuple:
+    """Orders rep(c) extended by `move` as `Path.key` does, without building the path."""
+    (step, z), rep = move, c.representative
+    return rep.cells, z, rep.steps, step
+
+
 def are_confluently_homotopic(p: Path, q: Path) -> bool:
-    """Reflexive-transitive closure of elementary rewrites, by search."""
+    """Whether p and q, executions of one model, reach one class of `explore`."""
     if p.host != q.host:
         raise DomainMismatch("paths live in different models")
     if p.key() == q.key():
         return True
     if class_key(p) != class_key(q):
         return False  # provably necessary conditions; a pure pre-filter
-    chains = ChainIndex(p.host)
-    seen = {p.key()}
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for nb in elementary_neighbors(r, chains):
-                k = nb.key()
-                if k == q.key():
-                    return True
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(nb)
-        frontier = nxt
-    return False
+    found = list(explore(p.host, len(p), to=p.end))
 
+    def class_of(path: Path) -> int | None:
+        o = 0 if found and path.cells[0] == p.host.initial else None
+        for move in zip(path.steps, path.cells[1:]):
+            o = None if o is None else found[o].successors.get(move)
+        return o
 
-def partition_paths(paths: list[Path], chains: ChainIndex | None = None) -> list[list[Path]]:
-    """Group paths by closure under elementary rewrites, preserving first-seen order.
-
-    The input must be closed under rewrites (rewrites preserve length and
-    endpoint, so length- or endpoint-filtered enumerations qualify).  A
-    caller partitioning several such sets of one model may share `chains`.
-    """
-    if chains is None and paths:
-        chains = ChainIndex(paths[0].host)
-    index = {p.key(): i for i, p in enumerate(paths)}
-    uf = UnionFind(range(len(paths)))
-    for i, p in enumerate(paths):
-        for nb in elementary_neighbors(p, chains):
-            uf.union(i, index[nb.key()])
-    return [[paths[i] for i in group] for group in uf.groups().values()]
+    ours = class_of(p)
+    return ours is not None and ours == class_of(q)
 
 
 def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
-    """The homotopy classes of paths of length <= max_len ending at `cell`."""
+    """The homotopy classes of paths of length <= max_len ending at `cell`.
+
+    Members are expanded only for these classes, from the (class, step)
+    pairs of `explore` that make them up.
+    """
     if cell not in x.cells:
         raise UnknownCell(cell)
-    paths = [p for p in enumerate_paths(x, max_len) if p.end == cell]
-    out = []
-    for group in partition_paths(paths):
-        members = tuple(sorted(group, key=Path.key))
-        out.append(HomotopyClass(members[0], members))
-    return out
+    found = list(explore(x, max_len, to=cell))
+    targets = [c.ordinal for c in found if c.end == cell]
+    needed = set(targets)
+    for c in reversed(found):  # and every class with a successor that is needed
+        if not needed.isdisjoint(c.successors.values()):
+            needed.add(c.ordinal)
+    members: dict[int, list[Path]] = {0: [empty_path(x)]}
+    for c in found:
+        for (step, z), o in c.successors.items():
+            if o in needed:
+                members.setdefault(o, []).extend(p.extend(step, z) for p in members[c.ordinal])
+    groups = [tuple(sorted(members[o], key=Path.key)) for o in targets]
+    return [HomotopyClass(group[0], group) for group in groups]
 
 
 def find_shortcuts(x) -> set[tuple[str, FaceWord]]:

@@ -38,6 +38,12 @@ def _int(raw: Any, what: str) -> int:
     raise ParseError(f"{what} must be an integer: {raw!r}")
 
 
+def _position(raw: str) -> int:
+    if str(int(raw)) != raw:
+        raise ParseError(f"arrow map key must be a canonical decimal: {raw!r}")
+    return int(raw)
+
+
 def _word(raw: Any) -> FaceWord:
     try:
         return FaceWord(tuple((_int(i, "face index"), _int(a, "face direction")) for i, a in raw))
@@ -146,7 +152,7 @@ def diagram_from_dict(doc: dict) -> Diagram:
         objects = {u: spine_from_dict(s) for u, s in doc["objects"].items()}
         arrows = tuple(
             Arrow(_str(a["name"], "arrow name"), _str(a["src"], "arrow source"), _str(a["dst"], "arrow target"),
-                  {int(k): _int(v, "arrow map value") for k, v in a["map"].items()})
+                  {_position(k): _int(v, "arrow map value") for k, v in a["map"].items()})
             for a in doc.get("arrows", [])
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:

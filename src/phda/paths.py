@@ -9,8 +9,9 @@ model whose morphisms into a host are exactly the host's paths.
 The steps themselves come from `PHDA.moves`, the one step table of a
 model: executions, path validation, the shape walk, the homotopy chain
 index, unfolding and lifting all read it.  `executions` is the library's
-one execution explorer: enumeration, unfolding and tree recognition all
-read its breadth-first stream.
+one path-level explorer: enumeration and the lifting squares read its
+breadth-first stream.  Unfolding, tree recognition and homotopy classes
+never enumerate paths; they read `homotopy.explore`, which walks classes.
 """
 from __future__ import annotations
 

@@ -1,18 +1,19 @@
 """Depth-bounded unfolding into a tree of execution classes, and tree recognition.
 
-States of the unfolding are homotopy classes of paths; the covering back
-onto the model sends a class to its endpoint.  A model is a tree exactly
-when it has no shortcuts and a single class of executions to every cell;
-path lengths are then unique per cell, so |cells| bounds every search.
+States of the unfolding are homotopy classes of paths, as `explore`
+builds them; the covering back onto the model sends a class to its
+endpoint.  A model is a tree exactly when it has no shortcuts and a
+single class of executions to every cell; path lengths are then unique
+per cell, so |cells| bounds every search.  Neither enumerates paths:
+`_levels` walks cells breadth first, and classes come from `explore`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InvalidBound, NotATree
-from .homotopy import ChainIndex, find_shortcuts, partition_paths
+from .homotopy import explore, find_shortcuts
 from .model import PHDA, Cell, Morphism, saturate
-from .paths import Path, empty_path, executions
 from .words import FUTURE, PAST, single
 
 
@@ -43,59 +44,55 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
     """
     if depth < 0:
         raise InvalidBound(f"depth must be >= 0, got {depth}")
-    paths: list[Path] = []
-    truncated = False
-    for p in executions(x, depth + 1):
-        if len(p) > depth:
-            truncated = True
-            break
-        paths.append(p)
-    groups = partition_paths(paths, ChainIndex(x))
-    state_of: dict[tuple, str] = {}
-    reps: list[Path] = []
-    for ordinal, group in enumerate(groups):
-        sid = f"u{ordinal}"
-        reps.append(min(group, key=Path.key))
-        for p in group:
-            state_of[p.key()] = sid
-
-    cells: dict[str, Cell] = {}
-    entries = []
-    cover_map: dict[str, str] = {}
-    for ordinal, rep in enumerate(reps):
-        sid = f"u{ordinal}"
-        cells[sid] = Cell(sid, x.dim(rep.end), x.label(rep.end))
-        cover_map[sid] = rep.end
-        if len(rep) > 0:
-            i, a = rep.steps[-1]
-            if a == PAST:
-                entries.append((sid, single(i, PAST), state_of[rep.prefix(len(rep) - 1).key()]))
-        if len(rep) < depth:
-            for step, z in x.moves.get(rep.end, ()):
-                if step[1] == FUTURE:
-                    entries.append((sid, single(*step), state_of[rep.extend(step, z).key()]))
-    tree = PHDA(
-        alphabet=x.alphabet,
-        cells=cells,
-        initial=state_of[empty_path(x).key()],
-        faces=saturate(entries),
-    )
+    cells, entries, cover_map, truncated = _states(x, depth)
+    tree = PHDA(alphabet=x.alphabet, cells=cells, initial="u0", faces=saturate(entries))
     return UnfoldResult(tree=tree, cover=Morphism(tree, x, cover_map), truncated=truncated)
 
 
-def _bounded_paths(x: PHDA) -> tuple[list[Path], str | None]:
-    """Paths up to |cells| steps, aborting on a cell reached at two lengths.
+def _states(x: PHDA, depth: int) -> tuple[dict[str, Cell], list, dict[str, str], bool]:
+    """States, single faces, cover and cut flag; the class records die before `saturate` runs."""
+    classes = list(explore(x, depth))
+    sids = [f"u{c.ordinal}" for c in classes]
+    cells: dict[str, Cell] = {}
+    entries = []
+    cover_map: dict[str, str] = {}
+    truncated = False
+    for c, sid in zip(classes, sids):
+        cells[sid] = Cell(sid, x.dim(c.end), x.label(c.end))
+        cover_map[sid] = c.end
+        if c.level > 0:
+            i, a = c.representative.steps[-1]
+            if a == PAST:
+                entries.append((sid, single(i, PAST), sids[c.prefix]))
+        if c.level < depth:
+            for move in x.moves.get(c.end, ()):
+                if move[0][1] == FUTURE:
+                    entries.append((sid, single(*move[0]), sids[c.successors[move]]))
+        elif c.end in x.moves:
+            truncated = True
+    return cells, entries, cover_map, truncated
 
-    On a clash only the whole levels below the clashing path are returned.
+
+def _levels(x: PHDA) -> tuple[dict[str, int], str | None]:
+    """The length of the executions to each cell, breadth first, up to |cells| steps.
+
+    Cells appear in the order the breadth-first path stream first meets
+    them.  The walk stops at the first cell reached at a second length and
+    says so.
     """
-    first_len: dict[str, int] = {}
-    paths: list[Path] = []
-    for p in executions(x, len(x.cells)):
-        seen = first_len.setdefault(p.end, len(p))
-        if seen != len(p):
-            return [q for q in paths if len(q) < len(p)], f"cell {p.end} is reached at lengths {seen} and {len(p)}"
-        paths.append(p)
-    return paths, None
+    level = {x.initial: 0}
+    frontier = [x.initial]
+    for n in range(1, len(x.cells) + 1):
+        nxt = []
+        for c in frontier:
+            for _, z in x.moves.get(c, ()):
+                if z not in level:
+                    level[z] = n
+                    nxt.append(z)
+                elif level[z] != n:
+                    return level, f"cell {z} is reached at lengths {level[z]} and {n}"
+        frontier = nxt
+    return level, None
 
 
 def is_tree(x: PHDA) -> TreeReport:
@@ -104,29 +101,32 @@ def is_tree(x: PHDA) -> TreeReport:
     if shortcuts:
         cid, w = min(shortcuts, key=lambda s: (s[0], s[1].pairs))
         return TreeReport(False, f"shortcut {w.text()} on cell {cid}")
-    paths, clash = _bounded_paths(x)
+    level, clash = _levels(x)
     if clash:
         return TreeReport(False, clash)
-    by_end: dict[str, list[Path]] = {}
-    for p in paths:
-        by_end.setdefault(p.end, []).append(p)
     for cid in sorted(x.cells):
-        if cid not in by_end:
+        if cid not in level:
             return TreeReport(False, f"cell {cid} is not the endpoint of any execution")
-    chains = ChainIndex(x)
-    for cid in sorted(by_end):
-        found = partition_paths(by_end[cid], chains)
-        if len(found) != 1:
-            return TreeReport(False, f"cell {cid} has {len(found)} execution classes")
-    return TreeReport(True)
+    ends: set[str] = set()
+    for c in explore(x, len(x.cells)):
+        if c.end in ends:
+            break
+        ends.add(c.end)
+    else:
+        return TreeReport(True)
+    for cid in sorted(x.cells):
+        found = sum(c.end == cid for c in explore(x, level[cid], to=cid))
+        if found != 1:
+            return TreeReport(False, f"cell {cid} has {found} execution classes")
+    raise AssertionError("a cell with two classes was found, then lost")
 
 
 def cell_depths(x: PHDA) -> dict[str, int]:
     """Length of the executions reaching each cell; requires unique lengths."""
-    paths, clash = _bounded_paths(x)
+    level, clash = _levels(x)
     if clash:
         raise NotATree(clash)
-    return {p.end: len(p) for p in paths}
+    return level
 
 
 def tree_unit(x: PHDA) -> Morphism:

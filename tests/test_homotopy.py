@@ -9,12 +9,13 @@ from phda.homotopy import (
     classes_to,
     elementary_neighbors,
     find_shortcuts,
-    partition_paths,
 )
 from phda.model import PHDA, build
 from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
 from phda.words import EPSILON, FUTURE, PAST, single, star, star_fold, word
+
+from oracles import partition_paths
 
 
 # Independent oracles for the chain index and the saturation-based shortcut
@@ -162,6 +163,15 @@ def test_elementary_rewrites_are_symmetric():
         for p in enumerate_paths(x, 4):
             for q in elementary_neighbors(p):
                 assert p.key() in {r.key() for r in elementary_neighbors(q)}, name
+
+
+def test_paths_outside_the_model_are_not_homotopic():
+    sq = F.full_square()
+    valid = Path(sq, ("00", "*0", "10"), ((1, PAST), (1, FUTURE)))
+    strays = [Path(sq, ("00", cell, "10"), ((1, PAST), (1, FUTURE))) for cell in ("xx", "yy")]
+    assert class_key(strays[0]) == class_key(strays[1]) == class_key(valid)
+    assert not are_confluently_homotopic(*strays)
+    assert not are_confluently_homotopic(valid, strays[0]) and not are_confluently_homotopic(strays[0], valid)
 
 
 def test_different_hosts_rejected():

@@ -151,7 +151,7 @@ def cli(args):
 @pytest.fixture
 def model_files(tmp_path):
     paths = {}
-    for name in ("full_square", "glued_square", "split_segment", "self_loop"):
+    for name in ("full_square", "glued_square", "split_segment", "self_loop", "punctured_cube"):
         p = tmp_path / f"{name}.json"
         jsonio.save_json(str(p), jsonio.model_to_dict(F.MODELS[name]()))
         paths[name] = str(p)
@@ -270,12 +270,26 @@ def test_cli_malformed_model_is_parse_error(files, case):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+def _rekey(old, new):
+    """Rename one key of the first arrow's map, in place of the old one."""
+    def mutate(doc):
+        arrow = doc["arrows"][0]
+        arrow["map"] = {new if k == old else k: v for k, v in arrow["map"].items()}
+
+    return mutate
+
+
 MALFORMED_DIAGRAMS = {
     "arrow name is a number": _set(("arrows", 0, "name"), 7),
     "arrow source is a list": _set(("arrows", 0, "src"), ["A"]),
     "arrow target is null": _set(("arrows", 0, "dst"), None),
     "arrow map value is a fraction": _set(("arrows", 0, "map", "1"), 1.7),
     "arrow map value is a boolean": _set(("arrows", 0, "map", "1"), True),
+    "arrow map key has a leading zero": _rekey("1", "01"),
+    "arrow map key has a leading space": _rekey("2", " 2"),
+    "arrow map key has a plus sign": _rekey("1", "+1"),
+    "arrow map key has an underscore": _rekey("2", "0_2"),
+    "arrow map key repeats a position": _set(("arrows", 0, "map", "01"), 1),
 }
 
 
@@ -404,6 +418,9 @@ def test_cli_subprocess_entry():
         ["homotopy", "full_square", "--to", "11"],
         ["check-open", "fold"],
         ["check-covering", "fold"],
+        ["is-tree", "punctured_cube"],
+        # the cells that reach 110 are 8 of the punctured cube's 25
+        ["homotopy", "punctured_cube", "--to", "110"],
     ],
 )
 def test_cli_output_independent_of_hash_seed(model_files, args):

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phda import fixtures as F
-from phda import unfolding
-from phda.errors import InvalidBound, InvalidSpine, NotAPathShape
+from phda.errors import InvalidBound, InvalidSpine, NotAPathShape, NotATree
 from phda.homotopy import classes_to
 from phda.lifting import is_covering, is_open
-from phda.model import build, validate_morphism, validate_phda, is_hda
+from phda.model import Cell, is_hda, saturate, validate_morphism, validate_phda
 from phda.paths import (
     Path,
     Spine,
@@ -21,14 +20,18 @@ from phda.paths import (
     spine_of,
     validate_path,
 )
-from phda.unfolding import unfold
+from phda.unfolding import cell_depths, is_tree, unfold
 from phda.words import FUTURE, PAST, single
 
+from oracles import late_clash, partition_paths
 
-# Independent oracles for the execution explorer: the three breadth-first
-# frontier loops that enumeration, unfolding and tree recognition each ran
-# before they shared `paths.executions`, over split step tables built from
-# the face table rather than from `PHDA.moves`.
+
+# Independent oracles for the explorers: the three breadth-first frontier
+# loops that enumeration, unfolding and tree recognition each ran before
+# they shared `paths.executions`, over split step tables built from the
+# face table rather than from `PHDA.moves`.  Unfolding and tree recognition
+# now work in classes; their results are compared with the ones these
+# paths give, grouped by the path-level `partition_paths`.
 
 
 def split_moves(x):
@@ -114,21 +117,6 @@ def oracle_bounded_paths(x):
     return paths, None
 
 
-def late_clash():
-    """Cell v is reached at lengths 2 and 4, the longer route after another path of its level."""
-    return build(
-        "a",
-        [(c, 0, ()) for c in ("i", "u", "v", "w")] + [(e, 1, ("a",)) for e in ("a", "b", "c", "d")],
-        "i",
-        [
-            ("a", single(1, PAST), "i"), ("a", single(1, FUTURE), "v"),
-            ("b", single(1, PAST), "i"), ("b", single(1, FUTURE), "u"),
-            ("c", single(1, PAST), "u"), ("c", single(1, FUTURE), "w"),
-            ("d", single(1, PAST), "u"), ("d", single(1, FUTURE), "v"),
-        ],
-    )
-
-
 def explorer_models():
     models = {name: mk() for name, mk in F.MODELS.items()}
     for name, f in (
@@ -158,32 +146,49 @@ def test_enumerate_paths_matches_oracle(name):
         assert keys(enumerate_paths(x, bound)) == keys(oracle_enumerate_paths(x, bound)), bound
 
 
+def oracle_unfold(x, depth):
+    """The unfolding as it was built from enumerated paths: (cells, initial, faces, cover, truncated)."""
+    paths, truncated = oracle_unfold_paths(x, depth)
+    _, future = split_moves(x)
+    state_of, reps = {}, []
+    for ordinal, group in enumerate(partition_paths(paths)):
+        reps.append(min(group, key=Path.key))
+        for p in group:
+            state_of[p.key()] = f"u{ordinal}"
+    cells, entries, cover = {}, [], {}
+    for ordinal, rep in enumerate(reps):
+        sid = f"u{ordinal}"
+        cells[sid] = Cell(sid, x.dim(rep.end), x.label(rep.end))
+        cover[sid] = rep.end
+        if rep.steps and rep.steps[-1][1] == PAST:
+            entries.append((sid, single(rep.steps[-1][0], PAST), state_of[rep.prefix(len(rep) - 1).key()]))
+        if len(rep) < depth:
+            for i, z in future.get(rep.end, []):
+                entries.append((sid, single(i, FUTURE), state_of[rep.extend((i, FUTURE), z).key()]))
+    faces = saturate(entries)
+    return list(cells.items()), state_of[empty_path(x).key()], list(faces.items()), list(cover.items()), truncated
+
+
 @pytest.mark.parametrize("name", EXPLORER_MODELS)
-def test_unfold_paths_match_oracle(name, monkeypatch):
+def test_unfold_paths_match_oracle(name):
     x = explorer_models()[name]
-    seen = []
-    partition_paths = unfolding.partition_paths
-
-    def recording(paths, *rest):
-        seen.append(list(paths))
-        return partition_paths(paths, *rest)
-
-    monkeypatch.setattr(unfolding, "partition_paths", recording)
     for bound in BOUNDS:
-        seen.clear()
-        truncated = unfold(x, bound).truncated
-        expect, expect_truncated = oracle_unfold_paths(x, bound)
-        assert [keys(paths) for paths in seen] == [keys(expect)], bound
-        assert truncated == expect_truncated, bound
+        tree, cover, truncated = unfold(x, bound)
+        got = list(tree.cells.items()), tree.initial, list(tree.faces.items()), list(cover.mapping.items()), truncated
+        assert got == oracle_unfold(x, bound), bound
 
 
 @pytest.mark.parametrize("name", EXPLORER_MODELS)
 def test_bounded_paths_match_oracle(name):
     x = explorer_models()[name]
-    paths, clash = unfolding._bounded_paths(x)
-    expect, expect_clash = oracle_bounded_paths(x)
-    assert keys(paths) == keys(expect)
-    assert clash == expect_clash
+    expect, clash = oracle_bounded_paths(x)
+    if clash is None:
+        assert list(cell_depths(x).items()) == list({p.end: len(p) for p in expect}.items())
+    else:
+        with pytest.raises(NotATree) as caught:
+            cell_depths(x)
+        assert str(caught.value) == clash
+        assert is_tree(x).reason == clash
     clashing = ("self_loop", "loop_unrolling(2).source", "loop_unrolling(2).target", "late_clash")
     assert (clash is not None) == (name in clashing)
 

@@ -1,24 +1,31 @@
-"""Properties of the step table and its readers over random valid models.
+"""Properties of the step table, the class explorer and their readers over random valid models.
 
 A random model is a face-closed set of cells of the n-cube (n <= 3)
 containing 0...0, with a random subset of its single faces, closed under
 composition.  The oracles are the loops the library ran before every
-reader shared `PHDA.moves`: split past/future step tables built from the
-face table, lifting squares solved by face lookups, path steps checked by
-face lookups, and completion by rescanning every class until nothing
-merges.
+reader shared `PHDA.moves` and before homotopy classes were built level by
+level: split past/future step tables built from the face table, lifting
+squares solved by face lookups, path steps checked by face lookups,
+completion by rescanning every class until nothing merges, and classes
+as enumerated paths grouped by rewriting each path.
 """
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from phda import fixtures as F
 from phda.completion import AbstractFace, complete, completion_of
+from phda.homotopy import ChainIndex, are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.lifting import ExtensionSquare, is_covering, is_open
 from phda.model import Morphism, build, identity, validate_morphism, validate_phda
 from phda.paths import Path, enumerate_paths, validate_path
 from phda.uf import UnionFind
-from phda.unfolding import is_tree, unfold
+from phda.unfolding import TreeReport, is_tree, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
+
+from oracles import homotopy_closure, late_clash, partition_paths
 
 LETTERS = "abc"
 
@@ -34,10 +41,11 @@ def cube_faces(cid):
 
 
 @st.composite
-def models(draw):
+def models(draw, dense=False):
+    """A random valid model; a `dense` one is the whole n-cube with at most three single faces dropped."""
     n = draw(st.integers(1, 3))
     cells = ["".join(c) for c in itertools.product("01*", repeat=n)]
-    todo = [*draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)), "0" * n]
+    todo = ["*" * n] if dense else [*draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)), "0" * n]
     closed = set()
     while todo:
         cid = todo.pop()
@@ -45,7 +53,11 @@ def models(draw):
             closed.add(cid)
             todo.extend(tgt for _, _, tgt in cube_faces(cid))
     singles = [e for cid in sorted(closed) for e in cube_faces(cid)]
-    keep = draw(st.lists(st.booleans(), min_size=len(singles), max_size=len(singles)))
+    if dense:
+        dropped = draw(st.sets(st.integers(0, len(singles) - 1), max_size=3))
+        keep = [i not in dropped for i in range(len(singles))]
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(singles), max_size=len(singles)))
     x = build(
         LETTERS[:n],
         [(cid, cid.count("*"), tuple(LETTERS[p] for p, c in enumerate(cid) if c == "*")) for cid in sorted(closed)],
@@ -205,3 +217,104 @@ def test_completion_classes_match_the_rescan(x):
     for face, rep in completion_of(x).reps.items():
         groups.setdefault(rep, []).append(face.sort_key())
     assert sorted(sorted(g) for g in groups.values()) == oracle_completion_classes(x)
+
+
+def path_level_is_tree(x):
+    """Tree recognition as it ran on enumerated paths: every path up to |cells| steps, grouped per cell."""
+    shortcuts = find_shortcuts(x)
+    if shortcuts:
+        cid, w = min(shortcuts, key=lambda s: (s[0], s[1].pairs))
+        return TreeReport(False, f"shortcut {w.text()} on cell {cid}")
+    first_len, by_end = {}, {}
+    for p in enumerate_paths(x, len(x.cells)):
+        seen = first_len.setdefault(p.end, len(p))
+        if seen != len(p):
+            return TreeReport(False, f"cell {p.end} is reached at lengths {seen} and {len(p)}")
+        by_end.setdefault(p.end, []).append(p)
+    for cid in sorted(x.cells):
+        if cid not in by_end:
+            return TreeReport(False, f"cell {cid} is not the endpoint of any execution")
+    chains = ChainIndex(x)
+    for cid in sorted(by_end):
+        found = partition_paths(by_end[cid], chains)
+        if len(found) != 1:
+            return TreeReport(False, f"cell {cid} has {len(found)} execution classes")
+    return TreeReport(True)
+
+
+def unreachable_cells():
+    """An edge and its end that no execution reaches: the edge has no past face."""
+    return build("a", [("i", 0, ()), ("v", 0, ()), ("e", 1, ("a",))], "i", [("e", single(1, FUTURE), "v")])
+
+
+# clashes, unreachable cells, and fixtures whose executions merge
+FIXED_MODELS = {
+    "self_loop": F.self_loop(),
+    "loop_unrolling(2).source": F.loop_unrolling(2).source,
+    "loop_unrolling(2).target": F.loop_unrolling(2).target,
+    "late_clash": late_clash(),
+    "unreachable_cells": unreachable_cells(),
+    "full_cube": F.full_cube(),
+    "punctured_cube": F.punctured_cube(),
+    "glued_square": F.glued_square(),
+}
+RANDOM_MODELS = st.one_of(models(), models(dense=True))
+
+
+def check_explorer(x, max_len):
+    """`explore` and `classes_to` against enumerated paths grouped by rewriting, at every bound <= max_len."""
+    groups = partition_paths(enumerate_paths(x, max_len))
+    group_of = {p.key(): k for k, group in enumerate(groups) for p in group}
+    for bound in range(max_len + 1):
+        classes = list(explore(x, bound))
+        expect = [g for g in groups if len(g[0]) <= bound]
+        assert [(c.ordinal, c.end, c.level, c.size, c.representative.key()) for c in classes] == [
+            (k, g[0].end, len(g[0]), len(g), min(p.key() for p in g)) for k, g in enumerate(expect)
+        ], bound
+        for c in classes:
+            rep = c.representative
+            assert c.prefix == (group_of[rep.prefix(len(rep) - 1).key()] if len(rep) else None)
+            after = x.moves.get(c.end, ()) if c.level < bound else ()
+            assert c.successors == {(step, z): group_of[rep.extend(step, z).key()] for step, z in after}
+    for cid in sorted(x.cells):
+        got = [(c.representative.key(), [p.key() for p in c.members]) for c in classes_to(x, cid, max_len)]
+        ends_here = [sorted(p.key() for p in g) for g in groups if g[0].end == cid]
+        assert got == [(members[0], members) for members in ends_here], cid
+
+
+def check_homotopy(x):
+    """`are_confluently_homotopic` against breadth-first closure, on all pairs of paths of length <= 4."""
+    paths = enumerate_paths(x, 4)
+    chains = ChainIndex(x)
+    for p in paths:
+        closure = homotopy_closure(p, chains)
+        assert [are_confluently_homotopic(p, q) for q in paths] == [q.key() in closure for q in paths], p.text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_MODELS)
+def test_explorer_matches_path_partition(x):
+    check_explorer(x, 2 * len(x.initial))
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_MODELS)
+def test_is_tree_matches_path_level_oracle(x):
+    assert is_tree(x) == path_level_is_tree(x)
+    for depth in (2, 4):
+        tree = unfold(x, depth).tree
+        assert is_tree(tree) == path_level_is_tree(tree) == TreeReport(True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(RANDOM_MODELS)
+def test_homotopy_matches_bfs_closure(x):
+    check_homotopy(x)
+
+
+@pytest.mark.parametrize("name", list(FIXED_MODELS))
+def test_explorer_tree_and_homotopy_match_oracles_on_fixed_models(name):
+    x = FIXED_MODELS[name]
+    check_explorer(x, 6)
+    assert is_tree(x) == path_level_is_tree(x)
+    check_homotopy(x)

@@ -124,3 +124,37 @@ def test_tree_has_one_class_per_cell():
     for x in (F.glued_square(), F.branch_tree(2), F.double_square_tree()):
         for cid in x.cells:
             assert len(classes_to(x, cid, len(x.cells))) == 1, cid
+
+
+def test_classes_are_built_without_enumerating_paths(monkeypatch):
+    """Unfolding, tree recognition and `classes_to` work in classes: no path stream, no path rewriting."""
+    import sys
+
+    from phda import homotopy, paths
+
+    x = F.full_cube()
+    tree = unfold(x, 6).tree
+
+    def results():
+        result = unfold(x, 6)
+        classes = classes_to(x, "111", 6)
+        return (
+            is_tree(x).reason,
+            is_tree(tree).is_tree,
+            (result.tree, result.cover.mapping, result.truncated),
+            [(c.representative.key(), [p.key() for p in c.members]) for c in classes],
+        )
+
+    expect = results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("executions were enumerated or rewritten one path at a time")
+
+    for original in (paths.executions, homotopy.elementary_neighbors):
+        for name, module in list(sys.modules.items()):
+            if name == "phda" or name.startswith("phda."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+    assert results() == expect
+    assert expect[0] is not None and expect[1] and len(expect[3]) > 1
