@@ -12,9 +12,7 @@ from .completion import Completion, complete, complete_morphism, completion_of, 
 from .homotopy import (
     HomotopyClass,
     are_confluently_homotopic,
-    class_key,
     classes_to,
-    elementary_neighbors,
     find_shortcuts,
 )
 from .lifting import (
@@ -54,7 +52,7 @@ from .paths import (
     validate_path,
 )
 from .unfolding import TreeReport, UnfoldResult, is_tree, tree_unit, unfold
-from .words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, eval_coface, single, star, word
+from .words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, single, star, word
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -54,13 +54,17 @@ def completion_of(x: PHDA) -> Completion:
     ]
     uf = UnionFind(universe)
     # (a) defined faces collapse onto their targets; (b) congruence: every
-    # merge queues the merge of each pair of further faces of its two sides
+    # merge queues the merge of each pair of further faces of its two sides,
+    # except a pair of defined faces with one target, which (a) merges
     pending = [(AbstractFace(w, cid), AbstractFace(EPSILON, tgt)) for (cid, w), tgt in x.faces.items()]
     while pending:
         a, b = pending.pop()
         if uf.union(a, b):
             n = x.cells[a.cell].dim - len(a.word)
-            pending.extend((a.child(i, d), b.child(i, d)) for i in range(1, n + 1) for d in (0, 1))
+            for ca, cb in ((a.child(i, d), b.child(i, d)) for i in range(1, n + 1) for d in (0, 1)):
+                tgt = x.faces.get((ca.cell, ca.word))
+                if tgt is None or tgt != x.faces.get((cb.cell, cb.word)):
+                    pending.append((ca, cb))
 
     reps: dict[AbstractFace, AbstractFace] = {}
     for members in uf.groups().values():

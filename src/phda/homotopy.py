@@ -10,9 +10,8 @@ step.  Unfolding, tree recognition, `classes_to` and
 
 The windows come from a `ChainIndex`: the future chains from each start
 cell, of each length, grouped by composite word and end cell, searched
-once per (cell, length) and per index.  `elementary_neighbors` rewrites
-one path with it; the necessary-condition `class_key` serves only as a
-negative pre-filter.
+once per (cell, length) and per index.  Nothing here rewrites single
+paths; the path-level rewriting and closure are test oracles.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from .errors import DomainMismatch, InvalidBound, UnknownCell
 from .model import PHDA, Move, saturate
 from .paths import Path, empty_path
 from .uf import UnionFind
-from .words import EPSILON, FUTURE, FaceWord, single, star, star_fold
+from .words import EPSILON, FUTURE, FaceWord, single, star
 
 Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
 
@@ -57,25 +56,6 @@ class ExecutionClass:
     successors: dict[Move, int]
 
 
-def class_key(p: Path) -> tuple:
-    """Invariants shared by homotopic paths: length, past steps, per-run composites, endpoint.
-
-    Necessary conditions only; never used to decide equivalence positively.
-    """
-    past = tuple((k, j) for k, (j, a) in enumerate(p.steps) if a != FUTURE)
-    runs = []
-    k = 0
-    while k < len(p.steps):
-        if p.steps[k][1] == FUTURE:
-            start = k
-            while k < len(p.steps) and p.steps[k][1] == FUTURE:
-                k += 1
-            runs.append((start, star_fold(list(p.steps[start:k]))))
-        else:
-            k += 1
-    return (len(p.steps), past, tuple(runs), p.end)
-
-
 class ChainIndex:
     """The future chains of one model, searched once per (start cell, length).
 
@@ -101,27 +81,6 @@ class ChainIndex:
                         group = found.setdefault((star(w, single(*step)), z), [])
                         group.extend((cells + (z,), steps + (step,)) for cells, steps in below)
         return found
-
-
-def elementary_neighbors(p: Path, chains: ChainIndex | None = None) -> list[Path]:
-    """All paths one elementary rewrite away from p."""
-    if chains is None:
-        chains = ChainIndex(p.host)
-    found: dict[tuple, Path] = {}
-    for s in range(1, len(p.steps)):
-        if p.steps[s - 1][1] != FUTURE:
-            continue
-        target = single(*p.steps[s - 1])
-        for t in range(s + 1, len(p.steps) + 1):
-            if p.steps[t - 1][1] != FUTURE:
-                break
-            target = star(target, single(*p.steps[t - 1]))
-            window = (p.cells[s : t + 1], p.steps[s - 1 : t])
-            for cells, steps in chains(p.cells[s - 1], t - s + 1).get((target, p.cells[t]), ()):
-                if (cells, steps) != window:
-                    q = Path(p.host, p.cells[:s] + cells[:-1] + p.cells[t:], p.steps[: s - 1] + steps + p.steps[t:])
-                    found[q.key()] = q
-    return [found[k] for k in sorted(found)]
 
 
 def _cone(x: PHDA, to: str) -> set[str]:
@@ -208,8 +167,8 @@ def are_confluently_homotopic(p: Path, q: Path) -> bool:
         raise DomainMismatch("paths live in different models")
     if p.key() == q.key():
         return True
-    if class_key(p) != class_key(q):
-        return False  # provably necessary conditions; a pure pre-filter
+    if len(p) != len(q) or p.end != q.end:
+        return False  # every class has one length and one end
     found = list(explore(p.host, len(p), to=p.end))
 
     def class_of(path: Path) -> int | None:
@@ -237,10 +196,11 @@ def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
         if not needed.isdisjoint(c.successors.values()):
             needed.add(c.ordinal)
     members: dict[int, list[Path]] = {0: [empty_path(x)]}
-    for c in found:
+    for c in found:  # a class's successors are all expanded here, so only targets keep their members
+        mine = members.get(c.ordinal, []) if c.end == cell else members.pop(c.ordinal, [])
         for (step, z), o in c.successors.items():
             if o in needed:
-                members.setdefault(o, []).extend(p.extend(step, z) for p in members[c.ordinal])
+                members.setdefault(o, []).extend(p.extend(step, z) for p in mine)
     groups = [tuple(sorted(members[o], key=Path.key)) for o in targets]
     return [HomotopyClass(group[0], group) for group in groups]
 

@@ -6,9 +6,10 @@ lift is always unique.  One-step squares suffice: a lift of the first step
 of a longer extension is again an execution of the domain, so the next
 step is a one-step square over it, and induction on the extension's
 length lifts the whole of it (the open-map argument of Joyal, Nielsen and
-Winskel, *Bisimulation from open maps*, 1996).  Trees lift through open
-maps: the lift is built by induction on depth, solving one extension
-square per cell.
+Winskel, *Bisimulation from open maps*, 1996).  A square lifts or not by
+the cell its execution ends at, so squares are checked only over the first
+execution to each cell, from `paths.first_paths`.  Trees lift through open
+maps: the lift is built by induction on depth, one square per cell.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import CorpusDisagreement, DomainMismatch, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
-from .paths import Path, enumerate_paths
+from .paths import Path, first_paths
 from .unfolding import is_tree
 
 
@@ -43,37 +44,33 @@ class LiftReport:
         return self.ok
 
 
-def _one_step_lifts(f: Morphism, p: Path, step: tuple[int, int], target: str) -> list[str]:
-    """Domain cells completing one extension square, in cell order."""
-    return [z for s, z in f.source.moves.get(p.end, ()) if s == step and f.mapping[z] == target]
+def _one_step_lifts(f: Morphism, cell: str, step: tuple[int, int], target: str) -> list[str]:
+    """Domain cells completing one extension square over an execution ending at `cell`, in cell order."""
+    return [z for s, z in f.source.moves.get(cell, ()) if s == step and f.mapping[z] == target]
 
 
 def _first_failed_square(f: Morphism, max_len: int, enough) -> LiftReport:
     """The first square, over executions of length <= max_len, whose number of lifts fails `enough`."""
-    for p in enumerate_paths(f.source, max_len):
+    for p in first_paths(f.source, max_len).values():
         for step, target in f.target.moves.get(f.mapping[p.end], ()):
-            lifts = _one_step_lifts(f, p, step, target)
+            lifts = _one_step_lifts(f, p.end, step, target)
             if not enough(len(lifts)):
                 return LiftReport(False, ExtensionSquare(p, step, target), len(lifts))
     return LiftReport(True)
 
 
 def is_open(f: Morphism, max_len: int) -> LiftReport:
-    """Right lifting against execution-shape inclusions, up to the given length."""
+    """Right lifting against execution-shape inclusions, up to the given length.
+
+    The cells reached stop growing at the walk's last level, at most
+    |cells| - 1 steps of the domain; a larger bound cannot change the report.
+    """
     return _first_failed_square(f, max_len, lambda n: n > 0)
 
 
 def is_covering(f: Morphism, max_len: int) -> LiftReport:
-    """Open with exactly one lift per extension square."""
+    """Open with exactly one lift per extension square; the bound reads as in `is_open`."""
     return _first_failed_square(f, max_len, lambda n: n == 1)
-
-
-def _classes_by_cell(x: PHDA) -> dict[str, Path]:
-    """One representative execution per cell of a tree, shortest-first."""
-    reps: dict[str, Path] = {}
-    for p in enumerate_paths(x, len(x.cells)):
-        reps.setdefault(p.end, p)
-    return reps
 
 
 def construct_lift(g: Morphism, f: Morphism) -> Morphism:
@@ -92,16 +89,13 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     report = is_tree(x)
     if not report:
         raise NotATree(report.reason)
-    reps = _classes_by_cell(x)
-    h: dict[str, str] = {}
-    for cid in sorted(reps, key=lambda c: (len(reps[c]), c)):
+    reps = first_paths(x, len(x.cells))
+    h = {x.initial: y.initial}
+    for cid in sorted(reps, key=lambda c: (len(reps[c]), c))[1:]:  # after the initial cell
         p = reps[cid]
-        if len(p) == 0:
-            h[cid] = y.initial
-            continue
         step = p.steps[-1]
         lifted = Path(y, tuple(h[c] for c in p.cells[:-1]), p.steps[:-1])
-        candidates = _one_step_lifts(f, lifted, step, g.mapping[cid])
+        candidates = _one_step_lifts(f, lifted.end, step, g.mapping[cid])
         if not candidates:
             raise NotOpen(f"no lift for cell {cid} over square {ExtensionSquare(lifted, step, g.mapping[cid])}")
         h[cid] = candidates[0]

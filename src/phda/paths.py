@@ -8,15 +8,14 @@ model whose morphisms into a host are exactly the host's paths.
 
 The steps themselves come from `PHDA.moves`, the one step table of a
 model: executions, path validation, the shape walk, the homotopy chain
-index, unfolding and lifting all read it.  `executions` is the library's
-one path-level explorer: enumeration and the lifting squares read its
-breadth-first stream.  Unfolding, tree recognition and homotopy classes
-never enumerate paths; they read `homotopy.explore`, which walks classes.
+index, unfolding and lifting all read it.  `first_paths` is the one walk
+over cells: lifting and tree recognition read its first execution to each
+cell.  Only `enumerate_paths` (and so `phda paths`) lists every execution;
+homotopy classes come from `homotopy.explore`, which walks classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import InvalidBound, InvalidSpine, NotAPathShape
 from .model import PHDA, Morphism, Step, build
@@ -171,29 +170,40 @@ def map_path(f: Morphism, p: Path) -> Path:
     return Path(f.target, tuple(f.mapping[c] for c in p.cells), p.steps)
 
 
-def executions(x: PHDA, max_len: int) -> Iterator[Path]:
-    """Paths of length at most max_len, breadth first, each yielded as soon as it is built.
+def first_paths(x: PHDA, max_len: int) -> dict[str, Path]:
+    """The first execution to each cell within max_len steps, in the order the cells are first met.
 
-    Within a level, paths extend the previous level in order, past steps
-    before future steps; the stream ends when no path can be extended.
+    A cell first met at length n + 1 is met only from cells first met at
+    length n, so a breadth-first walk with a visited set meets the cells
+    in the order, and by the executions, of the breadth-first path stream
+    of `enumerate_paths`, in O(cells + moves) steps.
     """
     if max_len < 0:
         raise InvalidBound(f"max_len must be >= 0, got {max_len}")
-    moves = x.moves
-    frontier = [empty_path(x)]
-    yield frontier[0]
+    first = {x.initial: empty_path(x)}
+    frontier = [first[x.initial]]
     for _ in range(max_len):
         nxt = []
         for p in frontier:
-            for step, z in moves.get(p.end, ()):
-                q = p.extend(step, z)
-                nxt.append(q)
-                yield q
+            for step, z in x.moves.get(p.end, ()):
+                if z not in first:
+                    first[z] = p.extend(step, z)
+                    nxt.append(first[z])
         if not nxt:
-            return
+            break
         frontier = nxt
+    return first
 
 
 def enumerate_paths(x: PHDA, max_len: int) -> list[Path]:
-    """All paths of length at most max_len, breadth first, deterministic order."""
-    return list(executions(x, max_len))
+    """All paths of length at most max_len, breadth first; each level extends the previous one in order."""
+    if max_len < 0:
+        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
+    frontier = [empty_path(x)]
+    out = list(frontier)
+    for _ in range(max_len):
+        frontier = [p.extend(step, z) for p in frontier for step, z in x.moves.get(p.end, ())]
+        if not frontier:
+            break
+        out += frontier
+    return out

@@ -4,8 +4,9 @@ States of the unfolding are homotopy classes of paths, as `explore`
 builds them; the covering back onto the model sends a class to its
 endpoint.  A model is a tree exactly when it has no shortcuts and a
 single class of executions to every cell; path lengths are then unique
-per cell, so |cells| bounds every search.  Neither enumerates paths:
-`_levels` walks cells breadth first, and classes come from `explore`.
+per cell, so |cells| bounds every search.  Neither enumerates paths: the
+length of each cell is that of its first execution in `first_paths`, the
+one walk over cells, and classes come from `explore`.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from .errors import InvalidBound, NotATree
 from .homotopy import explore, find_shortcuts
 from .model import PHDA, Cell, Morphism, saturate
+from .paths import first_paths
 from .words import FUTURE, PAST, single
 
 
@@ -74,24 +76,16 @@ def _states(x: PHDA, depth: int) -> tuple[dict[str, Cell], list, dict[str, str],
 
 
 def _levels(x: PHDA) -> tuple[dict[str, int], str | None]:
-    """The length of the executions to each cell, breadth first, up to |cells| steps.
+    """The length of the first execution to each cell, in first-met order, and the first clash.
 
-    Cells appear in the order the breadth-first path stream first meets
-    them.  The walk stops at the first cell reached at a second length and
-    says so.
+    Lengths are unique per cell iff every step c -> z goes one level up;
+    the first step that does not, in the order of the walk, is the clash.
     """
-    level = {x.initial: 0}
-    frontier = [x.initial]
-    for n in range(1, len(x.cells) + 1):
-        nxt = []
-        for c in frontier:
-            for _, z in x.moves.get(c, ()):
-                if z not in level:
-                    level[z] = n
-                    nxt.append(z)
-                elif level[z] != n:
-                    return level, f"cell {z} is reached at lengths {level[z]} and {n}"
-        frontier = nxt
+    level = {c: len(p) for c, p in first_paths(x, len(x.cells)).items()}
+    for c, n in level.items():
+        for _, z in x.moves.get(c, ()):
+            if level[z] != n + 1:
+                return level, f"cell {z} is reached at lengths {level[z]} and {n + 1}"
     return level, None
 
 

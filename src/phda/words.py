@@ -2,11 +2,8 @@
 
 A composite face of an n-cell is named by a word of (index, direction)
 pairs with strictly increasing indices; direction 0 is the past face,
-1 the future face.  Words compose with `star`.  `eval_coface` gives the
-dual insertion action on bit vectors and is implemented independently of
-`star`, so the two can serve as oracles for each other:
-
-    eval_coface(star(I, J), b) == eval_coface(I, eval_coface(J, b))
+1 the future face.  Words compose with `star`; the tests check it against
+the dual insertion action on bit vectors, implemented independently.
 """
 from __future__ import annotations
 
@@ -106,14 +103,6 @@ def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
     return FaceWord(tuple(out))
 
 
-def star_fold(singles: list[tuple[int, int]]) -> FaceWord:
-    """Compose a chain of single faces applied left to right."""
-    acc = EPSILON
-    for i, a in singles:
-        acc = star(acc, single(i, a))
-    return acc
-
-
 def delete_letters(w: FaceWord, label: Label) -> Label:
     """Drop the letter positions named by `w`, highest index first."""
     letters = list(label)
@@ -122,28 +111,6 @@ def delete_letters(w: FaceWord, label: Label) -> Label:
             raise IndexOutOfRange(f"cannot delete position {i} of word of length {len(letters)}")
         del letters[i - 1]
     return tuple(letters)
-
-
-def eval_coface(w: FaceWord, bits: tuple[int, ...]) -> tuple[int, ...]:
-    """Insert the directions of `w` at their indices, lowest index first.
-
-    Literal insertion semantics, kept independent of `star` on purpose.
-    """
-    out = list(bits)
-    for i, a in w.pairs:
-        if not 1 <= i <= len(out) + 1:
-            raise IndexOutOfRange(f"cannot insert at position {i} of vector of length {len(out)}")
-        out.insert(i - 1, a)
-    return tuple(out)
-
-
-def canonical_chain(w: FaceWord) -> list[tuple[int, int]]:
-    """One single-face chain whose left-to-right composition is `w`.
-
-    Taking the highest-index face first keeps the remaining indices valid;
-    star_fold(canonical_chain(w)) == w.
-    """
-    return list(reversed(w.pairs))
 
 
 def enumerate_words(max_index: int) -> list[FaceWord]:

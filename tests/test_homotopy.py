@@ -2,20 +2,13 @@ import pytest
 
 from phda import fixtures as F
 from phda.errors import DomainMismatch, UnknownCell
-from phda.homotopy import (
-    ChainIndex,
-    are_confluently_homotopic,
-    class_key,
-    classes_to,
-    elementary_neighbors,
-    find_shortcuts,
-)
+from phda.homotopy import ChainIndex, are_confluently_homotopic, classes_to, find_shortcuts
 from phda.model import PHDA, build
 from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
-from phda.words import EPSILON, FUTURE, PAST, single, star, star_fold, word
+from phda.words import EPSILON, FUTURE, PAST, single, star, word
 
-from oracles import partition_paths
+from oracles import class_key, elementary_neighbors, partition_paths, star_fold
 
 
 # Independent oracles for the chain index and the saturation-based shortcut

@@ -1,7 +1,7 @@
 import pytest
 
 from phda import fixtures as F
-from phda.errors import CorpusDisagreement, NotATree
+from phda.errors import CorpusDisagreement, NotATree, NotOpen
 from phda.lifting import (
     construct_lift,
     enumerate_lifts,
@@ -11,7 +11,7 @@ from phda.lifting import (
     is_open,
 )
 from phda.colimits import colimit, mediate
-from phda.model import Morphism, compose, identity, validate_morphism
+from phda.model import Morphism, build, compose, identity, validate_morphism
 from phda.paths import Spine, enumerate_paths, map_path, path_shape
 from phda.unfolding import is_tree, unfold
 from phda.words import FUTURE, PAST, single
@@ -158,6 +158,30 @@ def test_construct_lift_unit_through_completion_cover():
     assert validate_morphism(h) == []
     assert all(cover.mapping[h.mapping[c]] == unit.mapping[c] for c in h.mapping)
     assert len(enumerate_lifts(unit, cover)) == 1
+
+
+def test_construct_lift_reports_the_least_failing_cell_of_the_first_failing_level():
+    # the walk meets the edge ends in the order w, u; the lift is solved by (length, cell)
+    tree = build(
+        "a",
+        [("r", 0, ()), ("e0", 1, ("a",)), ("e1", 1, ("a",)), ("w", 0, ()), ("u", 0, ())],
+        "r",
+        [
+            ("e0", single(1, PAST), "r"), ("e0", single(1, FUTURE), "w"),
+            ("e1", single(1, PAST), "r"), ("e1", single(1, FUTURE), "u"),
+        ],
+    )
+    starts = build(
+        "a",
+        [("r", 0, ()), ("e0", 1, ("a",)), ("e1", 1, ("a",))],
+        "r",
+        [("e0", single(1, PAST), "r"), ("e1", single(1, PAST), "r")],
+    )
+    f = Morphism(starts, tree, {c: c for c in starts.cells})
+    assert validate_morphism(f) == [] and not is_open(f, 1)
+    with pytest.raises(NotOpen) as err:
+        construct_lift(identity(tree), f)
+    assert str(err.value) == "no lift for cell u over square r -(1,0)-> e1 | image extends by -(1,1)-> u"
 
 
 def test_construct_lift_requires_tree():

@@ -27,11 +27,11 @@ from oracles import late_clash, partition_paths
 
 
 # Independent oracles for the explorers: the three breadth-first frontier
-# loops that enumeration, unfolding and tree recognition each ran before
-# they shared `paths.executions`, over split step tables built from the
-# face table rather than from `PHDA.moves`.  Unfolding and tree recognition
-# now work in classes; their results are compared with the ones these
-# paths give, grouped by the path-level `partition_paths`.
+# loops that enumeration, unfolding and tree recognition each ran on their
+# own, over split step tables built from the face table rather than from
+# `PHDA.moves`.  Unfolding works in classes and tree recognition in cells
+# and classes; their results are compared with the ones these paths give,
+# grouped by the path-level `partition_paths`.
 
 
 def split_moves(x):

@@ -7,7 +7,9 @@ reader shared `PHDA.moves` and before homotopy classes were built level by
 level: split past/future step tables built from the face table, lifting
 squares solved by face lookups, path steps checked by face lookups,
 completion by rescanning every class until nothing merges, and classes
-as enumerated paths grouped by rewriting each path.
+as enumerated paths grouped by rewriting each path.  Lifting squares are
+also checked against the path stream: every enumerated execution, not
+only the first to each cell.
 """
 import itertools
 
@@ -25,7 +27,7 @@ from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
 
-from oracles import homotopy_closure, late_clash, partition_paths
+from oracles import homotopy_closure, late_clash, partition_paths, path_stream_lifting
 
 LETTERS = "abc"
 
@@ -81,6 +83,15 @@ def doubled(x):
     fold = Morphism(y, x, {c: c for c in x.cells} | {twin(c): c for c in x.cells})
     assert validate_phda(fold.source) == [] and validate_morphism(fold) == []
     return fold
+
+
+def lifting_maps(x, depth):
+    return {
+        "identity": identity(x),
+        "unfold cover": unfold(x, depth).cover,
+        "completion unit": complete(x)[1],
+        "fold of two copies": doubled(x),
+    }
 
 
 def split_moves(x):
@@ -175,17 +186,11 @@ def test_moves_merge_the_split_tables(x):
 @settings(max_examples=25, deadline=None)
 @given(models(), st.integers(1, 4))
 def test_lifting_matches_face_lookups(x, depth):
-    result = unfold(x, depth)
-    maps = {
-        "identity": identity(x),
-        "unfold cover": result.cover,
-        "completion unit": complete(x)[1],
-        "fold of two copies": doubled(x),
-    }
-    for name, f in maps.items():
+    for name, f in lifting_maps(x, depth).items():
         for check, unique in ((is_open, False), (is_covering, True)):
             r = check(f, 3)
             assert (r.ok, str(r.square) if r.square else None, r.lifts) == oracle_lifting(f, 3, unique), name
+    result = unfold(x, depth)
     assert is_tree(result.tree) and is_covering(result.cover, depth - 1)
 
 
@@ -211,7 +216,7 @@ def test_validate_path_matches_face_lookups_on_mutated_paths(x, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(models())
+@given(st.one_of(models(), models(dense=True)))
 def test_completion_classes_match_the_rescan(x):
     groups = {}
     for face, rep in completion_of(x).reps.items():
@@ -247,9 +252,27 @@ def unreachable_cells():
     return build("a", [("i", 0, ()), ("v", 0, ()), ("e", 1, ("a",))], "i", [("e", single(1, FUTURE), "v")])
 
 
+def two_loops():
+    """Edge x loops on i; edges a and b go round through w: i is met again at lengths 2 and 4.
+
+    The walk meets x before b, and sorted order puts b first.
+    """
+    return build(
+        "a",
+        [("i", 0, ()), ("w", 0, ()), ("a", 1, ("a",)), ("b", 1, ("a",)), ("x", 1, ("a",))],
+        "i",
+        [
+            ("a", single(1, PAST), "i"), ("a", single(1, FUTURE), "w"),
+            ("b", single(1, PAST), "w"), ("b", single(1, FUTURE), "i"),
+            ("x", single(1, PAST), "i"), ("x", single(1, FUTURE), "i"),
+        ],
+    )
+
+
 # clashes, unreachable cells, and fixtures whose executions merge
 FIXED_MODELS = {
     "self_loop": F.self_loop(),
+    "two_loops": two_loops(),
     "loop_unrolling(2).source": F.loop_unrolling(2).source,
     "loop_unrolling(2).target": F.loop_unrolling(2).target,
     "late_clash": late_clash(),
@@ -318,3 +341,48 @@ def test_explorer_tree_and_homotopy_match_oracles_on_fixed_models(name):
     check_explorer(x, 6)
     assert is_tree(x) == path_level_is_tree(x)
     check_homotopy(x)
+
+
+def check_lifting(f):
+    """`is_open` and `is_covering` against the path-stream oracle at every bound 0..|cells| + 2."""
+    for bound in range(len(f.source.cells) + 3):
+        for check, unique in ((is_open, False), (is_covering, True)):
+            r, expect = check(f, bound), path_stream_lifting(f, bound, unique)
+            assert (r.ok, str(r.square), r.lifts) == (expect.ok, str(expect.square), expect.lifts), bound
+
+
+def fixture_lifting_maps():
+    maps = {}
+    for name, mk in F.MODELS.items():
+        maps |= {f"{kind} of {name}": f for kind, f in lifting_maps(mk(), 4).items()}
+    maps |= {
+        "branch_fold(2, 1)": F.branch_fold(2, 1),
+        "double_square_fold": F.double_square_fold(),
+        "loop_unrolling(2)": F.loop_unrolling(2),
+        "loop_unrolling(3)": F.loop_unrolling(3),
+    }
+    for k, (section, retraction) in enumerate(F.section_retraction_pairs()):
+        maps |= {f"section {k}": section, f"retraction {k}": retraction}
+    return maps
+
+
+FIXTURE_LIFTING_MAPS = fixture_lifting_maps()
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_LIFTING_MAPS))
+def test_lifting_matches_path_stream_on_fixtures(name):
+    check_lifting(FIXTURE_LIFTING_MAPS[name])
+
+
+@settings(max_examples=10, deadline=None)
+@given(models(dense=True), st.integers(1, 4))
+def test_lifting_matches_path_stream_on_dense_models(x, depth):
+    for f in lifting_maps(x, depth).values():
+        check_lifting(f)
+
+
+@pytest.mark.parametrize("f", [identity(F.self_loop()), unfold(F.self_loop(), 4).cover, F.loop_unrolling(2), F.loop_unrolling(3)])
+def test_lifting_bound_beyond_the_walk_changes_nothing(f):
+    n = len(f.source.cells)
+    for check in (is_open, is_covering):
+        assert check(f, n) == check(f, 2 * n)

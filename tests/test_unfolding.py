@@ -127,13 +127,15 @@ def test_tree_has_one_class_per_cell():
 
 
 def test_classes_are_built_without_enumerating_paths(monkeypatch):
-    """Unfolding, tree recognition and `classes_to` work in classes: no path stream, no path rewriting."""
+    """Unfolding, tree recognition, `classes_to` and lifting work in classes and cells: no path stream."""
     import sys
 
-    from phda import homotopy, paths
+    from phda import paths
+    from phda.lifting import construct_lift, is_covering, is_open
 
     x = F.full_cube()
     tree = unfold(x, 6).tree
+    fold = F.branch_fold(2, 1)
 
     def results():
         result = unfold(x, 6)
@@ -143,18 +145,22 @@ def test_classes_are_built_without_enumerating_paths(monkeypatch):
             is_tree(tree).is_tree,
             (result.tree, result.cover.mapping, result.truncated),
             [(c.representative.key(), [p.key() for p in c.members]) for c in classes],
+            [check(f, n) for check in (is_open, is_covering) for f in (result.cover, fold) for n in (0, 3, 9)],
+            construct_lift(result.cover, identity(x)).mapping,
+            cell_depths(tree),
         )
 
     expect = results()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("executions were enumerated or rewritten one path at a time")
+        raise AssertionError("executions were enumerated")
 
-    for original in (paths.executions, homotopy.elementary_neighbors):
-        for name, module in list(sys.modules.items()):
-            if name == "phda" or name.startswith("phda."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, refuse)
+    original = paths.enumerate_paths
+    for name, module in list(sys.modules.items()):
+        if name == "phda" or name.startswith("phda."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
     assert results() == expect
     assert expect[0] is not None and expect[1] and len(expect[3]) > 1
+    assert [r.ok for r in expect[4]] == [True] * 9 + [False] * 3 and expect[4][-1].lifts == 2

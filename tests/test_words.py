@@ -2,18 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phda.errors import IndexOutOfRange
-from phda.words import (
-    EPSILON,
-    FaceWord,
-    canonical_chain,
-    delete_letters,
-    enumerate_words,
-    eval_coface,
-    single,
-    star,
-    star_fold,
-    word,
-)
+from phda.words import EPSILON, FaceWord, delete_letters, enumerate_words, single, star, word
+
+from oracles import canonical_chain, eval_coface, star_fold
 
 
 def words(max_index=6, max_len=4):
