@@ -8,7 +8,7 @@ the spine steps and closed under composition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidDiagram, NotACocone
 from .model import PHDA, Cell, Morphism, saturate, validate_morphism
@@ -49,23 +49,24 @@ def _alphabet(d: Diagram) -> frozenset[str]:
     return frozenset(l for s in d.objects.values() for _, w in s.entries for l in w)
 
 
-def validate_diagram(d: Diagram) -> None:
+def validate_diagram(d: Diagram) -> dict[str, PHDA]:
+    """Check that every arrow is a total morphism between object shapes; returns the shapes, one per object."""
+    shapes = {u: d.shape(u) for u in d.objects}
     for arrow in d.arrows:
         if arrow.src not in d.objects or arrow.dst not in d.objects:
             raise InvalidDiagram(f"arrow {arrow.name} references unknown objects")
         src_len = len(d.objects[arrow.src])
         if sorted(arrow.cell_map) != list(range(src_len + 1)):
             raise InvalidDiagram(f"arrow {arrow.name} is not total on the source cells")
-        shape_src = d.shape(arrow.src)
-        shape_dst = d.shape(arrow.dst)
-        f = Morphism(shape_src, shape_dst, {str(k): str(v) for k, v in arrow.cell_map.items()})
+        f = Morphism(shapes[arrow.src], shapes[arrow.dst], {str(k): str(v) for k, v in arrow.cell_map.items()})
         bad = validate_morphism(f)
         if bad:
             raise InvalidDiagram(f"arrow {arrow.name} is not a morphism: {bad[0]}")
+    return shapes
 
 
 def colimit(d: Diagram) -> ColimitResult:
-    validate_diagram(d)
+    shapes = validate_diagram(d)
     spines = d.objects
     nodes = [BASE] + [(u, k) for u in sorted(spines) for k in range(len(spines[u]) + 1)]
     positions = {n: max(n[1], 0) for n in nodes}
@@ -137,10 +138,10 @@ def colimit(d: Diagram) -> ColimitResult:
 
     base_id = ids[uf.find(BASE)]
     model = PHDA(alphabet=_alphabet(d), cells=cells, initial=base_id, faces=saturate(entries))
-    injections = {
-        u: Morphism(d.shape(u, model.alphabet), model, {str(k): ids[uf.find((u, k))] for k in range(len(spines[u]) + 1)})
-        for u in spines
-    }
+    injections = {}
+    for u, shape in shapes.items():
+        at = {str(k): ids[uf.find((u, k))] for k in range(len(spines[u]) + 1)}
+        injections[u] = Morphism(replace(shape, alphabet=model.alphabet), model, at)
     return ColimitResult(model=model, injections=injections)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainMismatch, InvalidBound, UnknownCell
-from .model import PHDA, Move, saturate
+from .model import PHDA, Move, _generators
 from .paths import Path, empty_path
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star
@@ -206,6 +206,9 @@ def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
 
 
 def find_shortcuts(x) -> set[tuple[str, FaceWord]]:
-    """Defined composites that the closure of the model's single faces does not produce."""
-    generated = saturate((src, w, tgt) for (src, w), tgt in x.faces.items() if len(w) == 1)
-    return {(cid, w) for (cid, w), tgt in x.faces.items() if len(w) >= 2 and generated.get((cid, w)) != tgt}
+    """Defined composites that no chain of the model's single faces produces.
+
+    These are the table's generators of length >= 2 (`model._generators`);
+    the table of a valid model is closed, so nothing is saturated.
+    """
+    return {key for key in _generators(x.faces) if len(key[1]) >= 2}

@@ -3,8 +3,9 @@
 A model is a graded set of cells, an initial point, a labelling word per
 cell, and a partial table mapping (cell, face word) to the cell's face.
 The table stores every defined composite explicitly; `validate_phda`
-checks closure rather than computing it, and `saturate` closes a set of
-generator entries for builders that start from single faces.
+checks closure against the table's generators rather than computing it,
+and `saturate` closes a set of generator entries for builders that start
+from single faces.
 
 Models and morphisms are immutable after construction; every operation
 here is pure, so they can be shared freely.  `PHDA.moves`, the model's
@@ -115,14 +116,15 @@ def face(x: PHDA, cid: str, w: FaceWord) -> str | None:
 
 
 def saturate(entries: Iterable[FaceEntry]) -> FaceTable:
-    """Close a set of face entries under composition of defined faces.
+    """Close a set of generator entries under composition of defined faces.
 
-    Raises ModelInvalid(NotFunctional) if the closure assigns two targets
-    to the same (cell, word) key.
+    The closure is every composite along a chain of generators.  Composition
+    is associative, so each new entry is composed on the right with the
+    generators out of its target only: the right Cayley-graph closure of
+    Froidure & Pin (1997).  Raises ModelInvalid(NotFunctional) at the first
+    (cell, word) key given two targets.
     """
     table: FaceTable = {}
-    by_src: dict[str, set[FaceWord]] = {}
-    by_tgt: dict[str, set[tuple[str, FaceWord]]] = {}
     queue: deque[FaceEntry] = deque()
 
     def add(x: str, w: FaceWord, y: str) -> None:
@@ -130,25 +132,22 @@ def saturate(entries: Iterable[FaceEntry]) -> FaceTable:
             if x != y:
                 raise ModelInvalid([Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity")])
             return
-        key = (x, w)
-        old = table.get(key)
-        if old is not None:
-            if old != y:
-                raise ModelInvalid([Violation("NotFunctional", (x, w.text()), f"targets {old} and {y}")])
-            return
-        table[key] = y
-        by_src.setdefault(x, set()).add(w)
-        by_tgt.setdefault(y, set()).add((x, w))
-        queue.append((x, w, y))
+        old = table.get((x, w))
+        if old is None:
+            table[(x, w)] = y
+            queue.append((x, w, y))
+        elif old != y:
+            raise ModelInvalid([Violation("NotFunctional", (x, w.text()), f"targets {old} and {y}")])
 
     for x, w, y in entries:
         add(x, w, y)
+    gens: dict[str, list[tuple[FaceWord, str]]] = {}
+    for (x, w), y in table.items():
+        gens.setdefault(x, []).append((w, y))
     while queue:
         x, w, y = queue.popleft()
-        for j in sorted(by_src.get(y, ())):
-            add(x, star(w, j), table[(y, j)])
-        for v, k in sorted(by_tgt.get(x, ())):
-            add(v, star(k, w), y)
+        for j, z in gens.get(y, ()):
+            add(x, star(w, j), z)
     return table
 
 
@@ -166,7 +165,13 @@ def build(
 
 
 def validate_phda(x: PHDA) -> list[Violation]:
-    """Check functionality, dimensions, labelling, closure, and the initial point."""
+    """Check functionality, dimensions, labelling, closure, and the initial point.
+
+    A table is closed iff each entry composed on the right with each of the
+    table's generators (`_generators`) out of the entry's target is defined
+    and agrees, by induction along the right factor's generator chain.  Only
+    a table that fails this is checked pair by pair, for the full violation list.
+    """
     out: list[Violation] = []
     if x.initial not in x.cells:
         out.append(Violation("BadInitial", (x.initial,), "unknown cell"))
@@ -194,19 +199,47 @@ def validate_phda(x: PHDA) -> list[Violation]:
             continue
         if delete_letters(w, x.cells[xc].label) != x.cells[y].label:
             out.append(Violation("LabelViolation", (xc, w.text(), y)))
-    # closure under composition, and agreement with stored composites
     valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
-    by_src: dict[str, list[tuple[FaceWord, str]]] = {}
-    for (xc, w), y in valid.items():
-        by_src.setdefault(xc, []).append((w, y))
-    for xc, w, y in sorted((xc, w, y) for (xc, w), y in valid.items()):
-        for j, z in sorted(by_src.get(y, [])):
-            comp = star(w, j)
-            got = valid.get((xc, comp))
-            if got is None:
-                out.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
-            elif got != z:
-                out.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
+    for right in (_generators(valid), valid):
+        by_src: dict[str, list[tuple[FaceWord, str]]] = {}
+        for (xc, w), y in right.items():
+            by_src.setdefault(xc, []).append((w, y))
+        bad: list[Violation] = []
+        for (xc, w), y in valid.items():
+            for j, z in by_src.get(y, ()):
+                comp = star(w, j)
+                got = valid.get((xc, comp))
+                if got is None:
+                    bad.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
+                elif got != z:
+                    bad.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
+        if not bad:
+            break
+    return out + bad
+
+
+def _generators(faces: FaceTable) -> FaceTable:
+    """The single faces of a table and the composites that chains of single faces do not produce.
+
+    One peeling pass, shortest word first.  A composite (c, w) is produced
+    iff for some pair (i, a) of w, (c, single(i, a)) is defined, say as c',
+    and (c', rest) is a single face or a produced composite with the same
+    target, where rest is w without the pair and the indices above i
+    lowered by one, so that w = star(single(i, a), rest).
+    """
+    out: FaceTable = {}
+    ones = {(c, w.pairs[0]): y for (c, w), y in faces.items() if len(w.pairs) == 1}
+    for (c, w), y in sorted(faces.items(), key=lambda item: len(item[0][1].pairs)):
+        pairs = w.pairs
+        for k in range(len(pairs) if len(pairs) >= 2 else 0):
+            mid = ones.get((c, pairs[k]))
+            if mid is None:
+                continue
+            rest = (mid, FaceWord(pairs[:k] + tuple((j - 1, b) for j, b in pairs[k + 1 :])))
+            if faces.get(rest) == y and (len(pairs) == 2 or rest not in out):
+                break
+        else:
+            out[(c, w)] = y
     return out
 
 
@@ -239,13 +272,6 @@ def validate_morphism(f: Morphism) -> list[Violation]:
         if tgt.faces.get((fx, w)) != fy:
             out.append(Violation("FaceNotPreserved", (xc, w.text(), y)))
     return out
-
-
-def check_morphism(f: Morphism) -> Morphism:
-    violations = validate_morphism(f)
-    if violations:
-        raise ModelInvalid(violations)
-    return f
 
 
 def identity(x: PHDA) -> Morphism:

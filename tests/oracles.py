@@ -1,4 +1,4 @@
-"""Path-level oracles and a test model shared by the tests.
+"""Path-level and face-table oracles and a test model shared by the tests.
 
 The library builds homotopy classes with `homotopy.explore`, level by
 level, and checks lifting squares over the first execution to each cell,
@@ -8,14 +8,22 @@ under elementary rewrites, decide homotopy of two paths by breadth-first
 closure, and check the lifting squares over every enumerated execution.
 The face-word helpers compose chains of single faces and give the
 insertion action on bit vectors, independently of `words.star`.
+
+The closure oracles are the face-table procedures that `model` replaced:
+saturation composing every new entry with every table entry on both
+sides, shortcuts as the composites that saturating the single faces does
+not produce, and validation that composes every pair of entries.
+`broken_tables` gives the face-table breaks that validation must report.
 """
-from phda.errors import IndexOutOfRange
+from collections import deque
+
+from phda.errors import IndexOutOfRange, ModelInvalid
 from phda.homotopy import ChainIndex
 from phda.lifting import ExtensionSquare, LiftReport
-from phda.model import build
+from phda.model import PHDA, Violation, build
 from phda.paths import Path, enumerate_paths
 from phda.uf import UnionFind
-from phda.words import EPSILON, FUTURE, PAST, single, star
+from phda.words import EPSILON, FUTURE, PAST, delete_letters, single, star
 
 
 def star_fold(singles):
@@ -149,3 +157,108 @@ def late_clash():
             ("d", single(1, PAST), "u"), ("d", single(1, FUTURE), "v"),
         ],
     )
+
+
+def two_sided_saturate(entries):
+    """Close face entries under composition, composing each new entry with every entry on both sides."""
+    table, by_src, by_tgt = {}, {}, {}
+    queue = deque()
+
+    def add(x, w, y):
+        if len(w) == 0:
+            if x != y:
+                raise ModelInvalid([Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity")])
+            return
+        old = table.get((x, w))
+        if old is not None:
+            if old != y:
+                raise ModelInvalid([Violation("NotFunctional", (x, w.text()), f"targets {old} and {y}")])
+            return
+        table[(x, w)] = y
+        by_src.setdefault(x, set()).add(w)
+        by_tgt.setdefault(y, set()).add((x, w))
+        queue.append((x, w, y))
+
+    for x, w, y in entries:
+        add(x, w, y)
+    while queue:
+        x, w, y = queue.popleft()
+        for j in sorted(by_src.get(y, ())):
+            add(x, star(w, j), table[(y, j)])
+        for v, k in sorted(by_tgt.get(x, ())):
+            add(v, star(k, w), y)
+    return table
+
+
+def saturation_shortcuts(x):
+    """Defined composites that the two-sided closure of the model's single faces does not produce."""
+    generated = two_sided_saturate((src, w, tgt) for (src, w), tgt in x.faces.items() if len(w) == 1)
+    return {(cid, w) for (cid, w), tgt in x.faces.items() if len(w) >= 2 and generated.get((cid, w)) != tgt}
+
+
+def pairwise_validate_phda(x):
+    """Every structural check, with closure checked by composing every pair of entries."""
+    out = []
+    if x.initial not in x.cells:
+        out.append(Violation("BadInitial", (x.initial,), "unknown cell"))
+    elif x.cells[x.initial].dim != 0:
+        out.append(Violation("BadInitial", (x.initial,), "not of dimension 0"))
+    for cid in sorted(x.cells):
+        cell = x.cells[cid]
+        if len(cell.label) != cell.dim:
+            out.append(Violation("LabelViolation", (cid,), "label length differs from dimension"))
+        for letter in cell.label:
+            if letter not in x.alphabet:
+                out.append(Violation("LabelViolation", (cid,), f"letter {letter!r} not in alphabet"))
+    entries = x.entries()
+    for xc, w, y in entries:
+        if xc not in x.cells or y not in x.cells:
+            out.append(Violation("UnknownCell", (xc, w.text(), y)))
+            continue
+        if len(w) == 0:
+            if y != xc:
+                out.append(Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity"))
+            continue
+        dx, dy = x.cells[xc].dim, x.cells[y].dim
+        if w.max_index > dx or dy != dx - len(w):
+            out.append(Violation("DimensionMismatch", (xc, w.text(), y)))
+            continue
+        if delete_letters(w, x.cells[xc].label) != x.cells[y].label:
+            out.append(Violation("LabelViolation", (xc, w.text(), y)))
+    valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
+    by_src = {}
+    for (xc, w), y in valid.items():
+        by_src.setdefault(xc, []).append((w, y))
+    for xc, w, y in sorted((xc, w, y) for (xc, w), y in valid.items()):
+        for j, z in sorted(by_src.get(y, [])):
+            comp = star(w, j)
+            got = valid.get((xc, comp))
+            if got is None:
+                out.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
+            elif got != z:
+                out.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
+    return out
+
+
+def broken_tables(x, pick=0):
+    """x with its face table broken, by the violation each break must cause.
+
+    Unknown cells and a bad dimension break any model; a dropped and a
+    retargeted composite (the `pick`-th, in sorted order) need one.
+    """
+    top = max(sorted(x.cells), key=lambda c: x.cells[c].dim)
+    changes = {
+        "UnknownCell": {("ghost", single(1, PAST)): x.initial, (x.initial, single(1, PAST)): "ghost"},
+        "DimensionMismatch": {(top, single(x.cells[top].dim + 1, PAST)): x.initial},
+    }
+    composites = sorted(key for key in x.faces if len(key[1]) >= 2)
+    if composites:
+        key = composites[pick % len(composites)]
+        others = sorted(c for c in x.cells if c != x.faces[key] and x.cells[c].dim == x.cells[x.faces[key]].dim)
+        changes["LaxLawViolation"] = {key: None}
+        if others:
+            changes["NotFunctional"] = {key: others[pick % len(others)]}
+    return {
+        kind: PHDA(x.alphabet, x.cells, x.initial, {k: v for k, v in (x.faces | change).items() if v is not None})
+        for kind, change in changes.items()
+    }

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from phda import colimits
 from phda import fixtures as F
 from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
 from phda.errors import InvalidDiagram, NotACocone
@@ -140,3 +143,54 @@ def test_invalid_arrow_rejected():
     d = Diagram(objects={"U": s1, "V": s2}, arrows=(Arrow("bad", "U", "V", {0: 0, 1: 1}),))
     with pytest.raises(InvalidDiagram):
         colimit(d)
+
+
+def finish_order_diagram(n):
+    """All n! finishing orders of n started actions, each glued to the object that starts them."""
+    letters = "abcd"[:n]
+    start = [tuple(letters[n - k :]) for k in range(n + 1)]
+    objects = {"A": spine(start, [(1, PAST)] * n)}
+    arrows = []
+    for k, order in enumerate(itertools.permutations(letters)):
+        running, labels, steps = list(letters), list(start), [(1, PAST)] * n
+        for letter in order:
+            steps.append((running.index(letter) + 1, FUTURE))
+            running.remove(letter)
+            labels.append(tuple(running))
+        objects[f"F{k}"] = spine(labels, steps)
+        arrows.append(Arrow(f"A-F{k}", "A", f"F{k}", {i: i for i in range(n + 1)}))
+    return Diagram(objects=objects, arrows=tuple(arrows))
+
+
+def test_colimit_builds_one_shape_per_object(monkeypatch):
+    built = []
+    monkeypatch.setattr(colimits, "path_shape", lambda s, alphabet=None: built.append(s) or path_shape(s, alphabet))
+    d = finish_order_diagram(4)
+    res = colimit(d)
+    assert len(built) == len(d.objects) == 25
+    assert validate_phda(res.model) == [] and bool(is_tree(res.model))
+    for u, inj in res.injections.items():
+        assert inj.source == path_shape(d.objects[u], res.model.alphabet), u
+        assert validate_morphism(inj) == [], u
+
+
+def _invalid_diagrams():
+    s2 = spine([(), ("a",), ("a", "b")], [(1, PAST), (2, PAST)])
+    s1, s1a = spine([(), ("b",)], [(1, PAST)]), spine([(), ("a",)], [(1, PAST)])
+    return {
+        "arrow u references unknown objects": Diagram({"U": s1}, (Arrow("u", "U", "W", {0: 0, 1: 1}),)),
+        "arrow t is not total on the source cells": Diagram({"U": s1, "V": s2}, (Arrow("t", "U", "V", {0: 0}),)),
+        "arrow bad is not a morphism: LabelViolation(1,1)": Diagram(
+            {"U": s1, "V": s2}, (Arrow("bad", "U", "V", {0: 0, 1: 1}),)
+        ),
+        "arrow len is not a morphism: DimensionMismatch(1,2)": Diagram(
+            {"U": s1a, "V": s2}, (Arrow("len", "U", "V", {0: 0, 1: 2}),)
+        ),
+    }
+
+
+@pytest.mark.parametrize("message", list(_invalid_diagrams()))
+def test_invalid_diagram_messages(message):
+    with pytest.raises(InvalidDiagram) as err:
+        colimit(_invalid_diagrams()[message])
+    assert str(err.value) == message

@@ -8,11 +8,11 @@ from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
 from phda.words import EPSILON, FUTURE, PAST, single, star, word
 
-from oracles import class_key, elementary_neighbors, partition_paths, star_fold
+from oracles import class_key, elementary_neighbors, partition_paths, saturation_shortcuts, star_fold
 
 
-# Independent oracles for the chain index and the saturation-based shortcut
-# test: a depth-first chain search per window and per composite face, with
+# Independent oracles for the chain index and the peeling shortcut test:
+# a depth-first chain search per window and per composite face, with
 # no table shared between searches, over future steps read from the face
 # table rather than from `PHDA.moves`.
 
@@ -261,8 +261,12 @@ def test_partition_paths_matches_oracle(name):
 
 def _without_singles_of(x: PHDA, cells: set[str]) -> PHDA:
     """x with the single faces of `cells` dropped; every composite stays, so closure still holds."""
-    faces = {(c, w): y for (c, w), y in x.faces.items() if len(w) != 1 or c not in cells}
-    return PHDA(x.alphabet, x.cells, x.initial, faces)
+    return _without(x, {(c, w) for c, w in x.faces if len(w) == 1 and c in cells})
+
+
+def _without(x: PHDA, dropped: set) -> PHDA:
+    """x with the `dropped` single faces removed; every composite stays, so closure still holds."""
+    return PHDA(x.alphabet, x.cells, x.initial, {key: y for key, y in x.faces.items() if key not in dropped})
 
 
 def shortcut_models():
@@ -274,13 +278,19 @@ def shortcut_models():
     models["cube without the singles of ***"] = _without_singles_of(F.full_cube(), {"***"})
     models["cube without the singles of 0**, *1*"] = _without_singles_of(F.full_cube(), {"0**", "*1*"})
     models["punctured cube without the singles of ***"] = _without_singles_of(F.punctured_cube(), {"***"})
+    # 0** keeps its future singles but not the chain to [(1,0),(2,0)], so that composite is a
+    # shortcut; *** keeps [(1,0),(2,1)] only through 0** and its single (1,1)
+    dropped = {("0**", single(1, PAST)), ("0**", single(2, PAST)), ("***", single(2, FUTURE))}
+    models["cube with a shortcut below a produced composite"] = _without(F.full_cube(), dropped)
     return models
 
 
 @pytest.mark.parametrize("name", list(shortcut_models()))
 def test_find_shortcuts_matches_chain_oracle(name):
     x = shortcut_models()[name]
-    assert find_shortcuts(x) == oracle_shortcuts(x)
+    assert find_shortcuts(x) == oracle_shortcuts(x) == saturation_shortcuts(x)
+    backwards = PHDA(x.alphabet, x.cells, x.initial, dict(reversed(x.faces.items())))
+    assert find_shortcuts(backwards) == oracle_shortcuts(x)
 
 
 def test_dropped_singles_make_shortcuts():

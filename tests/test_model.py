@@ -17,6 +17,8 @@ from phda.model import (
 )
 from phda.words import EPSILON, single, star, word
 
+from oracles import broken_tables, pairwise_validate_phda
+
 
 def kinds(violations):
     return {v.kind for v in violations}
@@ -56,6 +58,16 @@ def test_saturate_conflict_is_not_functional():
     with pytest.raises(ModelInvalid) as err:
         saturate(entries)
     assert kinds(err.value.violations) == {"NotFunctional"}
+
+
+@pytest.mark.parametrize("name", list(F.MODELS))
+def test_validation_matches_the_pairwise_loop_on_fixtures(name):
+    x = F.MODELS[name]()
+    assert validate_phda(x) == pairwise_validate_phda(x) == []
+    for kind, y in broken_tables(x).items():
+        got = validate_phda(y)
+        assert [str(v) for v in got] == [str(v) for v in pairwise_validate_phda(y)], kind
+        assert kind in kinds(got), kind
 
 
 def test_dimension_and_label_violations():

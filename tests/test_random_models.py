@@ -9,7 +9,10 @@ squares solved by face lookups, path steps checked by face lookups,
 completion by rescanning every class until nothing merges, and classes
 as enumerated paths grouped by rewriting each path.  Lifting squares are
 also checked against the path stream: every enumerated execution, not
-only the first to each cell.
+only the first to each cell.  The face closure is checked against the
+two-sided saturation, shortcuts against saturating the single faces, and
+validation against the loop that composes every pair of entries, on
+valid models, on models with a shortcut and on broken tables.
 """
 import itertools
 
@@ -19,35 +22,56 @@ import pytest
 
 from phda import fixtures as F
 from phda.completion import AbstractFace, complete, completion_of
+from phda.errors import ModelInvalid
 from phda.homotopy import ChainIndex, are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.lifting import ExtensionSquare, is_covering, is_open
-from phda.model import Morphism, build, identity, validate_morphism, validate_phda
+from phda.model import Morphism, build, identity, saturate, validate_morphism, validate_phda
 from phda.paths import Path, enumerate_paths, validate_path
 from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
 
-from oracles import homotopy_closure, late_clash, partition_paths, path_stream_lifting
+from oracles import (
+    broken_tables,
+    homotopy_closure,
+    late_clash,
+    pairwise_validate_phda,
+    partition_paths,
+    path_stream_lifting,
+    saturation_shortcuts,
+    two_sided_saturate,
+)
 
 LETTERS = "abc"
 
 
+def cube_face(cid, w):
+    """The face of a cube cell named by a word: the i-th star of each pair set to its direction."""
+    stars, out = [pos for pos, c in enumerate(cid) if c == "*"], list(cid)
+    for i, a in w.pairs:
+        out[stars[i - 1]] = "01"[a]
+    return "".join(out)
+
+
 def cube_faces(cid):
     """The single faces of one cube cell: the i-th star set to 0 (past) or 1 (future)."""
-    stars = [pos for pos, c in enumerate(cid) if c == "*"]
-    return [
-        (cid, single(i, a), cid[:pos] + digit + cid[pos + 1 :])
-        for i, pos in enumerate(stars, start=1)
-        for a, digit in ((PAST, "0"), (FUTURE, "1"))
-    ]
+    return [(cid, single(i, a), cube_face(cid, single(i, a))) for i in range(1, cid.count("*") + 1) for a in (PAST, FUTURE)]
 
 
 @st.composite
-def models(draw, dense=False):
-    """A random valid model; a `dense` one is the whole n-cube with at most three single faces dropped."""
-    n = draw(st.integers(1, 3))
+def models(draw, dense=False, shortcut=False):
+    """A random valid model; a `dense` one is the whole n-cube with at most three single faces dropped.
+
+    With `shortcut`, one cell of dimension >= 2 loses its single faces and
+    keeps one composite face instead, which no chain of single faces
+    produces, as in `isolated_composite` of test_homotopy.
+    """
+    n = draw(st.integers(2 if shortcut else 1, 3))
     cells = ["".join(c) for c in itertools.product("01*", repeat=n)]
     todo = ["*" * n] if dense else [*draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)), "0" * n]
+    if shortcut:
+        top = draw(st.sampled_from([c for c in cells if c.count("*") >= 2]))
+        todo.append(top)
     closed = set()
     while todo:
         cid = todo.pop()
@@ -60,14 +84,22 @@ def models(draw, dense=False):
         keep = [i not in dropped for i in range(len(singles))]
     else:
         keep = draw(st.lists(st.booleans(), min_size=len(singles), max_size=len(singles)))
+    entries = [e for e, k in zip(singles, keep) if k]
+    if shortcut:
+        w = draw(st.sampled_from([w for w in enumerate_words(top.count("*")) if len(w) >= 2]))
+        entries = [e for e in entries if e[0] != top] + [(top, w, cube_face(top, w))]
     x = build(
         LETTERS[:n],
         [(cid, cid.count("*"), tuple(LETTERS[p] for p, c in enumerate(cid) if c == "*")) for cid in sorted(closed)],
         "0" * n,
-        [e for e, k in zip(singles, keep) if k],
+        entries,
     )
     assert validate_phda(x) == []
     return x
+
+
+RANDOM_MODELS = st.one_of(models(), models(dense=True))
+SHORTCUT_MODELS = st.one_of(models(shortcut=True), models(dense=True, shortcut=True))
 
 
 def doubled(x):
@@ -172,7 +204,7 @@ def oracle_completion_classes(x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(models())
+@given(RANDOM_MODELS)
 def test_moves_merge_the_split_tables(x):
     up, future = split_moves(x)
     merged = {
@@ -184,7 +216,7 @@ def test_moves_merge_the_split_tables(x):
 
 
 @settings(max_examples=25, deadline=None)
-@given(models(), st.integers(1, 4))
+@given(RANDOM_MODELS, st.integers(1, 4))
 def test_lifting_matches_face_lookups(x, depth):
     for name, f in lifting_maps(x, depth).items():
         for check, unique in ((is_open, False), (is_covering, True)):
@@ -195,7 +227,7 @@ def test_lifting_matches_face_lookups(x, depth):
 
 
 @settings(max_examples=40, deadline=None)
-@given(models(), st.data())
+@given(RANDOM_MODELS, st.data())
 def test_validate_path_matches_face_lookups_on_mutated_paths(x, data):
     p = data.draw(st.sampled_from(enumerate_paths(x, 4)))
     assert validate_path(p) is None and oracle_validate_path(p) is None
@@ -216,7 +248,7 @@ def test_validate_path_matches_face_lookups_on_mutated_paths(x, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(models(), models(dense=True)))
+@given(RANDOM_MODELS)
 def test_completion_classes_match_the_rescan(x):
     groups = {}
     for face, rep in completion_of(x).reps.items():
@@ -281,7 +313,6 @@ FIXED_MODELS = {
     "punctured_cube": F.punctured_cube(),
     "glued_square": F.glued_square(),
 }
-RANDOM_MODELS = st.one_of(models(), models(dense=True))
 
 
 def check_explorer(x, max_len):
@@ -386,3 +417,59 @@ def test_lifting_bound_beyond_the_walk_changes_nothing(f):
     n = len(f.source.cells)
     for check in (is_open, is_covering):
         assert check(f, n) == check(f, 2 * n)
+
+
+@st.composite
+def generator_entries(draw):
+    """Single faces of a random n-cube (n <= 3) and up to two composites, with up to three targets changed at random.
+
+    A new target has the dimension of the old one, so every chain lowers the
+    dimension and the closure is finite.
+    """
+    n = draw(st.integers(1, 3))
+    cells = ["".join(c) for c in itertools.product("01*", repeat=n)]
+    singles = [e for cid in cells for e in cube_faces(cid)]
+    entries = draw(st.lists(st.sampled_from(singles), max_size=len(singles), unique=True))
+    tops = [c for c in cells if c.count("*") >= 2]
+    for _ in range(draw(st.integers(0, 2 if tops else 0))):
+        top = draw(st.sampled_from(tops))
+        w = draw(st.sampled_from([w for w in enumerate_words(top.count("*")) if len(w) >= 2]))
+        entries.append((top, w, cube_face(top, w)))
+    for _ in range(draw(st.integers(0, min(3, len(entries))))):
+        k = draw(st.integers(0, len(entries) - 1))
+        dim = entries[k][2].count("*")
+        entries[k] = entries[k][:2] + (draw(st.sampled_from([c for c in cells if c.count("*") == dim])),)
+    return entries
+
+
+def closure_outcome(close, entries):
+    """The closed table, or the violation kinds the closure raised."""
+    try:
+        return close(entries)
+    except ModelInvalid as err:
+        return {v.kind for v in err.violations}
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_entries())
+def test_saturate_matches_the_two_sided_closure(entries):
+    got = closure_outcome(saturate, entries)
+    assert got == closure_outcome(two_sided_saturate, entries)
+    assert isinstance(got, dict) or got == {"NotFunctional"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(SHORTCUT_MODELS)
+def test_shortcuts_match_the_saturation_oracle(x):
+    shortcuts = find_shortcuts(x)
+    assert shortcuts and shortcuts == saturation_shortcuts(x)
+    cid, w = min(shortcuts, key=lambda s: (s[0], s[1].pairs))
+    assert is_tree(x) == TreeReport(False, f"shortcut {w.text()} on cell {cid}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(RANDOM_MODELS, SHORTCUT_MODELS), st.integers(0, 1000))
+def test_validation_matches_the_pairwise_loop(x, pick):
+    assert find_shortcuts(x) == saturation_shortcuts(x)
+    for kind, y in {"valid": x, **broken_tables(x, pick)}.items():
+        assert [str(v) for v in validate_phda(y)] == [str(v) for v in pairwise_validate_phda(y)], kind
