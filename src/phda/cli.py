@@ -1,13 +1,14 @@
 """Command-line surface: one subcommand per decision procedure.
 
 Exit codes: 0 for success or a positive decision, 1 for a negative
-decision, 2 for any error.  Structured results go to stdout as JSON,
-human-readable summaries to stderr.
+decision, 2 for any error, a stdout closed by its reader included.
+Structured results go to stdout as JSON, human-readable summaries to
+stderr.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import jsonio
@@ -21,7 +22,8 @@ from .unfolding import is_tree, unfold
 
 
 def _emit(doc: dict, summary: str) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    jsonio.write_json(sys.stdout, doc)
+    sys.stdout.write("\n")
     print(summary, file=sys.stderr)
 
 
@@ -201,17 +203,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         return args.run(args)
     except PhdaError as e:
         doc = {"error": {"type": type(e).__name__, "detail": str(e)}}
         if hasattr(e, "violations"):
             doc["error"]["violations"] = [str(v) for v in e.violations]
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        _emit(doc, f"error: {type(e).__name__}: {e}")
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that closed stdout early shows here at the latest
+    except BrokenPipeError:
+        # exit 2 with no traceback; stdout now discards, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, TextIO
 
 from .colimits import Arrow, Diagram
 from .errors import ModelInvalid, ParseError
-from .model import PHDA, Cell, Morphism, Violation, check_phda, saturate, validate_morphism
+from .model import PHDA, Cell, Morphism, Violation, check_phda, saturate, shape_violation, validate_morphism
 from .paths import Spine
 from .words import FUTURE, PAST, FaceWord, single
 
@@ -67,6 +68,10 @@ def model_from_dict(doc: dict) -> PHDA:
     if not isinstance(close, bool):
         raise ParseError(f"saturate must be true or false: {close!r}")
     if close:
+        # every chain of checked entries lowers the dimension, so the closure is finite
+        bad = [v for x, w, y in raw_entries if (v := shape_violation(cells, x, w, y))]
+        if bad:
+            raise ModelInvalid(bad)
         faces = saturate(raw_entries)
     else:
         faces = {}
@@ -187,9 +192,78 @@ def _read_json(path: str) -> dict:
     return doc
 
 
+_MODEL_KEYS = {"alphabet", "cells", "faces", "initial", "saturate"}
+_ENTRY_KEYS = {"cells": ("dim", "id", "label"), "faces": ("from", "to", "word")}
+_CHUNK = 100  # model entries per write: a few tens of kB, so writing adds little to peak memory
+
+
+def _dumps(value: Any, ind: str) -> str:
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + ind)
+
+
+def _is_model(value: Any) -> bool:
+    return type(value) is dict and value.keys() == _MODEL_KEYS
+
+
+def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
+    """Write the text of `json.dump(doc, fh, indent=2, sort_keys=True)`; `ind` indents a nested value.
+
+    A model document (a dict with the keys of `model_to_dict`), at the top
+    level or as a top-level value, is written key by key, and its cells
+    and faces `_CHUNK` at a time from one template each: strings come from
+    the C encoder, other values from `json.dumps` once per distinct repr.
+    An entry without exactly the template's keys, and every other value,
+    is `json.dumps`, re-indented.  The keys of a document that holds a
+    model must be strings.
+    """
+    model = _is_model(doc)
+    holds_model = not ind and type(doc) is dict and any(map(_is_model, doc.values()))
+    if not (model or holds_model):
+        fh.write(_dumps(doc, ind))
+        return
+    sep = "{"
+    for k in sorted(doc):
+        fh.write(f"{sep}\n{ind}  {encode_basestring_ascii(k)}: ")
+        if model and k in _ENTRY_KEYS and type(doc[k]) is list and doc[k]:
+            _write_entries(fh, doc[k], ind + "  ", _ENTRY_KEYS[k])
+        else:
+            write_json(fh, doc[k], ind + "  ")
+        sep = ","
+    fh.write(f"\n{ind}}}")
+
+
+def _write_entries(fh: TextIO, entries: list, ind: str, keys: tuple[str, str, str]) -> None:
+    i = ind + "  "
+    template = "%s\n{0}{{\n{0}  \"{1}\": %s,\n{0}  \"{2}\": %s,\n{0}  \"{3}\": %s\n{0}}}".format(i, *keys)
+    memo: dict[str, str] = {}
+
+    def text(v: Any) -> str:
+        if type(v) is str:
+            return encode_basestring_ascii(v)
+        r = repr(v)  # JSON values with equal reprs have equal JSON text
+        if r not in memo:
+            memo[r] = _dumps(v, i + "  ")
+        return memo[r]
+
+    out, sep = [], "["
+    for e in entries:
+        try:
+            if len(e) != 3:
+                raise TypeError
+            out.append(template % (sep, text(e[keys[0]]), text(e[keys[1]]), text(e[keys[2]])))
+        except (KeyError, TypeError):
+            out.append(f"{sep}\n{i}{_dumps(e, i)}")
+        sep = ","
+        if len(out) == _CHUNK:
+            fh.write("".join(out))
+            out.clear()
+    out.append(f"\n{ind}]")
+    fh.write("".join(out))
+
+
 def save_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(fh, doc)
         fh.write("\n")
 
 
@@ -200,12 +274,13 @@ def export_dot(x: PHDA) -> str:
     Output is byte-identical across runs for equal models.
     """
     lines = ["digraph model {", "  rankdir=LR;"]
+    singles: dict[str, list[str]] = {}
+    for (src, w), y in sorted(x.faces.items(), key=lambda kv: kv[0][1].pairs):
+        if len(w) == 1:
+            singles.setdefault(src, []).append(f"{w.text()}->{y}")
     for cid in sorted(c.id for c in x.cells.values() if c.dim >= 2):
         cell = x.cells[cid]
-        bounds = " ".join(
-            f"{w.text()}->{y}" for (src, w), y in sorted(x.faces.items(), key=lambda kv: (kv[0][0], kv[0][1].pairs))
-            if src == cid and len(w) == 1
-        )
+        bounds = " ".join(singles.get(cid, ()))
         lines.append(f"  // cell {cid} dim={cell.dim} label={''.join(cell.label)} faces: {bounds}")
     for cid in x.cells_of_dim(0):
         shape = "doublecircle" if cid == x.initial else "circle"

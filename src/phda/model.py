@@ -164,6 +164,18 @@ def build(
     return PHDA(alphabet=frozenset(alphabet), cells=cmap, initial=initial, faces=table)
 
 
+def shape_violation(cells: dict[str, Cell], xc: str, w: FaceWord, y: str) -> Violation | None:
+    """UnknownCell if an entry names a missing cell; DimensionMismatch if its
+    non-empty word has an index above the source's dimension or does not
+    lower the dimension by its length."""
+    if xc not in cells or y not in cells:
+        return Violation("UnknownCell", (xc, w.text(), y))
+    dx = cells[xc].dim
+    if len(w) and (w.max_index > dx or cells[y].dim != dx - len(w)):
+        return Violation("DimensionMismatch", (xc, w.text(), y))
+    return None
+
+
 def validate_phda(x: PHDA) -> list[Violation]:
     """Check functionality, dimensions, labelling, closure, and the initial point.
 
@@ -186,16 +198,13 @@ def validate_phda(x: PHDA) -> list[Violation]:
                 out.append(Violation("LabelViolation", (cid,), f"letter {letter!r} not in alphabet"))
     entries = x.entries()
     for xc, w, y in entries:
-        if xc not in x.cells or y not in x.cells:
-            out.append(Violation("UnknownCell", (xc, w.text(), y)))
+        bad_shape = shape_violation(x.cells, xc, w, y)
+        if bad_shape:
+            out.append(bad_shape)
             continue
         if len(w) == 0:
             if y != xc:
                 out.append(Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity"))
-            continue
-        dx, dy = x.cells[xc].dim, x.cells[y].dim
-        if w.max_index > dx or dy != dx - len(w):
-            out.append(Violation("DimensionMismatch", (xc, w.text(), y)))
             continue
         if delete_letters(w, x.cells[xc].label) != x.cells[y].label:
             out.append(Violation("LabelViolation", (xc, w.text(), y)))

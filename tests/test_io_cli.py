@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ from phda import jsonio
 from phda.cli import main
 from phda.colimits import colimit
 from phda.errors import ModelInvalid, ParseError, PhdaError
+from phda.model import build
 from phda.unfolding import unfold
+from phda.words import FUTURE, PAST, single
 
 
 @pytest.fixture
@@ -130,6 +133,52 @@ def test_dot_export_contracts():
     split_dot = jsonio.export_dot(F.split_segment())
     assert split_dot.count(" -> ") == 1
     assert split_dot.count("style=dashed") == 2
+
+
+def old_export_dot(x):
+    """`export_dot` as it was when it sorted the face table once per cell of dimension >= 2."""
+    lines = ["digraph model {", "  rankdir=LR;"]
+    for cid in sorted(c.id for c in x.cells.values() if c.dim >= 2):
+        cell = x.cells[cid]
+        bounds = " ".join(
+            f"{w.text()}->{y}" for (src, w), y in sorted(x.faces.items(), key=lambda kv: (kv[0][0], kv[0][1].pairs))
+            if src == cid and len(w) == 1
+        )
+        lines.append(f"  // cell {cid} dim={cell.dim} label={''.join(cell.label)} faces: {bounds}")
+    for cid in x.cells_of_dim(0):
+        shape = "doublecircle" if cid == x.initial else "circle"
+        lines.append(f'  "{cid}" [shape={shape}];')
+    markers, arcs = [], []
+    for eid in x.cells_of_dim(1):
+        src = x.faces.get((eid, single(1, PAST)))
+        tgt = x.faces.get((eid, single(1, FUTURE)))
+        if src is None:
+            src = f"{eid}.src"
+            markers.append(f'  "{src}" [shape=point, style=dashed, label=""];')
+        if tgt is None:
+            tgt = f"{eid}.tgt"
+            markers.append(f'  "{tgt}" [shape=point, style=dashed, label=""];')
+        arcs.append(f'  "{src}" -> "{tgt}" [label="{"".join(x.cells[eid].label)} ({eid})"];')
+    return "\n".join(lines + markers + arcs + ["}"]) + "\n"
+
+
+def cube(n):
+    """The total n-cube from its single faces; coordinate i carries letter i."""
+    cells = ["".join(c) for c in itertools.product("01*", repeat=n)]
+    stars = {c: [p for p, ch in enumerate(c) if ch == "*"] for c in cells}
+    entries = [(c, single(i, a), c[:p] + "01"[a] + c[p + 1:])
+               for c in cells for i, p in enumerate(stars[c], 1) for a in (PAST, FUTURE)]
+    return build("abcde"[:n], [(c, len(stars[c]), ["abcde"[p] for p in stars[c]]) for c in cells], "0" * n, entries)
+
+
+# split_segment, notched_square, glued_square and double_square_tree have edges without an endpoint
+DOT_MODELS = {**F.MODELS, "cube-4": lambda: cube(4), "cube-5": lambda: cube(5)}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_MODELS))
+def test_dot_export_matches_the_per_cell_sort(name):
+    x = DOT_MODELS[name]()
+    assert jsonio.export_dot(x) == old_export_dot(x)
 
 
 def test_dot_export_deterministic():
@@ -397,11 +446,14 @@ def test_cli_negative_bound_is_an_error(model_files, args):
     assert json.loads(out)["error"]["type"] == "InvalidBound"
 
 
-def run_module(args, **env):
+def child_env(**env):
     # the child imports the same package as this process, also when only pytest's pythonpath finds it
     src = os.path.dirname(os.path.dirname(phda.__file__))
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "phda", *args], capture_output=True, text=True, env=env)
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_module(args, **env):
+    return subprocess.run([sys.executable, "-m", "phda", *args], capture_output=True, text=True, env=child_env(**env))
 
 
 def test_cli_subprocess_entry():
@@ -433,3 +485,56 @@ def test_cli_output_deterministic(model_files):
     a = cli(["colimit", model_files["diagram"]])
     b = cli(["colimit", model_files["diagram"]])
     assert a == b
+
+
+def test_cli_closed_stdout_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "loop.json"
+    jsonio.save_json(str(path), jsonio.model_to_dict(F.self_loop()))
+    # about 200 kB of output, more than a pipe holds, so the reader closes it mid-write
+    proc = subprocess.Popen([sys.executable, "-m", "phda", "unfold", str(path), "--depth", "1000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert proc.stdout.read(10) == b'{\n  "cover'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_saturate_rejects_a_face_that_keeps_the_dimension(tmp_path):
+    # edge e lists itself as its past face: closing that table would never end
+    doc = {
+        "alphabet": ["a"],
+        "cells": [{"id": "v", "dim": 0, "label": []}, {"id": "e", "dim": 1, "label": ["a"]}],
+        "initial": "v",
+        "faces": [{"from": "e", "word": [[1, 0]], "to": "e"}, {"from": "e", "word": [[1, 1]], "to": "v"}],
+        "saturate": True,
+    }
+    path = tmp_path / "loop.json"
+    jsonio.save_json(str(path), doc)
+    proc = subprocess.run([sys.executable, "-m", "phda", "validate", str(path)], capture_output=True, text=True,
+                          env=child_env(), timeout=60, preexec_fn=_cap_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ModelInvalid"
+    assert error["violations"] == ["DimensionMismatch(e,[(1,0)],e)"]
+
+
+def test_saturate_rejects_unknown_cells_before_closing(files):
+    _, write = files
+    doc = jsonio.model_to_dict(F.full_square())
+    doc["faces"] = [e for e in doc["faces"] if len(e["word"]) == 1]
+    doc["faces"][0]["to"] = "zz"
+    doc["saturate"] = True
+    code, out, _ = cli(["validate", write("unknown.json", doc)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelInvalid"
+    assert error["violations"] == ["UnknownCell(**,[(1,0)],zz)"]

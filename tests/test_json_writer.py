@@ -1,0 +1,133 @@
+"""`jsonio.write_json` writes exactly the bytes of `json.dump(doc, fh, indent=2, sort_keys=True)`."""
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from phda import fixtures as F
+from phda import jsonio
+from phda.cli import main
+from phda.unfolding import unfold
+
+
+def written(doc):
+    out = io.StringIO()
+    jsonio.write_json(out, doc)
+    return out.getvalue()
+
+
+def assert_same(doc):
+    assert written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+MORPHISMS = {
+    "branch_fold": F.branch_fold(2, 1),
+    "loop_unrolling": F.loop_unrolling(2),
+    "square_cover": unfold(F.full_square(), 4).cover,
+    "double_square_fold": F.double_square_fold(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F.MODELS))
+def test_fixture_model_documents(name):
+    assert_same(jsonio.model_to_dict(F.MODELS[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISMS))
+def test_fixture_morphism_documents(name):
+    assert_same(jsonio.morphism_to_dict(MORPHISMS[name]))
+
+
+def test_fixture_diagram_document():
+    assert_same(jsonio.diagram_to_dict(F.glued_square_diagram()))
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("writer")
+    paths = {}
+    for name, mk in F.MODELS.items():
+        paths[name] = str(root / f"{name}.json")
+        jsonio.save_json(paths[name], jsonio.model_to_dict(mk()))
+    for name, f in MORPHISMS.items():
+        paths[name] = str(root / f"{name}.json")
+        jsonio.save_json(paths[name], jsonio.morphism_to_dict(f))
+    paths["diagram"] = str(root / "diagram.json")
+    jsonio.save_json(paths["diagram"], jsonio.diagram_to_dict(F.glued_square_diagram()))
+    return paths
+
+
+def stdout_of(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def assert_canonical(out):
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(F.MODELS))
+def test_cli_model_documents_of_fixtures(fixture_files, capsys, name):
+    for argv in (["unfold", fixture_files[name], "--depth", "4"], ["complete", fixture_files[name]]):
+        code, out = stdout_of(argv, capsys)
+        assert code == 0
+        assert_canonical(out)
+
+
+CLI_LINES = [
+    ["validate", "full_square"],
+    ["validate", "split_segment"],  # an error document
+    ["complete", "punctured_cube"],
+    ["paths", "glued_square", "--max-len", "4"],
+    ["homotopy", "full_cube", "--to", "111"],
+    ["is-tree", "full_square"],
+    ["unfold", "glued_square", "--depth", "4"],
+    ["colimit", "diagram"],
+    ["check-open", "branch_fold"],
+    ["check-covering", "branch_fold"],
+    ["lift", "square_cover", "square_cover"],
+]
+
+
+@pytest.mark.parametrize("args", CLI_LINES, ids=[" ".join(a) for a in CLI_LINES])
+def test_cli_stdout_is_json_dumps(fixture_files, capsys, args):
+    argv = [args[0], *(fixture_files.get(a, a) for a in args[1:])]
+    _, out = stdout_of(argv, capsys)
+    assert_canonical(out)
+
+
+def test_entries_across_chunks(monkeypatch):
+    monkeypatch.setattr(jsonio, "_CHUNK", 7)  # a chunk boundary falls inside both entry lists
+    tree, cover, truncated = unfold(F.full_cube(), 6)
+    model = jsonio.model_to_dict(tree)
+    assert_same(model)
+    assert_same({"model": model, "cover": dict(sorted(cover.mapping.items())), "truncated": truncated})
+
+
+# quotes, backslashes, control and non-ASCII characters, as letters, ids and keys
+TEXT = st.text(st.sampled_from('ab*0"\\\n\x00ε'), max_size=4)
+SCALARS = st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | TEXT
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3), max_leaves=3
+)
+PAIR = st.lists(st.integers(0, 4), min_size=2, max_size=2)
+CELLS = st.fixed_dictionaries({"id": TEXT, "dim": st.integers(0, 4), "label": st.lists(TEXT, max_size=3)})
+FACES = st.fixed_dictionaries({"from": TEXT, "to": TEXT, "word": st.lists(PAIR, max_size=3)})
+# entries with missing, extra or wrongly typed values, and entries that are not dicts at all
+ODD_CELLS = st.fixed_dictionaries({}, optional={"id": VALUES, "dim": VALUES, "label": VALUES, "ids": VALUES}) | VALUES
+ODD_FACES = st.fixed_dictionaries({}, optional={"from": VALUES, "to": VALUES, "word": VALUES, "w": VALUES}) | VALUES
+MODEL_DOCS = st.fixed_dictionaries({
+    "alphabet": st.lists(TEXT, max_size=3),
+    "cells": st.lists(CELLS | ODD_CELLS, max_size=4),
+    "faces": st.lists(FACES | ODD_FACES, max_size=4),
+    "initial": TEXT | VALUES,
+    "saturate": st.booleans() | VALUES,
+})
+DOCS = MODEL_DOCS | st.dictionaries(TEXT, MODEL_DOCS | VALUES, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DOCS)
+def test_random_documents(doc):
+    assert_same(doc)

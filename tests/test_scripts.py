@@ -1,4 +1,5 @@
 """The demo scripts and the README's CLI block, run as a reader of the README would run them."""
+import json
 import os
 import re
 import shlex
@@ -44,6 +45,12 @@ def exported(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.split()) == len(list((root / "fixtures").iterdir())) > 0
     return root
+
+
+def test_exported_files_are_json_dumps(exported):
+    for path in sorted((exported / "fixtures").iterdir()):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
 
 README_LINES = readme_cli_lines()
