@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import encode_basestring_ascii
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from .colimits import Arrow, Diagram
 from .errors import ModelInvalid, ParseError
@@ -181,12 +181,16 @@ def load_diagram(path: str) -> Diagram:
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -194,7 +198,8 @@ def _read_json(path: str) -> dict:
 
 _MODEL_KEYS = {"alphabet", "cells", "faces", "initial", "saturate"}
 _ENTRY_KEYS = {"cells": ("dim", "id", "label"), "faces": ("from", "to", "word")}
-_CHUNK = 100  # model entries per write: a few tens of kB, so writing adds little to peak memory
+_CLASS_KEYS = {"representative", "size"}  # a record of the `homotopy` command
+_CHUNK = 100  # list items per write: a few tens of kB, so writing adds little to peak memory
 
 
 def _dumps(value: Any, ind: str) -> str:
@@ -205,52 +210,96 @@ def _is_model(value: Any) -> bool:
     return type(value) is dict and value.keys() == _MODEL_KEYS
 
 
+def _is_classes(value: Any) -> bool:
+    return type(value) is list and bool(value) and type(value[0]) is dict and value[0].keys() == _CLASS_KEYS
+
+
 def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
     """Write the text of `json.dump(doc, fh, indent=2, sort_keys=True)`; `ind` indents a nested value.
 
     A model document (a dict with the keys of `model_to_dict`), at the top
     level or as a top-level value, is written key by key, and its cells
-    and faces `_CHUNK` at a time from one template each: strings come from
-    the C encoder, other values from `json.dumps` once per distinct repr.
-    An entry without exactly the template's keys, and every other value,
-    is `json.dumps`, re-indented.  The keys of a document that holds a
-    model must be strings.
+    and faces `_CHUNK` at a time from one template each; so is a top-level
+    list of homotopy class records.  In a template, strings come from the
+    C encoder, other values from `json.dumps` once per distinct repr.  An
+    item without exactly the template's keys, and every other value, is
+    `json.dumps`, re-indented.  The keys of a document that holds a model
+    or class records must be strings.
     """
     model = _is_model(doc)
-    holds_model = not ind and type(doc) is dict and any(map(_is_model, doc.values()))
-    if not (model or holds_model):
+    holds = not ind and type(doc) is dict and any(_is_model(v) or _is_classes(v) for v in doc.values())
+    if not (model or holds):
         fh.write(_dumps(doc, ind))
         return
     sep = "{"
     for k in sorted(doc):
         fh.write(f"{sep}\n{ind}  {encode_basestring_ascii(k)}: ")
         if model and k in _ENTRY_KEYS and type(doc[k]) is list and doc[k]:
-            _write_entries(fh, doc[k], ind + "  ", _ENTRY_KEYS[k])
+            _write_items(fh, doc[k], ind + "  ", _entry_text(ind + "    ", _ENTRY_KEYS[k]))
+        elif not model and _is_classes(doc[k]):
+            _write_items(fh, doc[k], ind + "  ", _class_text(ind + "    "))
         else:
             write_json(fh, doc[k], ind + "  ")
         sep = ","
     fh.write(f"\n{ind}}}")
 
 
-def _write_entries(fh: TextIO, entries: list, ind: str, keys: tuple[str, str, str]) -> None:
-    i = ind + "  "
-    template = "%s\n{0}{{\n{0}  \"{1}\": %s,\n{0}  \"{2}\": %s,\n{0}  \"{3}\": %s\n{0}}}".format(i, *keys)
+def _value_text(ind: str) -> Callable[[Any], str]:
+    """The JSON text of a value at indent `ind`, memoised by repr (equal reprs, equal text)."""
     memo: dict[str, str] = {}
 
     def text(v: Any) -> str:
         if type(v) is str:
             return encode_basestring_ascii(v)
-        r = repr(v)  # JSON values with equal reprs have equal JSON text
+        r = repr(v)
         if r not in memo:
-            memo[r] = _dumps(v, i + "  ")
+            memo[r] = _dumps(v, ind)
         return memo[r]
 
+    return text
+
+
+def _entry_text(i: str, keys: tuple[str, str, str]) -> Callable[[Any], str]:
+    """A model entry at indent `i`: a dict of exactly three keys."""
+    template = "\n{0}{{\n{0}  \"{1}\": %s,\n{0}  \"{2}\": %s,\n{0}  \"{3}\": %s\n{0}}}".format(i, *keys)
+    text = _value_text(i + "  ")
+
+    def entry(e: Any) -> str:
+        if len(e) != 3:
+            raise TypeError
+        return template % (text(e[keys[0]]), text(e[keys[1]]), text(e[keys[2]]))
+
+    return entry
+
+
+def _class_text(i: str) -> Callable[[Any], str]:
+    """A class record at indent `i`: {"representative": {"cells", "steps", "text"}, "size"}."""
+    template = (
+        '\n{0}{{\n{0}  "representative": {{\n{0}    "cells": %s,\n{0}    "steps": %s,\n'
+        '{0}    "text": %s\n{0}  }},\n{0}  "size": %s\n{0}}}'
+    ).format(i)
+    size, field, item = (_value_text(i + "  " * k) for k in (1, 2, 3))  # values by their key's indent
+    sep, close = ",\n" + i + "      ", "\n" + i + "    ]"
+
+    def items(v: Any) -> str:  # a list of the path document, one item a line
+        return "[" + sep[1:] + sep.join(map(item, v)) + close if type(v) is list and v else field(v)
+
+    def record(c: Any) -> str:
+        rep = c["representative"]
+        if len(c) != 2 or len(rep) != 3:
+            raise TypeError
+        return template % (items(rep["cells"]), items(rep["steps"]), field(rep["text"]), size(c["size"]))
+
+    return record
+
+
+def _write_items(fh: TextIO, items: list, ind: str, item_text: Callable[[Any], str]) -> None:
+    """Write a non-empty list at indent `ind`, `_CHUNK` items at a time."""
+    i = ind + "  "
     out, sep = [], "["
-    for e in entries:
+    for e in items:
         try:
-            if len(e) != 3:
-                raise TypeError
-            out.append(template % (sep, text(e[keys[0]]), text(e[keys[1]]), text(e[keys[2]])))
+            out.append(sep + item_text(e))
         except (KeyError, TypeError):
             out.append(f"{sep}\n{i}{_dumps(e, i)}")
         sep = ","
@@ -262,7 +311,7 @@ def _write_entries(fh: TextIO, entries: list, ind: str, keys: tuple[str, str, st
 
 
 def save_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_json(fh, doc)
         fh.write("\n")
 

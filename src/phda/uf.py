@@ -17,14 +17,14 @@ class UnionFind:
             p[x] = x
             self.rank[x] = 0
             return x
-        while p[x] != x:
+        while p[x] is not x:
             p[x] = p[p[x]]
             x = p[x]
         return x
 
     def union(self, a: Hashable, b: Hashable) -> bool:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        if ra is rb:
             return False
         if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra

@@ -8,7 +8,8 @@ the dual insertion action on bit vectors, implemented independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import total_ordering
 from typing import Iterator
 
 from .errors import IndexOutOfRange
@@ -18,21 +19,66 @@ FUTURE = 1
 
 Label = tuple[str, ...]
 
+# One word per distinct pairs tuple, and the product of each pair of words
+# composed so far.  Both stay small: at most 3^d words and 5^d products for
+# cells of dimension <= d.
+_INTERNED: dict[tuple[tuple[int, int], ...], "FaceWord"] = {}
+_STARRED: dict[tuple["FaceWord", "FaceWord"], "FaceWord"] = {}
 
-@dataclass(frozen=True, order=True)
+
+@total_ordering
 class FaceWord:
-    """An ordered sequence of (index, direction) pairs, indices strictly increasing."""
+    """An ordered sequence of (index, direction) pairs, indices strictly increasing.
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    Words are interned: a pairs tuple is checked and hashed once, and every
+    later construction with equal pairs returns the same object.  Equality,
+    hashing and order still go by `pairs`, as for a frozen dataclass.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("pairs", "_hash")
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...] = ()) -> "FaceWord":
+        w = _INTERNED.get(pairs)
+        if w is not None:
+            return w
         prev = 0
-        for i, a in self.pairs:
-            if i <= prev:
-                raise ValueError(f"indices must be strictly increasing and >= 1: {self.pairs}")
+        for i, a in pairs:
+            if not isinstance(i, int) or i <= prev:
+                raise ValueError(f"indices must be strictly increasing and >= 1: {pairs}")
             if a not in (PAST, FUTURE):
-                raise ValueError(f"direction must be 0 or 1: {self.pairs}")
+                raise ValueError(f"direction must be 0 or 1: {pairs}")
             prev = i
+        w = object.__new__(cls)
+        norm = tuple((int(i), int(a)) for i, a in pairs)
+        object.__setattr__(w, "pairs", norm)
+        object.__setattr__(w, "_hash", hash((norm,)))
+        return _INTERNED.setdefault(norm, w)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
+        pass  # __new__ built or found the word; this keeps the signature of FaceWord(pairs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FaceWord, (self.pairs,)
+
+    def __repr__(self) -> str:
+        return f"FaceWord(pairs={self.pairs!r})"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FaceWord:
+            return NotImplemented
+        return self is other or self.pairs == other.pairs
+
+    def __lt__(self, other: "FaceWord") -> bool:
+        return self.pairs < other.pairs if other.__class__ is FaceWord else NotImplemented
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -82,9 +128,13 @@ def single(index: int, direction: int) -> FaceWord:
 def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
     """Compose two face words: taking the `lhs` face and then the `rhs` face.
 
-    Merge by heads; whenever an lhs entry is emitted, the still-pending rhs
-    indices shift up by one because they act on a cell one dimension lower.
+    Each pair of words is merged once, then read back from `_STARRED`.  Merge
+    by heads; whenever an lhs entry is emitted, the still-pending rhs indices
+    shift up by one because they act on a cell one dimension lower.
     """
+    w = _STARRED.get((lhs, rhs))
+    if w is not None:
+        return w
     out: list[tuple[int, int]] = []
     i, j, shift = 0, 0, 0
     lp, rp = lhs.pairs, rhs.pairs
@@ -100,7 +150,8 @@ def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
             j += 1
     out.extend(lp[i:])
     out.extend((r + shift, a) for r, a in rp[j:])
-    return FaceWord(tuple(out))
+    w = _STARRED[lhs, rhs] = FaceWord(tuple(out))
+    return w
 
 
 def delete_letters(w: FaceWord, label: Label) -> Label:

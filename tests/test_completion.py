@@ -1,9 +1,14 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from phda import fixtures as F
-from phda.completion import complete, complete_morphism, completion_of, counit
+from phda.completion import AbstractFace, complete, complete_morphism, completion_of, counit
 from phda.errors import NotTotalHDA
 from phda.model import compose, identity, is_hda, validate_morphism, validate_phda
+from phda.uf import UnionFind
 from phda.words import single, star, word
 
 
@@ -115,3 +120,27 @@ def test_completion_of_glued_square_is_the_full_square():
         by_dim[cell.dim] = by_dim.get(cell.dim, 0) + 1
     assert by_dim == {0: 4, 1: 4, 2: 1}
     assert is_hda(chi)
+
+
+def test_abstract_face_keeps_the_dataclass_value_semantics():
+    a = AbstractFace(word((1, 0), (2, 1)), "***")
+    assert [f.name for f in dataclasses.fields(AbstractFace)] == ["word", "cell"]
+    assert hash(a) == hash((a.word, a.cell))
+    assert a == AbstractFace(word((1, 0), (2, 1)), "***") != AbstractFace(a.word, "**0")
+    assert repr(a) == "AbstractFace(word=FaceWord(pairs=((1, 0), (2, 1))), cell='***')"
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.cell = "000"
+    assert a.child(1, 1) == AbstractFace(word((1, 0), (2, 1), (3, 1)), "***")
+    assert a.sort_key() == ("***", ((1, 0), (2, 1))) and a.id() == "***#[(1,0),(2,1)]"
+
+
+def test_union_find_on_equal_keys_that_are_distinct_objects():
+    # roots are compared by identity; an equal copy of a key must still find its class
+    uf = UnionFind()
+    big = 10**20
+    assert uf.union(("a", big), ("b", big + 1))
+    assert not uf.union(("b", big + 1), ("a", int(str(big))))
+    assert uf.find(("a", int(str(big)))) is uf.find(("b", big + 1))
+    assert list(uf.groups().values()) == [[("a", big), ("b", big + 1)]]

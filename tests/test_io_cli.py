@@ -213,6 +213,14 @@ def model_files(tmp_path):
     cover = tmp_path / "cover.json"
     jsonio.save_json(str(cover), jsonio.morphism_to_dict(unfold(F.full_square(), 4).cover))
     paths["cover"] = str(cover)
+    # the punctured cube's single faces, one vertex moved: closing the table meets a conflict
+    doc = jsonio.model_to_dict(F.punctured_cube())
+    doc["faces"] = [e for e in doc["faces"] if len(e["word"]) == 1]
+    doc["faces"][-1]["to"] = "000"
+    doc["saturate"] = True
+    conflict = tmp_path / "saturate_conflict.json"
+    jsonio.save_json(str(conflict), doc)
+    paths["saturate_conflict"] = str(conflict)
     return paths
 
 
@@ -352,6 +360,22 @@ def test_cli_malformed_diagram_is_parse_error(files, case):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+def test_cli_undecodable_file_is_parse_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    code, out, _ = cli(["validate", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_cli_deeply_nested_file_is_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, _ = cli(["validate", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 def test_malformed_morphism_and_diagram_are_parse_errors():
     doc = jsonio.morphism_to_dict(F.branch_fold(2, 1))
     for bad_map in ([1, 2], {"0": ["x"]}):
@@ -473,6 +497,10 @@ def test_cli_subprocess_entry():
         ["is-tree", "punctured_cube"],
         # the cells that reach 110 are 8 of the punctured cube's 25
         ["homotopy", "punctured_cube", "--to", "110"],
+        # commands whose output comes from face tables keyed by words
+        ["complete", "punctured_cube"],
+        ["colimit", "diagram"],
+        ["validate", "saturate_conflict"],
     ],
 )
 def test_cli_output_independent_of_hash_seed(model_files, args):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from phda import fixtures as F
 from phda import jsonio
-from phda.cli import main
+from phda.cli import _path_doc, main
+from phda.homotopy import classes_to
 from phda.unfolding import unfold
 
 
@@ -105,6 +106,23 @@ def test_entries_across_chunks(monkeypatch):
     assert_same({"model": model, "cover": dict(sorted(cover.mapping.items())), "truncated": truncated})
 
 
+def homotopy_doc(x, to, max_len):
+    classes = classes_to(x, to, max_len)
+    return {
+        "cell": to,
+        "count": len(classes),
+        "classes": [{"representative": _path_doc(c.representative), "size": len(c)} for c in classes],
+    }
+
+
+def test_class_records_across_chunks(monkeypatch):
+    monkeypatch.setattr(jsonio, "_CHUNK", 7)  # a chunk boundary falls inside the class list
+    doc = homotopy_doc(F.full_cube(), "111", 6)
+    assert len(doc["classes"]) > 7
+    assert_same(doc)
+    assert_same(homotopy_doc(F.full_cube(), "000", 3))  # one class, of the empty path
+
+
 # quotes, backslashes, control and non-ASCII characters, as letters, ids and keys
 TEXT = st.text(st.sampled_from('ab*0"\\\n\x00ε'), max_size=4)
 SCALARS = st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | TEXT
@@ -130,4 +148,18 @@ DOCS = MODEL_DOCS | st.dictionaries(TEXT, MODEL_DOCS | VALUES, max_size=3)
 @settings(max_examples=60, deadline=None)
 @given(DOCS)
 def test_random_documents(doc):
+    assert_same(doc)
+
+
+PATHS = st.fixed_dictionaries({"cells": st.lists(TEXT, max_size=3), "steps": st.lists(PAIR, max_size=3), "text": TEXT})
+ODD_PATHS = st.fixed_dictionaries({}, optional={"cells": VALUES, "steps": VALUES, "text": VALUES, "x": VALUES}) | VALUES
+CLASSES = st.fixed_dictionaries({"representative": PATHS, "size": st.integers(1, 9)})
+# records with missing, extra or wrongly typed values, and records that are not dicts at all
+ODD_CLASSES = st.fixed_dictionaries({}, optional={"representative": PATHS | ODD_PATHS, "size": VALUES, "y": VALUES})
+CLASS_DOCS = st.dictionaries(TEXT, st.lists(CLASSES | ODD_CLASSES | VALUES, min_size=1, max_size=4) | VALUES, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLASS_DOCS)
+def test_random_class_documents(doc):
     assert_same(doc)

@@ -1,6 +1,11 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from phda import words as W
 from phda.errors import IndexOutOfRange
 from phda.words import EPSILON, FaceWord, delete_letters, enumerate_words, single, star, word
 
@@ -106,3 +111,70 @@ def test_canonical_chain_folds_back(w):
 def test_enumerate_words_count():
     # sum over k of C(4,k) * 2^k for k <= 3
     assert len([w for w in enumerate_words(4) if len(w) <= 3]) == 1 + 8 + 24 + 32
+
+
+def test_words_are_interned():
+    pairs = ((1, 0), (3, 1))
+    assert FaceWord(pairs) is FaceWord(pairs) is word((1, 0), (3, 1))
+    assert FaceWord(tuple(list(pairs))) is FaceWord(pairs)
+    assert FaceWord() is EPSILON
+    assert repr(FaceWord(pairs)) == "FaceWord(pairs=((1, 0), (3, 1)))"
+
+
+def test_hash_and_order_are_those_of_the_pairs():
+    universe = enumerate_words(3)
+    for w in universe:
+        assert hash(w) == hash((w.pairs,))
+    assert sorted(universe) == sorted(universe, key=lambda w: w.pairs)
+    assert single(1, 1) > single(1, 0) >= single(1, 0) > EPSILON
+    assert (single(1, 0) == (1, 0)) is False
+
+
+def test_invalid_pairs_raise_every_time_and_are_not_interned():
+    for bad in (((2, 0), (1, 1)), ((0, 0),), ((1, 2),), ((1.5, 0),)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FaceWord(bad)
+        assert bad not in W._INTERNED
+
+
+def test_pairs_are_stored_as_plain_ints():
+    assert word((1, True)).text() == "[(1,1)]"
+    assert single(1, 1).text() == "[(1,1)]"
+    assert all(type(x) is int for i_a in word((2, False), (5, True)).pairs for x in i_a)
+
+
+def test_copies_are_the_interned_word():
+    w = word((1, 0), (2, 1), (4, 0))
+    assert copy.copy(w) is w
+    assert copy.deepcopy(w) is w
+    assert copy.deepcopy({w: [w]}) == {w: [w]}
+    assert pickle.loads(pickle.dumps(w)) is w
+
+
+def test_words_are_frozen():
+    w = single(2, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.pairs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del w.pairs
+    assert w.pairs == ((2, 1),)
+
+
+def merge(lhs, rhs):
+    """The composite by inserting the rhs indices into the positions the lhs leaves free."""
+    free = [k for k in range(1, lhs.max_index + rhs.max_index + 1) if k not in lhs.indices]
+    return FaceWord(tuple(sorted(lhs.pairs + tuple((free[i - 1], a) for i, a in rhs.pairs))))
+
+
+def test_memoised_star_matches_the_merge_and_the_coface_oracle():
+    universe = enumerate_words(4)
+    vectors = {n: [tuple((m >> k) & 1 for k in range(n)) for m in range(1 << n)] for n in range(5)}
+    for lhs in universe:
+        for rhs in universe:
+            W._STARRED.pop((lhs, rhs), None)
+            first = star(lhs, rhs)  # merged
+            assert star(lhs, rhs) is first  # read back
+            assert first == merge(lhs, rhs)
+            for b in vectors[4 - len(rhs)]:
+                assert eval_coface(first, b) == eval_coface(lhs, eval_coface(rhs, b))
