@@ -1,22 +1,21 @@
 """Glueing finite diagrams of path shapes into a single model.
 
-Two quotients: first, identify the basepoints of all objects and the
-cells matched by the diagram's arrows; second, saturate the future-run
-rule, merging the endpoints of any two equal-composite runs of future
-steps out of an already-identified cell.  Faces are then generated by
-the spine steps and closed under composition.
+Node `(u, k)` is position `k` of object `u`.  The initial nodes and the
+nodes matched by arrows are identified, then the endpoints of any two
+runs of future steps with equal composite words out of one class.  Every
+identification keeps positions, so one sweep over positions closes the
+run rule.  Faces are generated by the spine steps and closed under
+composition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidDiagram, NotACocone
 from .model import PHDA, Cell, Morphism, saturate, validate_morphism
 from .paths import Spine, path_shape
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, PAST, single, star
-
-BASE = ("", -1)  # artificial basepoint node, below every (object, position) pair
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,13 @@ class ColimitResult:
         return iter((self.model, self.injections))
 
 
-def _alphabet(d: Diagram) -> frozenset[str]:
-    return frozenset(l for s in d.objects.values() for _, w in s.entries for l in w)
-
-
 def validate_diagram(d: Diagram) -> dict[str, PHDA]:
-    """Check that every arrow is a total morphism between object shapes; returns the shapes, one per object."""
-    shapes = {u: d.shape(u) for u in d.objects}
+    """Check that every arrow is a total morphism between object shapes.
+
+    Returns the shapes, one per object, over the diagram's alphabet.
+    """
+    alphabet = frozenset(l for s in d.objects.values() for _, w in s.entries for l in w)
+    shapes = {u: d.shape(u, alphabet) for u in d.objects}
     for arrow in d.arrows:
         if arrow.src not in d.objects or arrow.dst not in d.objects:
             raise InvalidDiagram(f"arrow {arrow.name} references unknown objects")
@@ -66,69 +65,49 @@ def validate_diagram(d: Diagram) -> dict[str, PHDA]:
 
 
 def colimit(d: Diagram) -> ColimitResult:
+    """Glue the objects' shapes along the arrows and the future-run rule; the empty diagram gives a point."""
     shapes = validate_diagram(d)
     spines = d.objects
-    nodes = [BASE] + [(u, k) for u in sorted(spines) for k in range(len(spines[u]) + 1)]
-    positions = {n: max(n[1], 0) for n in nodes}
-    uf = UnionFind(nodes)
-    for u in sorted(spines):
-        uf.union(BASE, (u, 0))
+    if not spines:
+        return ColimitResult(PHDA(alphabet=frozenset(), cells={"*": Cell("*", 0, ())}, initial="*", faces={}), {})
+    names = sorted(spines)
+    uf = UnionFind((u, k) for u in names for k in range(len(spines[u]) + 1))
+    for u in names:
+        uf.union((names[0], 0), (u, 0))
     for arrow in d.arrows:
         for k, v in arrow.cell_map.items():
-            if positions[(arrow.src, k)] != positions[(arrow.dst, v)]:
+            if k != v:
                 raise InvalidDiagram(f"arrow {arrow.name} does not preserve execution length")
             uf.union((arrow.src, k), (arrow.dst, v))
 
-    # future-run saturation: walks of future steps out of one class, keyed by
-    # their composite word; equal keys force equal endpoints.  Stale snapshots
-    # after a merge are harmless, the outer loop reruns until a clean fixpoint.
-    while True:
-        merged = False
-        members = uf.groups()
-        for root in sorted(members):
-            level = {EPSILON: {root}}
-            while level:
-                nxt: dict = {}
-                for wrd, ends in level.items():
-                    for end in ends:
-                        for node in members.get(end, []):
-                            if node == BASE:
-                                continue
-                            u, k = node
-                            if k + 1 <= len(spines[u]) and spines[u].steps[k][1] == FUTURE:
-                                w2 = star(wrd, single(spines[u].steps[k][0], FUTURE))
-                                nxt.setdefault(w2, set()).add(uf.find((u, k + 1)))
-                for endpoints in nxt.values():
-                    first, *rest = sorted(endpoints)
-                    for other in rest:
-                        merged |= uf.union(first, other)
-                level = nxt
-        if not merged:
-            break
+    # runs[c]: (start class, composite word) of every future run into class c;
+    # classes below position t are final once the runs ending at t are glued
+    runs: dict = {}
+    for t in range(1, max(map(len, spines.values())) + 1):
+        ends: dict = {}
+        for u in names:
+            if t <= len(spines[u]) and spines[u].steps[t - 1][1] == FUTURE:
+                step, p = single(spines[u].steps[t - 1][0], FUTURE), uf.find((u, t - 1))
+                for c, w in [(p, EPSILON), *runs.get(p, ())]:
+                    ends.setdefault((c, star(w, step)), []).append((u, t))
+        for first, *rest in ends.values():
+            for other in rest:
+                uf.union(first, other)
+        for run, (first, *_) in ends.items():
+            runs.setdefault(uf.find(first), set()).add(run)
 
     members = uf.groups()
-    rep_of: dict = {}
-    ids: dict = {}
-    for root, group in members.items():
-        named = [n for n in group if n != BASE]
-        rep = min(named) if named else BASE
-        ids[root] = f"{rep[0]}:{rep[1]}" if rep != BASE else "*"
-        rep_of[root] = rep
-
+    ids = {root: "%s:%d" % min(group) for root, group in members.items()}
     cells: dict[str, Cell] = {}
-    entries = []
     for root, group in sorted(members.items(), key=lambda kv: ids[kv[0]]):
-        rep = rep_of[root]
-        if rep == BASE:
-            cells[ids[root]] = Cell(ids[root], 0, ())
-            continue
-        u, k = rep
+        u, k = rep = min(group)
         dim, label = spines[u].entries[k]
         for other in group:
-            if other != BASE and spines[other[0]].entries[other[1]] != (dim, label):
+            if spines[other[0]].entries[other[1]] != (dim, label):
                 raise InvalidDiagram(f"glued cells disagree on labels: {rep} vs {other}")
         cells[ids[root]] = Cell(ids[root], dim, label)
-    for u in sorted(spines):
+    entries = []
+    for u in names:
         for k, (j, a) in enumerate(spines[u].steps, start=1):
             lo, hi = ids[uf.find((u, k - 1))], ids[uf.find((u, k))]
             if a == PAST:
@@ -136,12 +115,12 @@ def colimit(d: Diagram) -> ColimitResult:
             else:
                 entries.append((lo, single(j, FUTURE), hi))
 
-    base_id = ids[uf.find(BASE)]
-    model = PHDA(alphabet=_alphabet(d), cells=cells, initial=base_id, faces=saturate(entries))
+    model = PHDA(alphabet=shapes[names[0]].alphabet, cells=cells, initial=ids[uf.find((names[0], 0))],
+                 faces=saturate(entries))
     injections = {}
     for u, shape in shapes.items():
         at = {str(k): ids[uf.find((u, k))] for k in range(len(spines[u]) + 1)}
-        injections[u] = Morphism(replace(shape, alphabet=model.alphabet), model, at)
+        injections[u] = Morphism(shape, model, at)
     return ColimitResult(model=model, injections=injections)
 
 

@@ -62,9 +62,8 @@ class Completion:
 
 def completion_of(x: PHDA) -> Completion:
     """Compute the total completion together with the unit morphism."""
-    universe = [
-        AbstractFace(w, cid) for cid in sorted(x.cells) for w in enumerate_words(x.cells[cid].dim)
-    ]
+    words = [enumerate_words(n) for n in range(x.max_dim + 1)]
+    universe = [AbstractFace(w, cid) for cid in sorted(x.cells) for w in words[x.cells[cid].dim]]
     uf = UnionFind(universe)
     # (a) defined faces collapse onto their targets; (b) congruence: every
     # merge queues the merge of each pair of further faces of its two sides,
@@ -90,7 +89,7 @@ def completion_of(x: PHDA) -> Completion:
     for rep in sorted(set(reps.values()), key=AbstractFace.sort_key):
         dim = x.cells[rep.cell].dim - len(rep.word)
         cells[rep.id()] = Cell(rep.id(), dim, delete_letters(rep.word, x.cells[rep.cell].label))
-        for v in enumerate_words(dim):
+        for v in words[dim]:
             if len(v) == 0:
                 continue
             faces[(rep.id(), v)] = reps[AbstractFace(star(rep.word, v), rep.cell)].id()

@@ -316,11 +316,17 @@ def save_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _dot_escape(text: str) -> str:
+    """`text` with backslashes, double quotes and newlines escaped for a DOT string or comment."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def export_dot(x: PHDA) -> str:
     """Vertices as nodes, edges as arrows, higher cells as a comment block.
 
     An edge missing an endpoint gets a dashed anonymous marker node.
-    Output is byte-identical across runs for equal models.
+    Output is byte-identical across runs for equal models.  Ids and labels
+    are escaped, so any id gives a valid document.
     """
     lines = ["digraph model {", "  rankdir=LR;"]
     singles: dict[str, list[str]] = {}
@@ -330,10 +336,10 @@ def export_dot(x: PHDA) -> str:
     for cid in sorted(c.id for c in x.cells.values() if c.dim >= 2):
         cell = x.cells[cid]
         bounds = " ".join(singles.get(cid, ()))
-        lines.append(f"  // cell {cid} dim={cell.dim} label={''.join(cell.label)} faces: {bounds}")
+        lines.append(_dot_escape(f"  // cell {cid} dim={cell.dim} label={''.join(cell.label)} faces: {bounds}"))
     for cid in x.cells_of_dim(0):
         shape = "doublecircle" if cid == x.initial else "circle"
-        lines.append(f'  "{cid}" [shape={shape}];')
+        lines.append(f'  "{_dot_escape(cid)}" [shape={shape}];')
     markers: list[str] = []
     arcs: list[str] = []
     for eid in x.cells_of_dim(1):
@@ -341,11 +347,12 @@ def export_dot(x: PHDA) -> str:
         tgt = x.faces.get((eid, single(1, FUTURE)))
         if src is None:
             src = f"{eid}.src"
-            markers.append(f'  "{src}" [shape=point, style=dashed, label=""];')
+            markers.append(f'  "{_dot_escape(src)}" [shape=point, style=dashed, label=""];')
         if tgt is None:
             tgt = f"{eid}.tgt"
-            markers.append(f'  "{tgt}" [shape=point, style=dashed, label=""];')
-        arcs.append(f'  "{src}" -> "{tgt}" [label="{"".join(x.cells[eid].label)} ({eid})"];')
+            markers.append(f'  "{_dot_escape(tgt)}" [shape=point, style=dashed, label=""];')
+        label = _dot_escape(f"{''.join(x.cells[eid].label)} ({eid})")
+        arcs.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(tgt)}" [label="{label}"];')
     lines.extend(markers)
     lines.extend(arcs)
     lines.append("}")

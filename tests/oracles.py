@@ -1,4 +1,4 @@
-"""Path-level and face-table oracles and a test model shared by the tests.
+"""Path-level, face-table and glueing oracles and test models shared by the tests.
 
 The library builds homotopy classes with `homotopy.explore`, level by
 level, and checks lifting squares over the first execution to each cell,
@@ -14,14 +14,22 @@ saturation composing every new entry with every table entry on both
 sides, shortcuts as the composites that saturating the single faces does
 not produce, and validation that composes every pair of entries.
 `broken_tables` gives the face-table breaks that validation must report.
+
+`fixpoint_colimit` is the glueing as `colimits.colimit` computed it
+before its one sweep over positions: an artificial basepoint node below
+every object, and the future-run rule rescanned from every class until a
+round merges nothing.
 """
+import itertools
 from collections import deque
 
-from phda.errors import IndexOutOfRange, ModelInvalid
+from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
+from phda.errors import IndexOutOfRange, InvalidDiagram, ModelInvalid
 from phda.homotopy import ChainIndex
+from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport
-from phda.model import PHDA, Violation, build
-from phda.paths import Path, enumerate_paths
+from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
+from phda.paths import Path, Spine, enumerate_paths
 from phda.uf import UnionFind
 from phda.words import EPSILON, FUTURE, PAST, delete_letters, single, star
 
@@ -159,6 +167,27 @@ def late_clash():
     )
 
 
+def spine(labels, steps):
+    return Spine(tuple((len(w), tuple(w)) for w in labels), tuple(steps))
+
+
+def finish_order_diagram(n):
+    """All n! finishing orders of n started actions, each glued to the object that starts them."""
+    letters = "abcd"[:n]
+    start = [tuple(letters[n - k :]) for k in range(n + 1)]
+    objects = {"A": spine(start, [(1, PAST)] * n)}
+    arrows = []
+    for k, order in enumerate(itertools.permutations(letters)):
+        running, labels, steps = list(letters), list(start), [(1, PAST)] * n
+        for letter in order:
+            steps.append((running.index(letter) + 1, FUTURE))
+            running.remove(letter)
+            labels.append(tuple(running))
+        objects[f"F{k}"] = spine(labels, steps)
+        arrows.append(Arrow(f"A-F{k}", "A", f"F{k}", {i: i for i in range(n + 1)}))
+    return Diagram(objects=objects, arrows=tuple(arrows))
+
+
 def two_sided_saturate(entries):
     """Close face entries under composition, composing each new entry with every entry on both sides."""
     table, by_src, by_tgt = {}, {}, {}
@@ -262,3 +291,94 @@ def broken_tables(x, pick=0):
         kind: PHDA(x.alphabet, x.cells, x.initial, {k: v for k, v in (x.faces | change).items() if v is not None})
         for kind, change in changes.items()
     }
+
+
+BASE = ("", -1)  # artificial basepoint node, below every (object, position) pair
+
+
+def fixpoint_colimit(d):
+    """The glueing, with the future-run rule rescanned from every class until nothing merges."""
+    shapes = validate_diagram(d)
+    spines = d.objects
+    nodes = [BASE] + [(u, k) for u in sorted(spines) for k in range(len(spines[u]) + 1)]
+    positions = {n: max(n[1], 0) for n in nodes}
+    uf = UnionFind(nodes)
+    for u in sorted(spines):
+        uf.union(BASE, (u, 0))
+    for arrow in d.arrows:
+        for k, v in arrow.cell_map.items():
+            if positions[(arrow.src, k)] != positions[(arrow.dst, v)]:
+                raise InvalidDiagram(f"arrow {arrow.name} does not preserve execution length")
+            uf.union((arrow.src, k), (arrow.dst, v))
+
+    # walks of future steps out of one class, keyed by their composite word;
+    # equal keys force equal endpoints.  Stale snapshots after a merge are
+    # harmless, the outer loop reruns until a clean fixpoint.
+    while True:
+        merged = False
+        members = uf.groups()
+        for root in sorted(members):
+            level = {EPSILON: {root}}
+            while level:
+                nxt = {}
+                for wrd, ends in level.items():
+                    for end in ends:
+                        for node in members.get(end, []):
+                            if node == BASE:
+                                continue
+                            u, k = node
+                            if k + 1 <= len(spines[u]) and spines[u].steps[k][1] == FUTURE:
+                                w2 = star(wrd, single(spines[u].steps[k][0], FUTURE))
+                                nxt.setdefault(w2, set()).add(uf.find((u, k + 1)))
+                for endpoints in nxt.values():
+                    first, *rest = sorted(endpoints)
+                    for other in rest:
+                        merged |= uf.union(first, other)
+                level = nxt
+        if not merged:
+            break
+
+    members = uf.groups()
+    rep_of, ids = {}, {}
+    for root, group in members.items():
+        named = [n for n in group if n != BASE]
+        rep = min(named) if named else BASE
+        ids[root] = f"{rep[0]}:{rep[1]}" if rep != BASE else "*"
+        rep_of[root] = rep
+
+    cells, entries = {}, []
+    for root, group in sorted(members.items(), key=lambda kv: ids[kv[0]]):
+        rep = rep_of[root]
+        if rep == BASE:
+            cells[ids[root]] = Cell(ids[root], 0, ())
+            continue
+        u, k = rep
+        dim, label = spines[u].entries[k]
+        for other in group:
+            if other != BASE and spines[other[0]].entries[other[1]] != (dim, label):
+                raise InvalidDiagram(f"glued cells disagree on labels: {rep} vs {other}")
+        cells[ids[root]] = Cell(ids[root], dim, label)
+    for u in sorted(spines):
+        for k, (j, a) in enumerate(spines[u].steps, start=1):
+            lo, hi = ids[uf.find((u, k - 1))], ids[uf.find((u, k))]
+            if a == PAST:
+                entries.append((hi, single(j, PAST), lo))
+            else:
+                entries.append((lo, single(j, FUTURE), hi))
+
+    alphabet = frozenset(l for s in spines.values() for _, w in s.entries for l in w)
+    model = PHDA(alphabet=alphabet, cells=cells, initial=ids[uf.find(BASE)], faces=saturate(entries))
+    injections = {}
+    for u, shape in shapes.items():
+        at = {str(k): ids[uf.find((u, k))] for k in range(len(spines[u]) + 1)}
+        injections[u] = Morphism(shape, model, at)
+    return ColimitResult(model=model, injections=injections)
+
+
+def glueing_outcome(glue, d):
+    """The model document and injections of `glue(d)`, or the type and message of the error it raises."""
+    try:
+        r = glue(d)
+    except InvalidDiagram as err:
+        return type(err).__name__, str(err)
+    return model_to_dict(r.model), r.injections

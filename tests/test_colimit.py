@@ -8,13 +8,11 @@ from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
 from phda.errors import InvalidDiagram, NotACocone
 from phda.homotopy import are_confluently_homotopic
 from phda.model import Morphism, validate_morphism, validate_phda
-from phda.paths import Path, Spine, enumerate_paths, map_path, path_shape
+from phda.paths import Path, enumerate_paths, map_path, path_shape
 from phda.unfolding import is_tree
 from phda.words import FUTURE, PAST
 
-
-def spine(labels, steps):
-    return Spine(tuple((len(w), tuple(w)) for w in labels), tuple(steps))
+from oracles import finish_order_diagram, fixpoint_colimit, glueing_outcome, spine
 
 
 def test_glued_square_pushout():
@@ -145,23 +143,6 @@ def test_invalid_arrow_rejected():
         colimit(d)
 
 
-def finish_order_diagram(n):
-    """All n! finishing orders of n started actions, each glued to the object that starts them."""
-    letters = "abcd"[:n]
-    start = [tuple(letters[n - k :]) for k in range(n + 1)]
-    objects = {"A": spine(start, [(1, PAST)] * n)}
-    arrows = []
-    for k, order in enumerate(itertools.permutations(letters)):
-        running, labels, steps = list(letters), list(start), [(1, PAST)] * n
-        for letter in order:
-            steps.append((running.index(letter) + 1, FUTURE))
-            running.remove(letter)
-            labels.append(tuple(running))
-        objects[f"F{k}"] = spine(labels, steps)
-        arrows.append(Arrow(f"A-F{k}", "A", f"F{k}", {i: i for i in range(n + 1)}))
-    return Diagram(objects=objects, arrows=tuple(arrows))
-
-
 def test_colimit_builds_one_shape_per_object(monkeypatch):
     built = []
     monkeypatch.setattr(colimits, "path_shape", lambda s, alphabet=None: built.append(s) or path_shape(s, alphabet))
@@ -194,3 +175,53 @@ def test_invalid_diagram_messages(message):
     with pytest.raises(InvalidDiagram) as err:
         colimit(_invalid_diagrams()[message])
     assert str(err.value) == message
+
+
+FIXED_DIAGRAMS = {
+    "empty": Diagram(objects={}),
+    "glued square": F.glued_square_diagram(),
+    **{f"finish orders of {n}": finish_order_diagram(n) for n in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_DIAGRAMS))
+def test_sweep_matches_the_fixpoint(name):
+    d = FIXED_DIAGRAMS[name]
+    assert glueing_outcome(colimit, d) == glueing_outcome(fixpoint_colimit, d)
+
+
+def short_spines(max_len, letters="ab"):
+    """Every spine of length <= max_len whose labels are words of distinct letters."""
+    out, level = [], [spine([()], [])]
+    for _ in range(max_len + 1):
+        out += level
+        nxt = []
+        for s in level:
+            (d, w) = s.entries[-1]
+            moves = [((j, FUTURE), w[: j - 1] + w[j:]) for j in range(1, d + 1)]
+            moves += [((j, PAST), w[: j - 1] + (l,) + w[j - 1 :]) for l in letters if l not in w for j in range(1, d + 2)]
+            nxt += [spine([e[1] for e in s.entries] + [v], [*s.steps, step]) for step, v in moves]
+        level = nxt
+    return out
+
+
+def test_colimit_accepts_exactly_the_arrows_that_keep_positions():
+    # the one sweep over positions relies on every arrow mapping position k to k
+    spines = short_spines(3)
+    assert len(spines) == 21
+    accepted, rejected = 0, 0
+    for s, t in itertools.product(spines, repeat=2):
+        for image in itertools.product(range(len(t) + 1), repeat=len(s)):
+            cell_map = dict(enumerate((0, *image)))
+            d = Diagram(objects={"U": s, "V": t}, arrows=(Arrow("f", "U", "V", cell_map),))
+            keeps = all(k == v for k, v in cell_map.items())
+            prefix = keeps and t.entries[: len(s) + 1] == s.entries and t.steps[: len(s)] == s.steps
+            try:
+                colimit(d)
+            except InvalidDiagram as err:
+                assert str(err).startswith("arrow f is not a morphism: ") and not prefix, cell_map
+                rejected += 1
+            else:
+                assert prefix, cell_map
+                accepted += 1
+    assert (accepted, rejected) == (71, 12_986)

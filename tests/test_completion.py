@@ -4,12 +4,12 @@ import pickle
 
 import pytest
 
-from phda import fixtures as F
+from phda import completion, fixtures as F
 from phda.completion import AbstractFace, complete, complete_morphism, completion_of, counit
 from phda.errors import NotTotalHDA
 from phda.model import compose, identity, is_hda, validate_morphism, validate_phda
 from phda.uf import UnionFind
-from phda.words import single, star, word
+from phda.words import enumerate_words, single, star, word
 
 
 def test_completion_outputs_are_total_and_valid():
@@ -144,3 +144,13 @@ def test_union_find_on_equal_keys_that_are_distinct_objects():
     assert not uf.union(("b", big + 1), ("a", int(str(big))))
     assert uf.find(("a", int(str(big)))) is uf.find(("b", big + 1))
     assert list(uf.groups().values()) == [[("a", big), ("b", big + 1)]]
+
+
+def test_completion_builds_one_word_list_per_dimension(monkeypatch):
+    expected = {name: completion_of(mk()) for name, mk in F.MODELS.items()}
+    calls = []
+    monkeypatch.setattr(completion, "enumerate_words", lambda n: calls.append(n) or enumerate_words(n))
+    for name, mk in F.MODELS.items():
+        calls.clear()
+        assert completion_of(mk()) == expected[name], name
+        assert len(calls) == len(set(calls)), name

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,8 @@ from phda.errors import ModelInvalid, ParseError, PhdaError
 from phda.model import build
 from phda.unfolding import unfold
 from phda.words import FUTURE, PAST, single
+
+from oracles import finish_order_diagram
 
 
 @pytest.fixture
@@ -187,6 +190,43 @@ def test_dot_export_deterministic():
     assert a == b
 
 
+DOT_STRING = r'"((?:[^"\\\n]|\\.)*)"'
+
+
+def dot_unescape(text):
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), text)
+
+
+def test_dot_export_escapes_quotes_backslashes_and_newlines(tmp_path):
+    # every cell of the full square renamed with a quote and a backslash, higher cells with a newline too
+    sq = F.full_square()
+    odd = {cid: f'"{cid}\\' + ("\n" if "*" in cid else "") for cid in sq.cells}
+    x = build(sq.alphabet, [(odd[c.id], c.dim, c.label) for c in sq.cells.values()], odd[sq.initial],
+              [(odd[src], w, odd[tgt]) for (src, w), tgt in sq.faces.items()], close=False)
+    dot = jsonio.export_dot(x)
+    lines = dot.splitlines()
+    assert len(lines) == len(jsonio.export_dot(sq).splitlines())
+    nodes, arcs = {}, set()
+    for line in lines[2:-1]:
+        if line.startswith("  //"):
+            continue
+        node = re.fullmatch(rf"  {DOT_STRING} \[shape=(\w+)\];", line)
+        arc = re.fullmatch(rf"  {DOT_STRING} -> {DOT_STRING} \[label={DOT_STRING}\];", line)
+        assert node or arc, line
+        if node:
+            nodes[dot_unescape(node[1])] = node[2]
+        else:
+            arcs.add(tuple(dot_unescape(s) for s in arc.groups()))
+    assert nodes == {odd[c]: "doublecircle" if c == "00" else "circle" for c in sq.cells_of_dim(0)}
+    assert arcs == {
+        (odd[sq.faces[(e, single(1, PAST))]], odd[sq.faces[(e, single(1, FUTURE))]], f"{''.join(sq.cells[e].label)} ({odd[e]})")
+        for e in sq.cells_of_dim(1)
+    }
+    path = tmp_path / "odd.json"
+    jsonio.save_json(str(path), jsonio.model_to_dict(x))
+    assert cli(["dot", str(path)])[:2] == (0, dot)
+
+
 def cli(args):
     from io import StringIO
     import contextlib
@@ -207,6 +247,9 @@ def model_files(tmp_path):
     d = tmp_path / "diagram.json"
     jsonio.save_json(str(d), jsonio.diagram_to_dict(F.glued_square_diagram()))
     paths["diagram"] = str(d)
+    orders = tmp_path / "finish_order_4.json"
+    jsonio.save_json(str(orders), jsonio.diagram_to_dict(finish_order_diagram(4)))
+    paths["finish_order_4"] = str(orders)
     fold = tmp_path / "fold.json"
     jsonio.save_json(str(fold), jsonio.morphism_to_dict(F.branch_fold(2, 1)))
     paths["fold"] = str(fold)
@@ -501,6 +544,8 @@ def test_cli_subprocess_entry():
         ["complete", "punctured_cube"],
         ["colimit", "diagram"],
         ["validate", "saturate_conflict"],
+        # 24 finishing orders: the runs into each class are a set of (class, word) pairs
+        ["colimit", "finish_order_4"],
     ],
 )
 def test_cli_output_independent_of_hash_seed(model_files, args):
