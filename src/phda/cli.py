@@ -1,7 +1,7 @@
 """Command-line surface: one subcommand per decision procedure.
 
 Exit codes: 0 for success or a positive decision, 1 for a negative
-decision, 2 for any error, a stdout closed by its reader included.
+decision, 2 for any error, a failure to write stdout included.
 Structured results go to stdout as JSON, human-readable summaries to
 stderr.
 """
@@ -219,8 +219,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(args)
         sys.stdout.flush()  # a reader that closed stdout early shows here at the latest
-    except BrokenPipeError:
+    except OSError as e:
         # exit 2 with no traceback; stdout now discards, so the flush at exit stays quiet
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write stdout: {e}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return code

@@ -5,8 +5,9 @@ future-directed steps whose composite face words are equal; homotopy is
 the equivalence this generates.  `explore` builds its classes level by
 level, without enumerating paths: the classes of length n + 1 are the
 (class of length n, step) pairs, glued by the windows that end at the new
-step.  Unfolding, tree recognition, `classes_to` and
-`are_confluently_homotopic` all read it.
+step.  A class holds no path, only its first member's last step and the
+class of that member's prefix, so the records form a tree.  Unfolding,
+tree recognition, `classes_to` and `are_confluently_homotopic` read it.
 
 The windows come from a `ChainIndex`: the future chains from each start
 cell, of each length, grouped by composite word and end cell, searched
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainMismatch, InvalidBound, UnknownCell
-from .model import PHDA, Move, _generators
+from .model import PHDA, Move, Step, _generators
 from .paths import Path, empty_path
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star
@@ -40,18 +41,19 @@ class HomotopyClass:
 class ExecutionClass:
     """One class of executions, as `explore` yields it.
 
-    `representative` is the class's least member by `Path.key`, `size` its
-    number of members and `level` their length.  Classes refer to each
-    other by ordinal, their position in the stream: `prefix` is the class
-    of the representative's prefix, and `successors` maps each step out
-    of `end` to the class of the extended executions.
+    `size` is the class's number of members and `level` their length.
+    Classes refer to each other by ordinal, their position in the stream.
+    `step` is the last step of the first member in breadth-first order and
+    `prefix` the class of its prefix (None for the empty execution), so
+    walking back to class 0 rebuilds that member; `successors` maps each
+    step out of `end` to the class of the extended executions.
     """
 
     ordinal: int
     end: str
     level: int
     size: int
-    representative: Path
+    step: Step | None
     prefix: int | None
     successors: dict[Move, int]
 
@@ -107,9 +109,10 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
     through the successor maps, and those pairs are one class.  Homotopy
     is preserved by extension, so nothing else is glued.  A class's
     ordinal is its position in the stream, which is the order in which the
-    breadth-first path stream first meets the class; its successors are
-    filled in when the next level is built.  With `to`, only cells that
-    reach `to` are kept; rewrites never leave that set.
+    breadth-first path stream first meets the class; pairs come in that
+    order too, so a group's first pair extends its first member's prefix.
+    Successors are filled in when the next level is built.  With `to`,
+    only cells that reach `to` are kept; rewrites never leave that set.
     """
     if max_len < 0:
         raise InvalidBound(f"max_len must be >= 0, got {max_len}")
@@ -118,7 +121,7 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
         return
     moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
     chains = ChainIndex(x)
-    found = [ExecutionClass(0, x.initial, 0, 1, empty_path(x), None, {})]
+    found = [ExecutionClass(0, x.initial, 0, 1, None, None, {})]
     levels = [found[:]]
     yield found[0]
     for n in range(max_len):
@@ -142,10 +145,8 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
                         uf.union(reached[0], i)
         level = []
         for members in uf.groups().values():
-            c, (step, z) = pairs[min(members, key=lambda i: _extension_key(*pairs[i]))]
-            new = ExecutionClass(
-                len(found), z, n + 1, sum(pairs[i][0].size for i in members), c.representative.extend(step, z), c.ordinal, {}
-            )
+            c, (step, z) = pairs[members[0]]
+            new = ExecutionClass(len(found), z, n + 1, sum(pairs[i][0].size for i in members), step, c.ordinal, {})
             for i in members:
                 pc, m = pairs[i]
                 pc.successors[m] = new.ordinal
@@ -153,12 +154,6 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
             level.append(new)
         levels.append(level)
         yield from level
-
-
-def _extension_key(c: ExecutionClass, move: Move) -> tuple:
-    """Orders rep(c) extended by `move` as `Path.key` does, without building the path."""
-    (step, z), rep = move, c.representative
-    return rep.cells, z, rep.steps, step
 
 
 def are_confluently_homotopic(p: Path, q: Path) -> bool:

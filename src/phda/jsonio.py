@@ -189,6 +189,8 @@ def _read_json(path: str) -> dict:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"{path}: {e}") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):

@@ -62,10 +62,8 @@ def _states(x: PHDA, depth: int) -> tuple[dict[str, Cell], list, dict[str, str],
     for c, sid in zip(classes, sids):
         cells[sid] = Cell(sid, x.dim(c.end), x.label(c.end))
         cover_map[sid] = c.end
-        if c.level > 0:
-            i, a = c.representative.steps[-1]
-            if a == PAST:
-                entries.append((sid, single(i, PAST), sids[c.prefix]))
+        if c.step is not None and c.step[1] == PAST:
+            entries.append((sid, single(c.step[0], PAST), sids[c.prefix]))
         if c.level < depth:
             for move in x.moves.get(c.end, ()):
                 if move[0][1] == FUTURE:

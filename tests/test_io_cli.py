@@ -419,6 +419,17 @@ def test_cli_deeply_nested_file_is_parse_error(tmp_path):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="this interpreter parses 5,000-digit integers")
+def test_cli_huge_integer_is_parse_error(tmp_path):
+    doc = jsonio.model_to_dict(F.segment())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"dim": 0', '"dim": ' + "1" * 5000, 1))
+    code, out, _ = cli(["validate", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 def test_malformed_morphism_and_diagram_are_parse_errors():
     doc = jsonio.morphism_to_dict(F.branch_fold(2, 1))
     for bad_map in ([1, 2], {"0": ["x"]}):
@@ -572,6 +583,18 @@ def test_cli_closed_stdout_exits_2_without_traceback(tmp_path):
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_full_stdout_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "cube.json"
+    jsonio.save_json(str(path), jsonio.model_to_dict(F.full_cube()))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "phda", "is-tree", str(path)], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def _cap_memory():

@@ -328,14 +328,17 @@ def check_explorer(x, max_len):
     for bound in range(max_len + 1):
         classes = list(explore(x, bound))
         expect = [g for g in groups if len(g[0]) <= bound]
-        assert [(c.ordinal, c.end, c.level, c.size, c.representative.key()) for c in classes] == [
-            (k, g[0].end, len(g[0]), len(g), min(p.key() for p in g)) for k, g in enumerate(expect)
+        assert [(c.ordinal, c.end, c.level, c.size) for c in classes] == [
+            (k, g[0].end, len(g[0]), len(g)) for k, g in enumerate(expect)
         ], bound
-        for c in classes:
-            rep = c.representative
-            assert c.prefix == (group_of[rep.prefix(len(rep) - 1).key()] if len(rep) else None)
+        for c, g in zip(classes, expect):
+            first = g[0]  # the class's first member in breadth-first order
+            assert (c.prefix, c.step) == (
+                (group_of[first.prefix(len(first) - 1).key()], first.steps[-1]) if len(first) else (None, None)
+            )
             after = x.moves.get(c.end, ()) if c.level < bound else ()
-            assert c.successors == {(step, z): group_of[rep.extend(step, z).key()] for step, z in after}
+            for p in g:
+                assert c.successors == {(step, z): group_of[p.extend(step, z).key()] for step, z in after}, p.text()
     for cid in sorted(x.cells):
         got = [(c.representative.key(), [p.key() for p in c.members]) for c in classes_to(x, cid, max_len)]
         ends_here = [sorted(p.key() for p in g) for g in groups if g[0].end == cid]
