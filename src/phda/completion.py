@@ -5,12 +5,19 @@ faces are identified by the smallest equivalence generated by (a) a
 defined face equals its own abstract description and (b) identification
 is a congruence for taking further faces.  The quotient carries a total
 face table; the inclusion of the original cells is the unit of the
-adjunction and, on already-total models, has the face-evaluation counit
-as inverse.
+adjunction and, on total models, has the face-evaluation counit as inverse.
+
+The work is split in two.  One pass over the face table gives each cell t
+its defined class, t and the defined faces with target t, represented by
+its least (cell, word).  The congruence is the equivalence generated by
+(c, u*v) ~ (t, v) for each defined (c, u) -> t and word v.  In a valid
+model both sides are defined and agree unless (t, v) is missing, so the
+closure runs over missing faces only; a total model just renames cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import NotTotalHDA
 from .model import PHDA, Cell, Morphism, is_hda
@@ -50,57 +57,79 @@ class AbstractFace:
 
 @dataclass(frozen=True)
 class Completion:
+    """A completion with its unit.  `classes` maps each cell (its defined class) and each
+    missing (cell, word) to its representative; `==` compares these four fields, which fix `reps`."""
+
     source: PHDA
     model: PHDA
     unit: Morphism
-    reps: dict[AbstractFace, AbstractFace]
+    classes: dict[str | tuple[str, FaceWord], AbstractFace]
+
+    def rep(self, cell: str, word: FaceWord = EPSILON) -> AbstractFace:
+        """The representative of the class of the abstract face (word, cell)."""
+        key = (cell, word) if len(word) else cell
+        return self.classes[self.source.faces.get(key, key)]
 
     def class_id(self, cell: str, word: FaceWord = EPSILON) -> str:
         """The completed-model cell standing for the given abstract face."""
-        return self.reps[AbstractFace(word, cell)].id()
+        return self.rep(cell, word).id()
+
+    def representatives(self) -> list[AbstractFace]:
+        """One representative per completed cell, in the completed model's cell order."""
+        return sorted(set(self.classes.values()), key=AbstractFace.sort_key)
+
+    @cached_property
+    def reps(self) -> dict[AbstractFace, AbstractFace]:
+        """Every abstract face with its representative, built on first use."""
+        cells = self.source.cells
+        words = [enumerate_words(n) for n in range(self.source.max_dim + 1)]
+        return {AbstractFace(w, cid): self.rep(cid, w) for cid in sorted(cells) for w in words[cells[cid].dim]}
 
 
 def completion_of(x: PHDA) -> Completion:
     """Compute the total completion together with the unit morphism."""
-    words = [enumerate_words(n) for n in range(x.max_dim + 1)]
-    universe = [AbstractFace(w, cid) for cid in sorted(x.cells) for w in words[x.cells[cid].dim]]
-    uf = UnionFind(universe)
-    # (a) defined faces collapse onto their targets; (b) congruence: every
-    # merge queues the merge of each pair of further faces of its two sides,
-    # except a pair of defined faces with one target, which (a) merges
-    pending = [(AbstractFace(w, cid), AbstractFace(EPSILON, tgt)) for (cid, w), tgt in x.faces.items()]
-    while pending:
-        a, b = pending.pop()
-        if uf.union(a, b):
-            n = x.cells[a.cell].dim - len(a.word)
-            for ca, cb in ((a.child(i, d), b.child(i, d)) for i in range(1, n + 1) for d in (0, 1)):
-                tgt = x.faces.get((ca.cell, ca.word))
-                if tgt is None or tgt != x.faces.get((cb.cell, cb.word)):
-                    pending.append((ca, cb))
+    cells, faces, words = x.cells, x.faces, cache(enumerate_words)
+    # defined classes: each cell's least member, and the number of faces each cell defines
+    least = {cid: (cid, ()) for cid in cells}
+    defined = dict.fromkeys(cells, 0)
+    for (c, w), t in faces.items():
+        defined[c] += 1
+        if (c, w.pairs) < least[t]:
+            least[t] = (c, w.pairs)
+    gaps = [cid for cid in sorted(cells) if defined[cid] < 3 ** cells[cid].dim - 1]
+    missing = [(cid, w) for cid in gaps for w in words(cells[cid].dim)[1:] if (cid, w) not in faces]
+    # the congruence: each missing (t, v) meets (c, u*v) for each defined (c, u) -> t
+    node = faces | {key: key for key in missing}  # a defined face is its target, a missing one itself
+    uf = UnionFind()
+    into: dict[str, list[tuple[str, FaceWord]]] = {t: [] for t in gaps}  # defined faces onto each gap
+    for key, t in faces.items():
+        if t in into:
+            into[t].append(key)
+    for t, v in missing:
+        for c, u in into[t]:
+            uf.union(node[(c, star(u, v))], (t, v))
 
-    reps: dict[AbstractFace, AbstractFace] = {}
+    classes = {cid: AbstractFace(FaceWord(pairs), c) for cid, (c, pairs) in least.items()}
+    classes.update((key, AbstractFace(key[1], key[0])) for key in missing)
     for members in uf.groups().values():
-        rep = min(members, key=AbstractFace.sort_key)
-        for m in members:
-            reps[m] = rep
+        rep = min((classes[m] for m in members), key=AbstractFace.sort_key)
+        classes.update(dict.fromkeys(members, rep))
+    reps = sorted(set(classes.values()), key=AbstractFace.sort_key)
+    name = {rep: rep.id() for rep in reps}
+    ids = {key: name[rep] for key, rep in classes.items()}
 
-    cells: dict[str, Cell] = {}
-    faces: dict[tuple[str, FaceWord], str] = {}
-    for rep in sorted(set(reps.values()), key=AbstractFace.sort_key):
-        dim = x.cells[rep.cell].dim - len(rep.word)
-        cells[rep.id()] = Cell(rep.id(), dim, delete_letters(rep.word, x.cells[rep.cell].label))
-        for v in words[dim]:
-            if len(v) == 0:
-                continue
-            faces[(rep.id(), v)] = reps[AbstractFace(star(rep.word, v), rep.cell)].id()
-    model = PHDA(
-        alphabet=x.alphabet,
-        cells=cells,
-        initial=reps[AbstractFace(EPSILON, x.initial)].id(),
-        faces=faces,
-    )
-    unit = Morphism(x, model, {cid: reps[AbstractFace(EPSILON, cid)].id() for cid in x.cells})
-    return Completion(source=x, model=model, unit=unit, reps=reps)
+    model_cells = {
+        name[r]: Cell(name[r], cells[r.cell].dim - len(r.word), delete_letters(r.word, cells[r.cell].label)) for r in reps
+    }
+    # a class holding a cell takes that cell's faces; any other class, its representative's
+    table = {(ids[c], w): ids[t] for (c, w), t in node.items()}
+    with_cell = {classes[cid] for cid in cells}
+    for rep in (r for r in reps if r not in with_cell):
+        for v in words(model_cells[name[rep]].dim)[1:]:
+            table[(name[rep], v)] = ids[node[(rep.cell, star(rep.word, v))]]
+    model = PHDA(alphabet=x.alphabet, cells=model_cells, initial=ids[x.initial], faces=table)
+    unit = Morphism(x, model, {cid: ids[cid] for cid in cells})
+    return Completion(source=x, model=model, unit=unit, classes=classes)
 
 
 def complete(x: PHDA) -> tuple[PHDA, Morphism]:
@@ -113,16 +142,12 @@ def counit(x: PHDA) -> Morphism:
     if not is_hda(x):
         raise NotTotalHDA("counit requires every single face to be defined")
     c = completion_of(x)
-    mapping = {}
-    for rep in sorted(set(c.reps.values()), key=AbstractFace.sort_key):
-        mapping[rep.id()] = rep.cell if len(rep.word) == 0 else x.faces[(rep.cell, rep.word)]
-    return Morphism(c.model, x, mapping)
+    evaluate = {rep.id(): x.faces[(rep.cell, rep.word)] if len(rep.word) else rep.cell for rep in c.representatives()}
+    return Morphism(c.model, x, evaluate)
 
 
 def complete_morphism(f: Morphism) -> Morphism:
     """The completed model is functorial: push each abstract face through f."""
     cs, ct = completion_of(f.source), completion_of(f.target)
-    mapping = {}
-    for rep in sorted(set(cs.reps.values()), key=AbstractFace.sort_key):
-        mapping[rep.id()] = ct.class_id(f.mapping[rep.cell], rep.word)
-    return Morphism(cs.model, ct.model, mapping)
+    pushed = {rep.id(): ct.class_id(f.mapping[rep.cell], rep.word) for rep in cs.representatives()}
+    return Morphism(cs.model, ct.model, pushed)

@@ -19,11 +19,17 @@ not produce, and validation that composes every pair of entries.
 before its one sweep over positions: an artificial basepoint node below
 every object, and the future-run rule rescanned from every class until a
 round merges nothing.
+
+`union_find_completion` is completion as `completion.completion_of`
+computed it before it closed over the missing faces only: a union-find
+over every abstract face, each merge queueing the merges of the two
+sides' single-letter faces.
 """
 import itertools
 from collections import deque
 
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
+from phda.completion import AbstractFace
 from phda.errors import IndexOutOfRange, InvalidDiagram, ModelInvalid
 from phda.homotopy import ChainIndex
 from phda.jsonio import model_to_dict
@@ -31,7 +37,7 @@ from phda.lifting import ExtensionSquare, LiftReport
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
 from phda.paths import Path, Spine, enumerate_paths
 from phda.uf import UnionFind
-from phda.words import EPSILON, FUTURE, PAST, delete_letters, single, star
+from phda.words import EPSILON, FUTURE, PAST, delete_letters, enumerate_words, single, star
 
 
 def star_fold(singles):
@@ -382,3 +388,40 @@ def glueing_outcome(glue, d):
     except InvalidDiagram as err:
         return type(err).__name__, str(err)
     return model_to_dict(r.model), r.injections
+
+
+def union_find_completion(x):
+    """The completed model, unit and representative of every abstract face, by a union-find over all of them."""
+    words = [enumerate_words(n) for n in range(x.max_dim + 1)]
+    universe = [AbstractFace(w, cid) for cid in sorted(x.cells) for w in words[x.cells[cid].dim]]
+    uf = UnionFind(universe)
+    # (a) defined faces collapse onto their targets; (b) congruence: every
+    # merge queues the merge of each pair of further faces of its two sides,
+    # except a pair of defined faces with one target, which (a) merges
+    pending = [(AbstractFace(w, cid), AbstractFace(EPSILON, tgt)) for (cid, w), tgt in x.faces.items()]
+    while pending:
+        a, b = pending.pop()
+        if uf.union(a, b):
+            n = x.cells[a.cell].dim - len(a.word)
+            for ca, cb in ((a.child(i, d), b.child(i, d)) for i in range(1, n + 1) for d in (0, 1)):
+                tgt = x.faces.get((ca.cell, ca.word))
+                if tgt is None or tgt != x.faces.get((cb.cell, cb.word)):
+                    pending.append((ca, cb))
+
+    reps = {}
+    for members in uf.groups().values():
+        rep = min(members, key=AbstractFace.sort_key)
+        for m in members:
+            reps[m] = rep
+
+    cells, faces = {}, {}
+    for rep in sorted(set(reps.values()), key=AbstractFace.sort_key):
+        dim = x.cells[rep.cell].dim - len(rep.word)
+        cells[rep.id()] = Cell(rep.id(), dim, delete_letters(rep.word, x.cells[rep.cell].label))
+        for v in words[dim]:
+            if len(v) == 0:
+                continue
+            faces[(rep.id(), v)] = reps[AbstractFace(star(rep.word, v), rep.cell)].id()
+    model = PHDA(alphabet=x.alphabet, cells=cells, initial=reps[AbstractFace(EPSILON, x.initial)].id(), faces=faces)
+    unit = Morphism(x, model, {cid: reps[AbstractFace(EPSILON, cid)].id() for cid in x.cells})
+    return model, unit, reps

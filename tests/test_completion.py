@@ -7,9 +7,11 @@ import pytest
 from phda import completion, fixtures as F
 from phda.completion import AbstractFace, complete, complete_morphism, completion_of, counit
 from phda.errors import NotTotalHDA
-from phda.model import compose, identity, is_hda, validate_morphism, validate_phda
+from phda.model import build, compose, identity, is_hda, validate_morphism, validate_phda
 from phda.uf import UnionFind
 from phda.words import enumerate_words, single, star, word
+
+from oracles import union_find_completion
 
 
 def test_completion_outputs_are_total_and_valid():
@@ -152,5 +154,57 @@ def test_completion_builds_one_word_list_per_dimension(monkeypatch):
     monkeypatch.setattr(completion, "enumerate_words", lambda n: calls.append(n) or enumerate_words(n))
     for name, mk in F.MODELS.items():
         calls.clear()
-        assert completion_of(mk()) == expected[name], name
+        c = completion_of(mk())
         assert len(calls) == len(set(calls)), name
+        assert (c.model, c.unit, c.reps) == (expected[name].model, expected[name].unit, expected[name].reps), name
+
+
+def test_completion_matches_the_union_find_oracle_on_fixtures():
+    for name, mk in F.MODELS.items():
+        x = mk()
+        c = completion_of(x)
+        model, unit, reps = union_find_completion(x)
+        assert (c.model, c.unit.mapping, c.reps) == (model, unit.mapping, reps), name
+        assert c == completion_of(x) and c.reps is c.reps, name
+
+
+def shortcut_past_corner():
+    """A square whose left edge has no past face, while the square's composite to that corner is defined."""
+    cells = [("00", 0, ()), ("0*", 1, ("b",)), ("**", 2, ("a", "b"))]
+    entries = [("**", single(1, 0), "0*"), ("**", word((1, 0), (2, 0)), "00")]
+    x = build("ab", cells, "00", entries)
+    assert validate_phda(x) == [] and ("0*", single(1, 0)) not in x.faces
+    return x
+
+
+def test_missing_face_glues_to_the_target_of_a_defined_shortcut():
+    # (c, u*s) = ("**", [(1,0),(2,0)]) is defined while (t, s) = ("0*", [(1,0)]) is missing
+    x = shortcut_past_corner()
+    c = completion_of(x)
+    assert c.class_id("0*", single(1, 0)) == c.class_id("00") == c.class_id("**", word((1, 0), (2, 0))) == "**#[(1,0),(2,0)]"
+    assert c.class_id("0*") == c.class_id("**", single(1, 0)) == "**#[(1,0)]"
+    assert validate_phda(c.model) == [] and is_hda(c.model)
+    assert sorted(cell.dim for cell in c.model.cells.values()) == [0, 0, 0, 0, 1, 1, 1, 1, 2]
+    model, unit, reps = union_find_completion(x)
+    assert (c.model, c.unit.mapping, c.reps) == (model, unit.mapping, reps)
+
+
+def count_unions(monkeypatch):
+    calls = []
+    union = UnionFind.union
+    monkeypatch.setattr(UnionFind, "union", lambda uf, a, b: calls.append((a, b)) or union(uf, a, b))
+    return calls
+
+
+def test_completion_unions_only_missing_faces(monkeypatch):
+    calls = count_unions(monkeypatch)
+    for name in F.TOTAL_MODELS:
+        completion_of(F.MODELS[name]())
+        assert calls == [], name
+    # the punctured cube's four missing faces name its bottom square and, three
+    # times, its edge 11*: two unions, against 86 over all 113 abstract faces
+    completion_of(F.punctured_cube())
+    assert len(calls) == 2
+    calls.clear()
+    union_find_completion(F.punctured_cube())
+    assert len(calls) == 86 > 2

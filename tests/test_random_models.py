@@ -24,11 +24,11 @@ import pytest
 
 from phda import fixtures as F
 from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
-from phda.completion import AbstractFace, complete, completion_of
+from phda.completion import AbstractFace, complete, completion_of, counit
 from phda.errors import ModelInvalid
 from phda.homotopy import ChainIndex, are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.lifting import ExtensionSquare, is_covering, is_open
-from phda.model import Morphism, build, identity, saturate, validate_morphism, validate_phda
+from phda.model import Morphism, build, compose, identity, is_hda, saturate, validate_morphism, validate_phda
 from phda.paths import Path, Spine, enumerate_paths, spine_of, validate_path
 from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, unfold
@@ -46,6 +46,7 @@ from oracles import (
     path_stream_lifting,
     saturation_shortcuts,
     two_sided_saturate,
+    union_find_completion,
 )
 
 LETTERS = "abc"
@@ -254,12 +255,33 @@ def test_validate_path_matches_face_lookups_on_mutated_paths(x, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(RANDOM_MODELS)
+@given(st.one_of(RANDOM_MODELS, SHORTCUT_MODELS))
 def test_completion_classes_match_the_rescan(x):
     groups = {}
     for face, rep in completion_of(x).reps.items():
         groups.setdefault(rep, []).append(face.sort_key())
     assert sorted(sorted(g) for g in groups.values()) == oracle_completion_classes(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(RANDOM_MODELS, SHORTCUT_MODELS))
+def test_completion_matches_the_union_find_oracle(x):
+    c = completion_of(x)
+    model, unit, reps = union_find_completion(x)
+    assert (c.model, c.unit.mapping, c.reps) == (model, unit.mapping, reps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_MODELS)
+def test_completion_is_total_with_unit_and_counit_inverse_on_total_models(x):
+    chi, unit = complete(x)
+    assert is_hda(chi)
+    event("total input" if is_hda(x) else "partial input")
+    # the completion is total, so the inverse pair is checked on it even when x is partial
+    for y, eta in [(chi, complete(chi)[1])] + ([(x, unit)] if is_hda(x) else []):
+        mu = counit(y)
+        assert compose(mu, eta) == identity(y)
+        assert compose(eta, mu) == identity(eta.target)
 
 
 def path_level_is_tree(x):
