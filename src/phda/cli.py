@@ -14,7 +14,7 @@ import sys
 from . import jsonio
 from .completion import complete
 from .colimits import colimit
-from .errors import PhdaError
+from .errors import PhdaError, UnknownCell
 from .homotopy import classes_to
 from .lifting import construct_lift, is_covering, is_open
 from .paths import enumerate_paths
@@ -49,6 +49,8 @@ def cmd_complete(args) -> int:
 
 def cmd_paths(args) -> int:
     x = jsonio.load_model(args.model)
+    if args.to is not None and args.to not in x.cells:
+        raise UnknownCell(args.to)
     max_len = args.max_len if args.max_len is not None else len(x.cells)
     found = enumerate_paths(x, max_len)
     if args.to is not None:

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from .errors import NotTotalHDA
 from .model import PHDA, Cell, Morphism, is_hda
 from .uf import UnionFind
-from .words import EPSILON, FaceWord, delete_letters, enumerate_words, single, star
+from .words import EPSILON, FaceWord, delete_letters, enumerate_words, star
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class AbstractFace:
 
     def __reduce__(self):
         return AbstractFace, (self.word, self.cell)
-
-    def child(self, i: int, a: int) -> "AbstractFace":
-        return AbstractFace(star(self.word, single(i, a)), self.cell)
 
     def sort_key(self) -> tuple:
         return (self.cell, self.word.pairs)

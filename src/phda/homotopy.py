@@ -4,15 +4,16 @@ Two paths are elementary-homotopic when they agree outside a window of
 future-directed steps whose composite face words are equal; homotopy is
 the equivalence this generates.  `explore` builds its classes level by
 level, without enumerating paths: the classes of length n + 1 are the
-(class of length n, step) pairs, glued by the windows that end at the new
-step.  A class holds no path, only its first member's last step and the
-class of that member's prefix, so the records form a tree.  Unfolding,
-tree recognition, `classes_to` and `are_confluently_homotopic` read it.
+(class of length n, step) pairs, glued by the run rule that
+`colimits.colimit` also uses.  Each class carries the start class,
+composite word and end cell of every run of future steps into it, and
+two pairs whose runs reach one such key are one class.  A class holds no
+path, only its first member's last step and the class of that member's
+prefix, so the records form a tree.  Unfolding, tree recognition,
+`classes_to` and `are_confluently_homotopic` read it.
 
-The windows come from a `ChainIndex`: the future chains from each start
-cell, of each length, grouped by composite word and end cell, searched
-once per (cell, length) and per index.  Nothing here rewrites single
-paths; the path-level rewriting and closure are test oracles.
+Nothing here rewrites single paths; the path-level rewriting, closure and
+the chain-walking explorer that came before the run rule are test oracles.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from .model import PHDA, Move, Step, _generators
 from .paths import Path, empty_path
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star
-
-Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
 
 
 @dataclass(frozen=True)
@@ -58,33 +57,6 @@ class ExecutionClass:
     successors: dict[Move, int]
 
 
-class ChainIndex:
-    """The future chains of one model, searched once per (start cell, length).
-
-    `index(cell, n)` maps (composite word, end cell) to the chains (cells
-    after each step, steps) of n future steps from `cell`, following the
-    future steps of `x.moves`; filled lazily, each length from the one
-    below, for one call over one model.
-    """
-
-    def __init__(self, x: PHDA) -> None:
-        self.moves = x.moves
-        self.table: dict[tuple[str, int], Chains] = {}
-
-    def __call__(self, start: str, length: int) -> Chains:
-        if length == 0:
-            return {(EPSILON, start): [((), ())]}
-        found = self.table.get((start, length))
-        if found is None:
-            found = self.table[(start, length)] = {}
-            for (w, mid), below in self(start, length - 1).items():
-                for step, z in self.moves.get(mid, ()):
-                    if step[1] == FUTURE:
-                        group = found.setdefault((star(w, single(*step)), z), [])
-                        group.extend((cells + (z,), steps + (step,)) for cells, steps in below)
-        return found
-
-
 def _cone(x: PHDA, to: str) -> set[str]:
     """The cells from which some execution reaches `to`."""
     back: dict[str, list[str]] = {}
@@ -103,16 +75,21 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
     """The classes of executions of length <= max_len, level by level, in first-seen order.
 
     The classes of length n + 1 are the pairs (class of length n, step),
-    glued by the windows of future steps that end at the new step: for a
-    class R of length n + 1 - k and a group of k-step future chains from
-    R's end with one composite and one end cell, the chains reach pairs
-    through the successor maps, and those pairs are one class.  Homotopy
-    is preserved by extension, so nothing else is glued.  A class's
-    ordinal is its position in the stream, which is the order in which the
-    breadth-first path stream first meets the class; pairs come in that
-    order too, so a group's first pair extends its first member's prefix.
-    Successors are filled in when the next level is built.  With `to`,
-    only cells that reach `to` are kept; rewrites never leave that set.
+    glued by the run rule of `colimits.colimit`.  Each class carries its
+    runs, the (start class, composite word, end cell) of every run of
+    future steps into it.  A future step s to z out of class i extends the
+    empty run at i and each run (o, w) of i to the key (o, w * s, z); the
+    pairs that share a key are one class, and each key becomes a run of
+    the class of the first pair that reaches it.  The end cell keeps runs
+    apart when the face table lacks their composite.  Homotopy is
+    preserved by extension, so nothing else is glued, and only the
+    current level and its runs are kept.
+
+    Ordinals are stream positions, the order in which the breadth-first
+    path stream first meets each class; pairs come in that order, so a
+    class's first pair extends its first member's prefix.  Successors are
+    filled in when the next level is built.  With `to`, only cells that
+    reach `to` are kept; rewrites never leave that set.
     """
     if max_len < 0:
         raise InvalidBound(f"max_len must be >= 0, got {max_len}")
@@ -120,39 +97,37 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
     if x.initial not in cone:
         return
     moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
-    chains = ChainIndex(x)
-    found = [ExecutionClass(0, x.initial, 0, 1, None, None, {})]
-    levels = [found[:]]
-    yield found[0]
+    level = [ExecutionClass(0, x.initial, 0, 1, None, None, {})]
+    runs: dict[int, list] = {}
+    yield level[0]
     for n in range(max_len):
-        pairs = [(c, m) for c in levels[n] for m in moves.get(c.end, ())]
+        pairs, keys, uf, by_root = [], {}, UnionFind(), {}
+        for c in level:
+            mine = runs.pop(c.ordinal, ())
+            for m in moves.get(c.end, ()):
+                i = uf.find(len(pairs))  # a new member, its own root
+                pairs.append((c, m))
+                (j, a), z = m
+                if a == FUTURE:
+                    s = single(j, a)
+                    for o, w, _ in [(c.ordinal, EPSILON, c.end), *mine]:
+                        first = keys.setdefault((o, star(w, s), z), i)
+                        if first != i:
+                            uf.union(first, i)
         if not pairs:
             return
-        index = {(c.ordinal, m): i for i, (c, m) in enumerate(pairs)}
-        uf = UnionFind(range(len(pairs)))
-        for k in range(2, min(n + 1, x.max_dim) + 1):
-            for r in levels[n + 1 - k]:
-                for (_, z), group in chains(r.end, k).items():
-                    if len(group) < 2 or z not in cone:
-                        continue
-                    reached = []
-                    for cells, steps in group:
-                        o = r.ordinal
-                        for move in zip(steps[:-1], cells):
-                            o = found[o].successors[move]
-                        reached.append(index[(o, (steps[-1], cells[-1]))])
-                    for i in reached[1:]:
-                        uf.union(reached[0], i)
-        level = []
-        for members in uf.groups().values():
-            c, (step, z) = pairs[members[0]]
-            new = ExecutionClass(len(found), z, n + 1, sum(pairs[i][0].size for i in members), step, c.ordinal, {})
-            for i in members:
-                pc, m = pairs[i]
-                pc.successors[m] = new.ordinal
-            found.append(new)
-            level.append(new)
-        levels.append(level)
+        ordinal, level = level[-1].ordinal + 1, []
+        for i, (c, m) in enumerate(pairs):
+            new = by_root.get(root := uf.find(i))
+            if new is None:
+                new = by_root[root] = ExecutionClass(ordinal + len(level), m[1], n + 1, 0, m[0], c.ordinal, {})
+                level.append(new)
+            new.size += c.size
+            c.successors[m] = new.ordinal
+        del uf, by_root  # freed before the runs are filed; the successor maps lead to each class
+        for key, first in keys.items():
+            c, m = pairs[first]
+            runs.setdefault(c.successors[m], []).append(key)
         yield from level
 
 

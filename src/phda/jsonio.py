@@ -117,9 +117,9 @@ def morphism_from_dict(doc: dict, base_dir: str = ".") -> Morphism:
         raise ParseError(f"model reference must be a path or an inline object: {ref!r}")
 
     try:
-        mapping = {_str(k): _str(v) for k, v in dict(doc["map"]).items()}
+        mapping = {_str(k): _str(v) for k, v in doc["map"].items()}
         f = Morphism(resolve(doc["source"]), resolve(doc["target"]), mapping)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed morphism document: {e!r}") from None
     bad = validate_morphism(f)
     if bad:

@@ -6,6 +6,11 @@ without enumerating paths.  These are the path-level procedures it
 replaced: rewrite one path, group an enumerated set of paths by closure
 under elementary rewrites, decide homotopy of two paths by breadth-first
 closure, and check the lifting squares over every enumerated execution.
+The rewrites draw their windows from a `ChainIndex`, every future chain
+of one model searched once per (start cell, length).
+`chain_walk_explore` is `explore` as it was before the run rule: it
+keeps every level and glues the pairs that each group of equal chains
+reaches by walking the successor maps from the chains' start class.
 The face-word helpers compose chains of single faces and give the
 insertion action on bit vectors, independently of `words.star`.
 
@@ -24,20 +29,24 @@ round merges nothing.
 computed it before it closed over the missing faces only: a union-find
 over every abstract face, each merge queueing the merges of the two
 sides' single-letter faces.
+`face_child` is the single-letter face of an abstract face.
 """
 import itertools
 from collections import deque
+from typing import Iterator
 
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
 from phda.completion import AbstractFace
-from phda.errors import IndexOutOfRange, InvalidDiagram, ModelInvalid
-from phda.homotopy import ChainIndex
+from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid
+from phda.homotopy import ExecutionClass, _cone
 from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
 from phda.paths import Path, Spine, enumerate_paths
 from phda.uf import UnionFind
-from phda.words import EPSILON, FUTURE, PAST, delete_letters, enumerate_words, single, star
+from phda.words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, enumerate_words, single, star
+
+Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
 
 
 def star_fold(singles):
@@ -88,6 +97,90 @@ def class_key(p):
         else:
             k += 1
     return (len(p.steps), past, tuple(runs), p.end)
+
+
+class ChainIndex:
+    """The future chains of one model, searched once per (start cell, length).
+
+    `index(cell, n)` maps (composite word, end cell) to the chains (cells
+    after each step, steps) of n future steps from `cell`, following the
+    future steps of `x.moves`; filled lazily, each length from the one
+    below, for one call over one model.
+    """
+
+    def __init__(self, x: PHDA) -> None:
+        self.moves = x.moves
+        self.table: dict[tuple[str, int], Chains] = {}
+
+    def __call__(self, start: str, length: int) -> Chains:
+        if length == 0:
+            return {(EPSILON, start): [((), ())]}
+        found = self.table.get((start, length))
+        if found is None:
+            found = self.table[(start, length)] = {}
+            for (w, mid), below in self(start, length - 1).items():
+                for step, z in self.moves.get(mid, ()):
+                    if step[1] == FUTURE:
+                        group = found.setdefault((star(w, single(*step)), z), [])
+                        group.extend((cells + (z,), steps + (step,)) for cells, steps in below)
+        return found
+
+
+def chain_walk_explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionClass]:
+    """The classes of executions of length <= max_len, level by level, in first-seen order, by chain walks.
+
+    The classes of length n + 1 are the pairs (class of length n, step),
+    glued by the windows of future steps that end at the new step: for a
+    class R of length n + 1 - k and a group of k-step future chains from
+    R's end with one composite and one end cell, the chains reach pairs
+    through the successor maps, and those pairs are one class.  Homotopy
+    is preserved by extension, so nothing else is glued.  A class's
+    ordinal is its position in the stream, which is the order in which the
+    breadth-first path stream first meets the class; pairs come in that
+    order too, so a group's first pair extends its first member's prefix.
+    Successors are filled in when the next level is built.  With `to`,
+    only cells that reach `to` are kept; rewrites never leave that set.
+    """
+    if max_len < 0:
+        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
+    cone = x.cells if to is None else _cone(x, to)
+    if x.initial not in cone:
+        return
+    moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
+    chains = ChainIndex(x)
+    found = [ExecutionClass(0, x.initial, 0, 1, None, None, {})]
+    levels = [found[:]]
+    yield found[0]
+    for n in range(max_len):
+        pairs = [(c, m) for c in levels[n] for m in moves.get(c.end, ())]
+        if not pairs:
+            return
+        index = {(c.ordinal, m): i for i, (c, m) in enumerate(pairs)}
+        uf = UnionFind(range(len(pairs)))
+        for k in range(2, min(n + 1, x.max_dim) + 1):
+            for r in levels[n + 1 - k]:
+                for (_, z), group in chains(r.end, k).items():
+                    if len(group) < 2 or z not in cone:
+                        continue
+                    reached = []
+                    for cells, steps in group:
+                        o = r.ordinal
+                        for move in zip(steps[:-1], cells):
+                            o = found[o].successors[move]
+                        reached.append(index[(o, (steps[-1], cells[-1]))])
+                    for i in reached[1:]:
+                        uf.union(reached[0], i)
+        level = []
+        for members in uf.groups().values():
+            c, (step, z) = pairs[members[0]]
+            new = ExecutionClass(len(found), z, n + 1, sum(pairs[i][0].size for i in members), step, c.ordinal, {})
+            for i in members:
+                pc, m = pairs[i]
+                pc.successors[m] = new.ordinal
+            found.append(new)
+            level.append(new)
+        levels.append(level)
+        yield from level
 
 
 def elementary_neighbors(p, chains=None):
@@ -390,6 +483,11 @@ def glueing_outcome(glue, d):
     return model_to_dict(r.model), r.injections
 
 
+def face_child(f, i, a):
+    """The face (i, a) of the abstract face f: its word extended by one letter."""
+    return AbstractFace(star(f.word, single(i, a)), f.cell)
+
+
 def union_find_completion(x):
     """The completed model, unit and representative of every abstract face, by a union-find over all of them."""
     words = [enumerate_words(n) for n in range(x.max_dim + 1)]
@@ -403,7 +501,7 @@ def union_find_completion(x):
         a, b = pending.pop()
         if uf.union(a, b):
             n = x.cells[a.cell].dim - len(a.word)
-            for ca, cb in ((a.child(i, d), b.child(i, d)) for i in range(1, n + 1) for d in (0, 1)):
+            for ca, cb in ((face_child(a, i, d), face_child(b, i, d)) for i in range(1, n + 1) for d in (0, 1)):
                 tgt = x.faces.get((ca.cell, ca.word))
                 if tgt is None or tgt != x.faces.get((cb.cell, cb.word)):
                     pending.append((ca, cb))

@@ -134,7 +134,6 @@ def test_abstract_face_keeps_the_dataclass_value_semantics():
     assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.cell = "000"
-    assert a.child(1, 1) == AbstractFace(word((1, 0), (2, 1), (3, 1)), "***")
     assert a.sort_key() == ("***", ((1, 0), (2, 1))) and a.id() == "***#[(1,0),(2,1)]"
 
 

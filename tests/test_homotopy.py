@@ -2,13 +2,13 @@ import pytest
 
 from phda import fixtures as F
 from phda.errors import DomainMismatch, UnknownCell
-from phda.homotopy import ChainIndex, are_confluently_homotopic, classes_to, find_shortcuts
+from phda.homotopy import are_confluently_homotopic, classes_to, find_shortcuts
 from phda.model import PHDA, build
 from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
 from phda.words import EPSILON, FUTURE, PAST, single, star, word
 
-from oracles import class_key, elementary_neighbors, partition_paths, saturation_shortcuts, star_fold
+from oracles import ChainIndex, class_key, elementary_neighbors, partition_paths, saturation_shortcuts, star_fold
 
 
 # Independent oracles for the chain index and the peeling shortcut test:

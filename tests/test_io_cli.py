@@ -432,7 +432,7 @@ def test_cli_huge_integer_is_parse_error(tmp_path):
 
 def test_malformed_morphism_and_diagram_are_parse_errors():
     doc = jsonio.morphism_to_dict(F.branch_fold(2, 1))
-    for bad_map in ([1, 2], {"0": ["x"]}):
+    for bad_map in ([1, 2], {"0": ["x"]}, [["p0", "p0"], ["p1", "p1"], ["e", "e"]], ["ab"]):
         with pytest.raises(ParseError):
             jsonio.morphism_from_dict(dict(doc, map=bad_map))
     doc = jsonio.diagram_to_dict(F.glued_square_diagram())
@@ -506,6 +506,15 @@ def test_fuzzed_documents_load_or_fail_cleanly(data):
     except PhdaError:
         return
     json.dumps(dump(result))
+
+
+def test_cli_paths_and_homotopy_reject_an_unknown_cell(model_files):
+    docs = []
+    for command in ("paths", "homotopy"):
+        code, out, _ = cli([command, model_files["full_square"], "--to", "zz"])
+        assert code == 2, command
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1] == {"error": {"type": "UnknownCell", "detail": "'zz'"}}
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ two-sided saturation, shortcuts against saturating the single faces, and
 validation against the loop that composes every pair of entries, on
 valid models, on models with a shortcut and on broken tables.  Colimits
 of executions glued along shared prefixes are checked against the
-glueing that rescans the future-run rule until nothing merges.
+glueing that rescans the future-run rule until nothing merges.  The
+class explorer's record stream is checked against the explorer that
+walked every group of equal future chains through the successor maps.
 """
 import itertools
 
@@ -26,16 +28,20 @@ from phda import fixtures as F
 from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
 from phda.completion import AbstractFace, complete, completion_of, counit
 from phda.errors import ModelInvalid
-from phda.homotopy import ChainIndex, are_confluently_homotopic, classes_to, explore, find_shortcuts
+from phda.homotopy import are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.lifting import ExtensionSquare, is_covering, is_open
-from phda.model import Morphism, build, compose, identity, is_hda, saturate, validate_morphism, validate_phda
+from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
+from phda.model import validate_morphism, validate_phda
 from phda.paths import Path, Spine, enumerate_paths, spine_of, validate_path
 from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
 
 from oracles import (
+    ChainIndex,
     broken_tables,
+    chain_walk_explore,
+    face_child,
     finish_order_diagram,
     fixpoint_colimit,
     glueing_outcome,
@@ -202,7 +208,7 @@ def oracle_completion_classes(x):
             n = x.cells[members[0].cell].dim - len(members[0].word)
             for i in range(1, n + 1):
                 for a in (0, 1):
-                    children = {uf.find(m.child(i, a)) for m in members}
+                    children = {uf.find(face_child(m, i, a)) for m in members}
                     if len(children) > 1:
                         first, *rest = sorted(children, key=AbstractFace.sort_key)
                         for other in rest:
@@ -329,6 +335,19 @@ def two_loops():
     )
 
 
+def split_hexagon():
+    """The 3-cube without the middle faces of the finishing orders 1-2-3 and 3-2-1.
+
+    The four orders left form two pairs joined by 2-step swaps, 2-1-3 with
+    2-3-1 and 1-3-2 with 3-1-2, so only the 3-step window from *** glues
+    the pairs.
+    """
+    cids = ["".join(c) for c in itertools.product("01*", repeat=3)]
+    dropped = {("1**", single(1, FUTURE)), ("**1", single(2, FUTURE))}
+    cells = [(cid, cid.count("*"), tuple(l for l, k in zip(LETTERS, cid) if k == "*")) for cid in cids]
+    return build(LETTERS, cells, "000", [e for cid in cids for e in cube_faces(cid) if e[:2] not in dropped])
+
+
 # clashes, unreachable cells, and fixtures whose executions merge
 FIXED_MODELS = {
     "self_loop": F.self_loop(),
@@ -340,6 +359,7 @@ FIXED_MODELS = {
     "full_cube": F.full_cube(),
     "punctured_cube": F.punctured_cube(),
     "glued_square": F.glued_square(),
+    "split_hexagon": split_hexagon(),
 }
 
 
@@ -365,6 +385,41 @@ def check_explorer(x, max_len):
         got = [(c.representative.key(), [p.key() for p in c.members]) for c in classes_to(x, cid, max_len)]
         ends_here = [sorted(p.key() for p in g) for g in groups if g[0].end == cid]
         assert got == [(members[0], members) for members in ends_here], cid
+
+
+def records(stream):
+    """Every field of every class record, read once the stream is exhausted and all successors are in."""
+    return [(c.ordinal, c.end, c.level, c.size, c.step, c.prefix, c.successors) for c in list(stream)]
+
+
+def check_record_stream(x, bound, to):
+    """`explore` against the chain-walking explorer, record by record."""
+    assert records(explore(x, bound, to)) == records(chain_walk_explore(x, bound, to)), (bound, to)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(RANDOM_MODELS, SHORTCUT_MODELS), st.integers(0, 9), st.data())
+def test_explore_matches_the_chain_walk_record_stream(x, bound, data):
+    check_record_stream(x, bound, data.draw(st.sampled_from([None, *sorted(x.cells)])))
+
+
+@pytest.mark.parametrize("name", list(FIXED_MODELS))
+def test_explore_matches_the_chain_walk_record_stream_on_fixed_models(name):
+    x = FIXED_MODELS[name]
+    for bound in range(12):
+        for to in [None, *sorted(x.cells)]:
+            check_record_stream(x, bound, to)
+
+
+def test_explore_keeps_runs_with_one_composite_and_two_ends_apart():
+    # the table lacks the square's composite, so its two finishing orders end at different vertices
+    cells = {"**": Cell("**", 2, ("a", "b")), "1*": Cell("1*", 1, ("b",)), "*1": Cell("*1", 1, ("a",))}
+    cells |= {v: Cell(v, 0, ()) for v in ("11", "11'")}
+    faces = {("**", single(1, FUTURE)): "1*", ("**", single(2, FUTURE)): "*1"}
+    faces |= {("1*", single(1, FUTURE)): "11", ("*1", single(1, FUTURE)): "11'"}
+    x = PHDA(frozenset("ab"), cells, "**", faces)
+    check_record_stream(x, 2, None)
+    assert [(c.end, c.size) for c in explore(x, 2) if c.level == 2] == [("11", 1), ("11'", 1)]
 
 
 def check_homotopy(x):
