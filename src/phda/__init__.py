@@ -19,7 +19,6 @@ from .lifting import (
     ExtensionSquare,
     LiftReport,
     construct_lift,
-    enumerate_lifts,
     enumerate_morphisms,
     is_cofibrant,
     is_covering,

@@ -27,23 +27,10 @@ from .words import EPSILON, FaceWord, delete_letters, enumerate_words, star
 
 @dataclass(frozen=True)
 class AbstractFace:
-    """One way of describing a (possibly missing) face: take `word` of `cell`.
+    """One way of describing a (possibly missing) face: take `word` of `cell`."""
 
-    The hash is computed once; it equals the dataclass hash of (word, cell).
-    """
-
-    __slots__ = ("word", "cell", "_hash")
     word: FaceWord
     cell: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.word, self.cell)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return AbstractFace, (self.word, self.cell)
 
     def sort_key(self) -> tuple:
         return (self.cell, self.word.pairs)

@@ -61,6 +61,3 @@ class NotATree(PhdaError):
 class NotOpen(PhdaError):
     """A lifting square admits no solution, so the map is not open."""
 
-
-class CorpusDisagreement(PhdaError):
-    """A cross-validation square disagrees with the tree decision."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainMismatch, InvalidBound, UnknownCell
-from .model import PHDA, Move, Step, _generators
+from .model import PHDA, Move, Step
 from .paths import Path, empty_path
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star
@@ -178,7 +178,7 @@ def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
 def find_shortcuts(x) -> set[tuple[str, FaceWord]]:
     """Defined composites that no chain of the model's single faces produces.
 
-    These are the table's generators of length >= 2 (`model._generators`);
+    These are the table's generators of length >= 2 (`PHDA.generators`);
     the table of a valid model is closed, so nothing is saturated.
     """
-    return {key for key in _generators(x.faces) if len(key[1]) >= 2}
+    return {key for key in x.generators if len(key[1]) >= 2}

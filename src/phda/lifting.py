@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CorpusDisagreement, DomainMismatch, NotATree, NotOpen
+from .errors import DomainMismatch, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
 from .paths import Path, first_paths
 from .unfolding import is_tree
@@ -105,8 +105,14 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     return out
 
 
-def _search_maps(x: PHDA, y: PHDA, fibres: dict[str, list[str]], limit: int | None) -> list[Morphism]:
-    """Backtracking over per-cell candidates, pruning on the face table."""
+def enumerate_morphisms(x: PHDA, y: PHDA) -> list[Morphism]:
+    """All morphisms x -> y, by backtracking over the cells of equal dimension and label,
+    pruning on the face table; desk-scale inputs only."""
+    fibres = {
+        cid: sorted(yid for yid, yc in y.cells.items() if (yc.dim, yc.label) == (cell.dim, cell.label))
+        for cid, cell in x.cells.items()
+    }
+    fibres[x.initial] = [c for c in fibres[x.initial] if c == y.initial]
     order = sorted(x.cells, key=lambda c: (c != x.initial, -x.cells[c].dim, c))
     entries = x.entries()
     out: list[Morphism] = []
@@ -118,60 +124,25 @@ def _search_maps(x: PHDA, y: PHDA, fibres: dict[str, list[str]], limit: int | No
                 return False
         return True
 
-    def rec(k: int, assign: dict[str, str]) -> bool:
+    def rec(k: int, assign: dict[str, str]) -> None:
         if k == len(order):
             out.append(Morphism(x, y, dict(assign)))
-            return limit is not None and len(out) >= limit
+            return
         cid = order[k]
         for choice in fibres[cid]:
-            if cid == x.initial and choice != y.initial:
-                continue
             assign[cid] = choice
-            if consistent(assign) and rec(k + 1, assign):
-                return True
+            if consistent(assign):
+                rec(k + 1, assign)
             del assign[cid]
-        return False
 
     rec(0, {})
     return out
 
 
-def _matching_cells(x: PHDA, y: PHDA, cid: str) -> list[str]:
-    cell = x.cells[cid]
-    return sorted(yid for yid, yc in y.cells.items() if yc.dim == cell.dim and yc.label == cell.label)
+def is_cofibrant(x: PHDA) -> bool:
+    """Whether the inclusion of the initial point into x lifts against every open map.
 
-
-def enumerate_lifts(g: Morphism, f: Morphism, limit: int | None = None) -> list[Morphism]:
-    """All h with f o h = g, by backtracking over fibres; independent of construct_lift."""
-    if g.target != f.target:
-        raise DomainMismatch("both maps must share their codomain")
-    x, y = g.source, f.source
-    fibres = {
-        cid: [yid for yid in _matching_cells(x, y, cid) if f.mapping[yid] == g.mapping[cid]]
-        for cid in x.cells
-    }
-    return _search_maps(x, y, fibres, limit)
-
-
-def enumerate_morphisms(x: PHDA, y: PHDA, limit: int | None = None) -> list[Morphism]:
-    """All morphisms x -> y, by backtracking; desk-scale inputs only."""
-    fibres = {cid: _matching_cells(x, y, cid) for cid in x.cells}
-    return _search_maps(x, y, fibres, limit)
-
-
-def is_cofibrant(x: PHDA, corpus: tuple[Morphism, ...] = ()) -> bool:
-    """Every open map lifts against the point inclusion iff the model is a tree.
-
-    The corpus cross-validates the decision: for each supplied open map f
-    and each morphism g from x into f's codomain, a lift must exist
-    exactly when x is a tree.
+    The paper proves that the cofibrant models are exactly the trees, so
+    this is tree recognition.
     """
-    decision = bool(is_tree(x))
-    for f in corpus:
-        for g in enumerate_morphisms(x, f.target):
-            found = bool(enumerate_lifts(g, f, limit=1))
-            if found != decision:
-                raise CorpusDisagreement(
-                    f"lift {'found' if found else 'missing'} for g={g.mapping}, but is_tree={decision}"
-                )
-    return decision
+    return bool(is_tree(x))

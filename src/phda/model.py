@@ -9,9 +9,13 @@ from single faces.
 
 Models and morphisms are immutable after construction; every operation
 here is pure, so they can be shared freely.  `PHDA.moves`, the model's
-one table of single steps, is computed once per instance on first use and
-cached outside the dataclass fields, so `==` stays structural: it compares
-alphabet, cells, initial point and face table, never the cache.
+one table of single steps, and `PHDA.generators`, its one peeling pass,
+are computed once per instance on first use and cached outside the
+dataclass fields.  `==` is structural: it compares alphabet, cells,
+initial point and face table (and for morphisms the two models and the
+map), never the caches.  It is not identity, because two files may each
+load their own copy of one model, as two morphisms into one target do.
+Models and morphisms hold dicts, so hashing them raises TypeError.
 """
 from __future__ import annotations
 
@@ -81,6 +85,14 @@ class PHDA:
                 here, there = (tgt, src) if a == PAST else (src, tgt)
                 found.setdefault(here, []).append((a, i, there))
         return {c: tuple(((i, a), z) for a, i, z in sorted(found[c])) for c in sorted(found)}
+
+    @cached_property
+    def generators(self) -> FaceTable:
+        """The table's generators (`_generators`), peeled once per model.
+
+        Validation's closure check and `find_shortcuts` both read it.
+        """
+        return _generators(self.faces, self.cells)
 
 
 @dataclass(frozen=True)
@@ -156,12 +168,10 @@ def build(
     cells: Iterable[tuple[str, int, Iterable[str]]],
     initial: str,
     entries: Iterable[FaceEntry] = (),
-    close: bool = True,
 ) -> PHDA:
-    """Assemble a model, closing the face table unless `close` is False."""
+    """Assemble a model, closing the face table of the given entries."""
     cmap = {cid: Cell(cid, dim, tuple(label)) for cid, dim, label in cells}
-    table = saturate(entries) if close else {(x, w): y for x, w, y in entries}
-    return PHDA(alphabet=frozenset(alphabet), cells=cmap, initial=initial, faces=table)
+    return PHDA(alphabet=frozenset(alphabet), cells=cmap, initial=initial, faces=saturate(entries))
 
 
 def shape_violation(cells: dict[str, Cell], xc: str, w: FaceWord, y: str) -> Violation | None:
@@ -180,7 +190,7 @@ def validate_phda(x: PHDA) -> list[Violation]:
     """Check functionality, dimensions, labelling, closure, and the initial point.
 
     A table is closed iff each entry composed on the right with each of the
-    table's generators (`_generators`) out of the entry's target is defined
+    table's generators (`PHDA.generators`) out of the entry's target is defined
     and agrees, by induction along the right factor's generator chain.  Only
     a table that fails this is checked pair by pair, for the full violation list.
     """
@@ -209,7 +219,7 @@ def validate_phda(x: PHDA) -> list[Violation]:
         if delete_letters(w, x.cells[xc].label) != x.cells[y].label:
             out.append(Violation("LabelViolation", (xc, w.text(), y)))
     valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
-    for right in (_generators(valid), valid):
+    for right in (x.generators, valid):
         by_src: dict[str, list[tuple[FaceWord, str]]] = {}
         for (xc, w), y in right.items():
             by_src.setdefault(xc, []).append((w, y))
@@ -227,19 +237,22 @@ def validate_phda(x: PHDA) -> list[Violation]:
     return out + bad
 
 
-def _generators(faces: FaceTable) -> FaceTable:
+def _generators(faces: FaceTable, cells: dict[str, Cell]) -> FaceTable:
     """The single faces of a table and the composites that chains of single faces do not produce.
 
     One peeling pass, shortest word first.  A composite (c, w) is produced
     iff for some pair (i, a) of w, (c, single(i, a)) is defined, say as c',
     and (c', rest) is a single face or a produced composite with the same
     target, where rest is w without the pair and the indices above i
-    lowered by one, so that w = star(single(i, a), rest).
+    lowered by one, so that w = star(single(i, a), rest).  Entries with an
+    unknown cell or the empty word are left out; validation reports them.
     """
     out: FaceTable = {}
-    ones = {(c, w.pairs[0]): y for (c, w), y in faces.items() if len(w.pairs) == 1}
+    ones = {(c, w.pairs[0]): y for (c, w), y in faces.items() if len(w.pairs) == 1 and c in cells and y in cells}
     for (c, w), y in sorted(faces.items(), key=lambda item: len(item[0][1].pairs)):
         pairs = w.pairs
+        if not pairs or c not in cells or y not in cells:
+            continue
         for k in range(len(pairs) if len(pairs) >= 2 else 0):
             mid = ones.get((c, pairs[k]))
             if mid is None:

@@ -38,9 +38,6 @@ class Path:
     def key(self) -> tuple:
         return (self.cells, self.steps)
 
-    def prefix(self, k: int) -> "Path":
-        return Path(self.host, self.cells[: k + 1], self.steps[:k])
-
     def extend(self, step: Step, cell: str) -> "Path":
         return Path(self.host, self.cells + (cell,), self.steps + (step,))
 

@@ -87,10 +87,6 @@ class FaceWord:
         return iter(self.pairs)
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.pairs)
-
-    @property
     def max_index(self) -> int:
         return self.pairs[-1][0] if self.pairs else 0
 

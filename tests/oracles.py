@@ -6,6 +6,8 @@ without enumerating paths.  These are the path-level procedures it
 replaced: rewrite one path, group an enumerated set of paths by closure
 under elementary rewrites, decide homotopy of two paths by breadth-first
 closure, and check the lifting squares over every enumerated execution.
+`enumerate_lifts` lists every lift of one map through another, from all
+morphisms between their domains, independently of `construct_lift`.
 The rewrites draw their windows from a `ChainIndex`, every future chain
 of one model searched once per (start cell, length).
 `chain_walk_explore` is `explore` as it was before the run rule: it
@@ -40,7 +42,7 @@ from phda.completion import AbstractFace
 from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid
 from phda.homotopy import ExecutionClass, _cone
 from phda.jsonio import model_to_dict
-from phda.lifting import ExtensionSquare, LiftReport
+from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
 from phda.paths import Path, Spine, enumerate_paths
 from phda.uf import UnionFind
@@ -215,6 +217,15 @@ def path_stream_lifting(f, max_len, unique):
             if len(lifts) != 1 if unique else not lifts:
                 return LiftReport(False, ExtensionSquare(p, step, target), len(lifts))
     return LiftReport(True)
+
+
+def enumerate_lifts(g, f):
+    """All h with f o h = g: the morphisms dom(g) -> dom(f) that commute over the shared codomain."""
+    assert g.target == f.target, "both maps must share their codomain"
+    return [
+        h for h in enumerate_morphisms(g.source, f.source)
+        if all(f.mapping[y] == g.mapping[x] for x, y in h.mapping.items())
+    ]
 
 
 def partition_paths(paths, chains=None):

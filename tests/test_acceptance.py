@@ -8,13 +8,13 @@ from phda import fixtures as F
 from phda.colimits import colimit, mediate
 from phda.completion import complete, complete_morphism, completion_of, counit
 from phda.homotopy import are_confluently_homotopic, classes_to
-from phda.lifting import construct_lift, enumerate_lifts, is_covering, is_open
+from phda.lifting import construct_lift, is_covering, is_open
 from phda.model import Morphism, compose, identity, is_hda, validate_morphism, validate_phda
 from phda.paths import enumerate_paths, map_path, morphism_to_path, path_to_morphism, validate_path
 from phda.unfolding import is_tree, tree_unit, unfold
 from phda.words import enumerate_words, single, star, word
 
-from oracles import class_key, eval_coface, partition_paths
+from oracles import class_key, enumerate_lifts, eval_coface, partition_paths
 
 
 def report(tag, text):

@@ -202,7 +202,7 @@ def test_dot_export_escapes_quotes_backslashes_and_newlines(tmp_path):
     sq = F.full_square()
     odd = {cid: f'"{cid}\\' + ("\n" if "*" in cid else "") for cid in sq.cells}
     x = build(sq.alphabet, [(odd[c.id], c.dim, c.label) for c in sq.cells.values()], odd[sq.initial],
-              [(odd[src], w, odd[tgt]) for (src, w), tgt in sq.faces.items()], close=False)
+              [(odd[src], w, odd[tgt]) for (src, w), tgt in sq.faces.items()])
     dot = jsonio.export_dot(x)
     lines = dot.splitlines()
     assert len(lines) == len(jsonio.export_dot(sq).splitlines())

@@ -30,23 +30,25 @@ def test_fixture_models_validate():
 
 
 def test_lax_closure_violation_detected():
-    x = build(
-        "ab",
-        [("q", 2, "ab"), ("e", 1, "b"), ("v", 0, ""), ("i", 0, "")],
-        "i",
-        [("q", single(1, 0), "e"), ("e", single(1, 0), "v")],
-        close=False,
-    )
-    assert kinds(validate_phda(x)) == {"LaxLawViolation"}
-    # saturating the same generators repairs it
     y = build(
         "ab",
         [("q", 2, "ab"), ("e", 1, "b"), ("v", 0, ""), ("i", 0, "")],
         "i",
         [("q", single(1, 0), "e"), ("e", single(1, 0), "v")],
     )
+    # the same generators without their composite
+    x = PHDA(y.alphabet, y.cells, y.initial, {("q", single(1, 0)): "e", ("e", single(1, 0)): "v"})
+    assert kinds(validate_phda(x)) == {"LaxLawViolation"}
+    # saturating them repairs it
     assert validate_phda(y) == []
     assert y.faces[("q", word((1, 0), (2, 0)))] == "v"
+
+
+def test_models_compare_by_structure_and_are_not_hashable():
+    # two loads of one file are two equal objects
+    assert F.full_square() == F.full_square() and F.full_square() is not F.full_square()
+    with pytest.raises(TypeError):
+        hash(F.full_square())
 
 
 def test_saturate_conflict_is_not_functional():

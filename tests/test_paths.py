@@ -161,7 +161,7 @@ def oracle_unfold(x, depth):
         cells[sid] = Cell(sid, x.dim(rep.end), x.label(rep.end))
         cover[sid] = rep.end
         if rep.steps and rep.steps[-1][1] == PAST:
-            entries.append((sid, single(rep.steps[-1][0], PAST), state_of[rep.prefix(len(rep) - 1).key()]))
+            entries.append((sid, single(rep.steps[-1][0], PAST), state_of[(rep.cells[:-1], rep.steps[:-1])]))
         if len(rep) < depth:
             for i, z in future.get(rep.end, []):
                 entries.append((sid, single(i, FUTURE), state_of[rep.extend((i, FUTURE), z).key()]))

@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 
 from phda import fixtures as F
 from phda.errors import NotATree
 from phda.homotopy import classes_to
-from phda.model import compose, identity, validate_morphism, validate_phda
+from phda.jsonio import load_model, model_to_dict, save_json
+from phda.model import _generators, compose, identity, validate_morphism, validate_phda
 from phda.paths import path_shape, spine_of, enumerate_paths
 from phda.unfolding import cell_depths, is_tree, tree_unit, unfold
 
@@ -164,3 +167,21 @@ def test_classes_are_built_without_enumerating_paths(monkeypatch):
     assert results() == expect
     assert expect[0] is not None and expect[1] and len(expect[3]) > 1
     assert [r.ok for r in expect[4]] == [True] * 9 + [False] * 3 and expect[4][-1].lifts == 2
+
+
+def test_a_loaded_model_is_peeled_once(tmp_path):
+    # validation on load and the shortcut search of `is_tree` share one peeling pass
+    path = tmp_path / "cube.json"
+    save_json(str(path), model_to_dict(F.full_cube()))
+    peelings = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is _generators.__code__:
+            peelings.append(event)
+
+    sys.setprofile(count)
+    try:
+        report = is_tree(load_model(str(path)))
+    finally:
+        sys.setprofile(None)
+    assert not report and len(peelings) == 1
