@@ -27,10 +27,6 @@ def _emit(doc: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _path_doc(p) -> dict:
-    return {"cells": list(p.cells), "steps": [list(s) for s in p.steps], "text": p.text()}
-
-
 def cmd_validate(args) -> int:
     x = jsonio.load_model(args.model)  # raises on violation
     _emit({"ok": True, "violations": []}, f"{args.model}: valid ({len(x.cells)} cells)")
@@ -55,7 +51,7 @@ def cmd_paths(args) -> int:
     found = enumerate_paths(x, max_len)
     if args.to is not None:
         found = [p for p in found if p.end == args.to]
-    _emit({"paths": [_path_doc(p) for p in found]}, f"{len(found)} paths (max length {max_len})")
+    _emit({"paths": [jsonio.path_to_dict(p) for p in found]}, f"{len(found)} paths (max length {max_len})")
     return 0
 
 
@@ -64,11 +60,7 @@ def cmd_homotopy(args) -> int:
     max_len = args.max_len if args.max_len is not None else len(x.cells)
     classes = classes_to(x, args.to, max_len)
     _emit(
-        {
-            "cell": args.to,
-            "count": len(classes),
-            "classes": [{"representative": _path_doc(c.representative), "size": len(c)} for c in classes],
-        },
+        {"cell": args.to, "count": len(classes), "classes": [jsonio.class_to_dict(c) for c in classes]},
         f"{len(classes)} classes of executions to {args.to}",
     )
     return 0

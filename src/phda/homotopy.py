@@ -29,18 +29,18 @@ from .words import EPSILON, FUTURE, FaceWord, single, star
 
 @dataclass(frozen=True)
 class HomotopyClass:
-    representative: Path
-    members: tuple[Path, ...]
+    representative: Path  # the least execution of the class by `Path.key`
+    size: int
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.size
 
 
 @dataclass(eq=False, slots=True)
 class ExecutionClass:
     """One class of executions, as `explore` yields it.
 
-    `size` is the class's number of members and `level` their length.
+    `size` is the class's number of executions and `level` their length.
     Classes refer to each other by ordinal, their position in the stream.
     `step` is the last step of the first member in breadth-first order and
     `prefix` the class of its prefix (None for the empty execution), so
@@ -152,27 +152,24 @@ def are_confluently_homotopic(p: Path, q: Path) -> bool:
 
 
 def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
-    """The homotopy classes of paths of length <= max_len ending at `cell`.
+    """The homotopy classes of paths of length <= max_len ending at `cell`, in stream order.
 
-    Members are expanded only for these classes, from the (class, step)
-    pairs of `explore` that make them up.
+    The executions of a class have one length and one end, and one step
+    keeps the key order of equally long paths; so one forward pass finds
+    each class's least execution from those of the pairs that enter it.
     """
     if cell not in x.cells:
         raise UnknownCell(cell)
-    found = list(explore(x, max_len, to=cell))
-    targets = [c.ordinal for c in found if c.end == cell]
-    needed = set(targets)
-    for c in reversed(found):  # and every class with a successor that is needed
-        if not needed.isdisjoint(c.successors.values()):
-            needed.add(c.ordinal)
-    members: dict[int, list[Path]] = {0: [empty_path(x)]}
-    for c in found:  # a class's successors are all expanded here, so only targets keep their members
-        mine = members.get(c.ordinal, []) if c.end == cell else members.pop(c.ordinal, [])
+    least, out = {0: empty_path(x)}, []
+    for c in list(explore(x, max_len, to=cell)):  # successors are filled in once the next level is built
+        p = least.pop(c.ordinal)
+        if c.end == cell:
+            out.append(HomotopyClass(p, c.size))
         for (step, z), o in c.successors.items():
-            if o in needed:
-                members.setdefault(o, []).extend(p.extend(step, z) for p in mine)
-    groups = [tuple(sorted(members[o], key=Path.key)) for o in targets]
-    return [HomotopyClass(group[0], group) for group in groups]
+            q = p.extend(step, z)
+            if o not in least or q.key() < least[o].key():
+                least[o] = q
+    return out
 
 
 def find_shortcuts(x) -> set[tuple[str, FaceWord]]:

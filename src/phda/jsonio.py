@@ -14,8 +14,9 @@ from typing import Any, Callable, TextIO
 
 from .colimits import Arrow, Diagram
 from .errors import ModelInvalid, ParseError
+from .homotopy import HomotopyClass
 from .model import PHDA, Cell, Morphism, Violation, check_phda, saturate, shape_violation, validate_morphism
-from .paths import Spine
+from .paths import Path, Spine
 from .words import FUTURE, PAST, FaceWord, single
 
 
@@ -54,6 +55,8 @@ def _word(raw: Any) -> FaceWord:
 
 def model_from_dict(doc: dict) -> PHDA:
     try:
+        if type(doc["alphabet"]) is not list:
+            raise ParseError(f"alphabet must be a list of letters: {doc['alphabet']!r}")
         alphabet = frozenset(_str(l, "letter") for l in doc["alphabet"])
         cells: dict[str, Cell] = {}
         for c in doc["cells"]:
@@ -152,6 +155,15 @@ def spine_to_dict(s: Spine) -> dict:
     return {"labels": [list(w) for _, w in s.entries], "steps": [list(st) for st in s.steps]}
 
 
+def path_to_dict(p: Path) -> dict:
+    return {"cells": list(p.cells), "steps": [list(s) for s in p.steps], "text": p.text()}
+
+
+def class_to_dict(c: HomotopyClass) -> dict:
+    """A record of the `homotopy` command; `_class_text` writes exactly this layout."""
+    return {"representative": path_to_dict(c.representative), "size": c.size}
+
+
 def diagram_from_dict(doc: dict) -> Diagram:
     try:
         objects = {u: spine_from_dict(s) for u, s in doc["objects"].items()}
@@ -200,7 +212,7 @@ def _read_json(path: str) -> dict:
 
 _MODEL_KEYS = {"alphabet", "cells", "faces", "initial", "saturate"}
 _ENTRY_KEYS = {"cells": ("dim", "id", "label"), "faces": ("from", "to", "word")}
-_CLASS_KEYS = {"representative", "size"}  # a record of the `homotopy` command
+_CLASS_KEYS = {"representative", "size"}  # the keys of `class_to_dict`
 _CHUNK = 100  # list items per write: a few tens of kB, so writing adds little to peak memory
 
 

@@ -273,7 +273,7 @@ def check_phda(x: PHDA) -> PHDA:
 
 
 def validate_morphism(f: Morphism) -> list[Violation]:
-    """Check totality, label preservation, the initial point, and face preservation."""
+    """Check totality, label preservation, map keys outside the source, the initial point, and face preservation."""
     out: list[Violation] = []
     src, tgt = f.source, f.target
     for cid in sorted(src.cells):
@@ -285,6 +285,8 @@ def validate_morphism(f: Morphism) -> list[Violation]:
             out.append(Violation("DimensionMismatch", (cid, img)))
         elif src.cells[cid].label != tgt.cells[img].label:
             out.append(Violation("LabelViolation", (cid, img)))
+    for cid in sorted(f.mapping.keys() - src.cells.keys()):
+        out.append(Violation("UnknownCell", (cid,), "not a cell of the source"))
     if f.mapping.get(src.initial) != tgt.initial:
         out.append(Violation("InitialViolation", (src.initial,)))
     for xc, w, y in src.entries():

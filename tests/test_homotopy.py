@@ -2,7 +2,7 @@ import pytest
 
 from phda import fixtures as F
 from phda.errors import DomainMismatch, UnknownCell
-from phda.homotopy import are_confluently_homotopic, classes_to, find_shortcuts
+from phda.homotopy import are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.model import PHDA, build
 from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
@@ -174,9 +174,23 @@ def test_different_hosts_rejected():
 
 def test_classes_to_merged_corner():
     D, corner, red, blue = glued_square_paths_to_corner()
-    classes = classes_to(D, corner, 4)
-    assert len(classes) == 1
-    assert {p.key() for p in classes[0].members} == {red.key(), blue.key()}
+    groups = [g for g in partition_paths(enumerate_paths(D, 4)) if g[0].end == corner]
+    assert [{p.key() for p in g} for g in groups] == [{red.key(), blue.key()}]
+    assert [(c.representative.key(), len(c)) for c in classes_to(D, corner, 4)] == [(min(red.key(), blue.key()), 2)]
+
+
+def test_classes_to_extends_once_per_class_and_step(monkeypatch):
+    x = F.full_cube()
+    pairs = sum(len(c.successors) for c in list(explore(x, 6, to="111")))
+    calls, extend = [], Path.extend
+
+    def counted(p, step, cell):
+        calls.append(step)
+        return extend(p, step, cell)
+
+    monkeypatch.setattr(Path, "extend", counted)
+    classes_to(x, "111", 6)
+    assert len(calls) == pairs == 240
 
 
 def test_classes_to_initial_cell():

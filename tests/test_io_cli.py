@@ -356,6 +356,8 @@ MALFORMED_MODELS = {
     "face index is a fraction": _set(("faces", 0, "word", 0, 0), 1.7),
     "face direction is a boolean": _set(("faces", 0, "word", 0, 1), True),
     "alphabet letter is a number": _set(("alphabet", 1), 3),
+    "alphabet is a string": _set(("alphabet",), "ab"),
+    "alphabet is an object": _set(("alphabet",), {"a": 1}),
     "cell id is listed twice": lambda doc: doc["cells"].append(dict(doc["cells"][0])),
 }
 
@@ -428,6 +430,19 @@ def test_cli_huge_integer_is_parse_error(tmp_path):
     code, out, _ = cli(["validate", str(path)])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("command", ["check-open", "check-covering", "lift"])
+def test_cli_morphism_map_key_outside_the_source_is_invalid(files, command):
+    _, write = files
+    doc = jsonio.morphism_to_dict(F.branch_fold(2, 1))
+    doc["map"]["zz"] = doc["map"][doc["source"]["initial"]]
+    path = write("stray.json", doc)
+    code, out, _ = cli([command, path] + ([path] if command == "lift" else []))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelInvalid"
+    assert error["violations"] == ["UnknownCell(zz): not a cell of the source"]
 
 
 def test_malformed_morphism_and_diagram_are_parse_errors():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from phda import fixtures as F
 from phda import jsonio
-from phda.cli import _path_doc, main
+from phda.cli import main
 from phda.homotopy import classes_to
 from phda.unfolding import unfold
 
@@ -111,7 +111,7 @@ def homotopy_doc(x, to, max_len):
     return {
         "cell": to,
         "count": len(classes),
-        "classes": [{"representative": _path_doc(c.representative), "size": len(c)} for c in classes],
+        "classes": [jsonio.class_to_dict(c) for c in classes],
     }
 
 

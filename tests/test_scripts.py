@@ -1,4 +1,4 @@
-"""The demo scripts and the README's CLI block, run as a reader of the README would run them."""
+"""The demo scripts and the README's library tour and CLI block, run as a reader of the README would run them."""
 import json
 import os
 import re
@@ -67,6 +67,18 @@ def test_readme_cli_line(exported, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(exported)
     assert main(argv) == code
     assert capsys.readouterr().out
+
+
+def test_readme_library_tour(capsys):
+    """Each printed line starts with its comment's text, up to a `...` or `:`."""
+    block = (ROOT / "README.md").read_text().split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    stated = [re.split(r"\.\.\.|:", line.partition("#")[2], 1)[0].strip()
+              for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(stated) == 4
+    for line, text in zip(printed, stated):
+        assert line.startswith(text), (line, text)
 
 
 def test_unfold_demo_finds_trees_and_coverings():
