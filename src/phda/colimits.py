@@ -1,18 +1,19 @@
 """Glueing finite diagrams of path shapes into a single model.
 
-Node `(u, k)` is position `k` of object `u`.  The initial nodes and the
-nodes matched by arrows are identified, then the endpoints of any two
-runs of future steps with equal composite words out of one class.  Every
-identification keeps positions, so one sweep over positions closes the
-run rule.  Faces are generated by the spine steps and closed under
-composition.
+Node `(u, k)` is position `k` of object `u`.  Arrows are prefix
+inclusions of spines, as morphisms of path shapes are.  The initial
+nodes and the nodes matched by arrows are identified, then the endpoints
+of any two runs of future steps with equal composite words out of one
+class.  Every identification keeps positions, so one sweep over
+positions closes the run rule.  `model.run_faces` writes the face table
+from the runs' keys and the spines' past steps, as `unfold` does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InvalidDiagram, NotACocone
-from .model import PHDA, Cell, Morphism, saturate, validate_morphism
+from .model import PHDA, Cell, Morphism, run_faces, validate_morphism
 from .paths import Spine, path_shape
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, PAST, single, star
@@ -44,29 +45,23 @@ class ColimitResult:
         return iter((self.model, self.injections))
 
 
-def validate_diagram(d: Diagram) -> dict[str, PHDA]:
-    """Check that every arrow is a total morphism between object shapes.
-
-    Returns the shapes, one per object, over the diagram's alphabet.
-    """
-    alphabet = frozenset(l for s in d.objects.values() for _, w in s.entries for l in w)
-    shapes = {u: d.shape(u, alphabet) for u in d.objects}
+def validate_diagram(d: Diagram) -> None:
+    """Check that every arrow is total and a prefix inclusion of spines, which is what a
+    morphism of path shapes is: it keeps positions, so the source spine begins the target's."""
     for arrow in d.arrows:
         if arrow.src not in d.objects or arrow.dst not in d.objects:
             raise InvalidDiagram(f"arrow {arrow.name} references unknown objects")
-        src_len = len(d.objects[arrow.src])
-        if sorted(arrow.cell_map) != list(range(src_len + 1)):
+        s, t = d.objects[arrow.src], d.objects[arrow.dst]
+        if sorted(arrow.cell_map) != list(range(len(s) + 1)):
             raise InvalidDiagram(f"arrow {arrow.name} is not total on the source cells")
-        f = Morphism(shapes[arrow.src], shapes[arrow.dst], {str(k): str(v) for k, v in arrow.cell_map.items()})
-        bad = validate_morphism(f)
-        if bad:
-            raise InvalidDiagram(f"arrow {arrow.name} is not a morphism: {bad[0]}")
-    return shapes
+        moved = any(k != v for k, v in arrow.cell_map.items())
+        if moved or t.entries[: len(s) + 1] != s.entries or t.steps[: len(s)] != s.steps:
+            raise InvalidDiagram(f"arrow {arrow.name} is not a prefix inclusion")
 
 
 def colimit(d: Diagram) -> ColimitResult:
     """Glue the objects' shapes along the arrows and the future-run rule; the empty diagram gives a point."""
-    shapes = validate_diagram(d)
+    validate_diagram(d)
     spines = d.objects
     if not spines:
         return ColimitResult(PHDA(alphabet=frozenset(), cells={"*": Cell("*", 0, ())}, initial="*", faces={}), {})
@@ -75,14 +70,12 @@ def colimit(d: Diagram) -> ColimitResult:
     for u in names:
         uf.union((names[0], 0), (u, 0))
     for arrow in d.arrows:
-        for k, v in arrow.cell_map.items():
-            if k != v:
-                raise InvalidDiagram(f"arrow {arrow.name} does not preserve execution length")
-            uf.union((arrow.src, k), (arrow.dst, v))
+        for k in arrow.cell_map:
+            uf.union((arrow.src, k), (arrow.dst, k))
 
-    # runs[c]: (start class, composite word) of every future run into class c;
-    # classes below position t are final once the runs ending at t are glued
-    runs: dict = {}
+    # runs[c]: (start class, word) of each future run into class c; future[c]: (word, end class)
+    # of each run out of c.  Classes below position t are final once the runs ending at t are glued
+    runs, future = {}, {}
     for t in range(1, max(map(len, spines.values())) + 1):
         ends: dict = {}
         for u in names:
@@ -93,35 +86,23 @@ def colimit(d: Diagram) -> ColimitResult:
         for first, *rest in ends.values():
             for other in rest:
                 uf.union(first, other)
-        for run, (first, *_) in ends.items():
-            runs.setdefault(uf.find(first), set()).add(run)
+        for (c, w), (first, *_) in ends.items():
+            runs.setdefault(end := uf.find(first), []).append((c, w))
+            future.setdefault(c, []).append((w, end))
 
     members = uf.groups()
     ids = {root: "%s:%d" % min(group) for root, group in members.items()}
-    cells: dict[str, Cell] = {}
+    cells, past = {}, {}
     for root, group in sorted(members.items(), key=lambda kv: ids[kv[0]]):
-        u, k = rep = min(group)
-        dim, label = spines[u].entries[k]
-        for other in group:
-            if spines[other[0]].entries[other[1]] != (dim, label):
-                raise InvalidDiagram(f"glued cells disagree on labels: {rep} vs {other}")
-        cells[ids[root]] = Cell(ids[root], dim, label)
-    entries = []
-    for u in names:
-        for k, (j, a) in enumerate(spines[u].steps, start=1):
-            lo, hi = ids[uf.find((u, k - 1))], ids[uf.find((u, k))]
-            if a == PAST:
-                entries.append((hi, single(j, PAST), lo))
-            else:
-                entries.append((lo, single(j, FUTURE), hi))
+        u, k = min(group)  # arrows and run ends glue only nodes of one dimension and label
+        cells[ids[root]] = Cell(ids[root], *spines[u].entries[k])
+        if k and spines[u].steps[k - 1][1] == PAST:
+            past[root] = (single(spines[u].steps[k - 1][0], PAST), uf.find((u, k - 1)))
 
-    model = PHDA(alphabet=shapes[names[0]].alphabet, cells=cells, initial=ids[uf.find((names[0], 0))],
-                 faces=saturate(entries))
-    injections = {}
-    for u, shape in shapes.items():
-        at = {str(k): ids[uf.find((u, k))] for k in range(len(spines[u]) + 1)}
-        injections[u] = Morphism(shape, model, at)
-    return ColimitResult(model=model, injections=injections)
+    alphabet = frozenset(l for s in spines.values() for _, w in s.entries for l in w)
+    model = PHDA(alphabet, cells, ids[uf.find((names[0], 0))], run_faces(ids, past, future))
+    at = {u: {str(k): ids[uf.find((u, k))] for k in range(len(s) + 1)} for u, s in spines.items()}
+    return ColimitResult(model, {u: Morphism(d.shape(u, alphabet), model, at[u]) for u in spines})
 
 
 def check_cocone(d: Diagram, apex: PHDA, legs: dict[str, Morphism]) -> bool:

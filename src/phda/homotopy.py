@@ -5,10 +5,11 @@ future-directed steps whose composite face words are equal; homotopy is
 the equivalence this generates.  `explore` builds its classes level by
 level, without enumerating paths: the classes of length n + 1 are the
 (class of length n, step) pairs, glued by the run rule that
-`colimits.colimit` also uses.  Each class carries the start class,
-composite word and end cell of every run of future steps into it, and
-two pairs whose runs reach one such key are one class.  A class holds no
-path, only its first member's last step and the class of that member's
+`colimits.colimit` also uses.  Each class's record carries the start
+class, composite word and end cell of every run of future steps into it,
+and two pairs whose runs reach one such key are one class; `unfold`
+reads these runs as the tree's future faces.  A class holds no path,
+only its first member's last step and the class of that member's
 prefix, so the records form a tree.  Unfolding, tree recognition,
 `classes_to` and `are_confluently_homotopic` read it.
 
@@ -45,7 +46,9 @@ class ExecutionClass:
     `step` is the last step of the first member in breadth-first order and
     `prefix` the class of its prefix (None for the empty execution), so
     walking back to class 0 rebuilds that member; `successors` maps each
-    step out of `end` to the class of the extended executions.
+    step out of `end` to the class of the extended executions.  `runs`
+    holds the keys of the runs into the class (see `explore`), filled
+    before the class is yielded and emptied once it is expanded.
     """
 
     ordinal: int
@@ -55,6 +58,7 @@ class ExecutionClass:
     step: Step | None
     prefix: int | None
     successors: dict[Move, int]
+    runs: list[tuple[int, FaceWord, str]]
 
 
 def _cone(x: PHDA, to: str) -> set[str]:
@@ -97,13 +101,12 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
     if x.initial not in cone:
         return
     moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
-    level = [ExecutionClass(0, x.initial, 0, 1, None, None, {})]
-    runs: dict[int, list] = {}
+    level = [ExecutionClass(0, x.initial, 0, 1, None, None, {}, [])]
     yield level[0]
     for n in range(max_len):
         pairs, keys, uf, by_root = [], {}, UnionFind(), {}
         for c in level:
-            mine = runs.pop(c.ordinal, ())
+            mine, c.runs = c.runs, []
             for m in moves.get(c.end, ()):
                 i = uf.find(len(pairs))  # a new member, its own root
                 pairs.append((c, m))
@@ -120,14 +123,14 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
         for i, (c, m) in enumerate(pairs):
             new = by_root.get(root := uf.find(i))
             if new is None:
-                new = by_root[root] = ExecutionClass(ordinal + len(level), m[1], n + 1, 0, m[0], c.ordinal, {})
+                new = by_root[root] = ExecutionClass(ordinal + len(level), m[1], n + 1, 0, m[0], c.ordinal, {}, [])
                 level.append(new)
             new.size += c.size
             c.successors[m] = new.ordinal
         del uf, by_root  # freed before the runs are filed; the successor maps lead to each class
         for key, first in keys.items():
             c, m = pairs[first]
-            runs.setdefault(c.successors[m], []).append(key)
+            level[c.successors[m] - ordinal].runs.append(key)
         yield from level
 
 

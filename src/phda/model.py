@@ -3,9 +3,10 @@
 A model is a graded set of cells, an initial point, a labelling word per
 cell, and a partial table mapping (cell, face word) to the cell's face.
 The table stores every defined composite explicitly; `validate_phda`
-checks closure against the table's generators rather than computing it,
-and `saturate` closes a set of generator entries for builders that start
-from single faces.
+checks closure against the table's generators rather than computing it.
+`run_faces` writes the tables of `unfold` and `colimit` from the faces
+their runs list; `saturate` closes tables given by generators (`build`,
+`"saturate": true` files) and is the tests' oracle for `run_faces`.
 
 Models and morphisms are immutable after construction; every operation
 here is pure, so they can be shared freely.  `PHDA.moves`, the model's
@@ -25,7 +26,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import DomainMismatch, ModelInvalid, UnknownCell
-from .words import FUTURE, PAST, FaceWord, Label, delete_letters, single, star
+from .words import EPSILON, FUTURE, PAST, FaceWord, Label, delete_letters, single, star
 
 FaceTable = dict[tuple[str, FaceWord], str]
 FaceEntry = tuple[str, FaceWord, str]
@@ -160,6 +161,31 @@ def saturate(entries: Iterable[FaceEntry]) -> FaceTable:
         x, w, y = queue.popleft()
         for j, z in gens.get(y, ()):
             add(x, star(w, j), z)
+    return table
+
+
+def run_faces(names: dict, past: dict, future: dict) -> FaceTable:
+    """The closed face table of cells named by `names`, from their single past faces and future composites.
+
+    Cell k has at most one single past face, `past[k] = (word, cell)`, and
+    `future[k]` lists every composite of its chains of future faces as
+    (word, cell).  No cell entered by a future face has a past face, so a
+    chain walks back along past faces, then takes one future composite.
+    A key given two targets raises ModelInvalid(NotFunctional), as in `saturate`.
+    """
+    table: FaceTable = {}
+    for k, x in names.items():
+        w, c = EPSILON, k
+        while True:
+            for f, z in future.get(c, ()):
+                key, y = (x, star(w, f)), names[z]
+                if table.setdefault(key, y) != y:
+                    raise ModelInvalid([Violation("NotFunctional", (x, key[1].text()), f"targets {table[key]} and {y}")])
+            if c not in past:
+                break
+            p, c = past[c]
+            w = star(w, p)
+            table[(x, w)] = names[c]
     return table
 
 

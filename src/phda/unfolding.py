@@ -2,9 +2,10 @@
 
 States of the unfolding are homotopy classes of paths, as `explore`
 builds them; the covering back onto the model sends a class to its
-endpoint.  A model is a tree exactly when it has no shortcuts and a
-single class of executions to every cell; path lengths are then unique
-per cell, so |cells| bounds every search.  Neither enumerates paths: the
+endpoint; `model.run_faces` writes its face table from the classes'
+past steps and runs, as `colimit` does.  A model is a tree exactly when
+it has no shortcuts and a single class of executions to every cell;
+path lengths are then unique per cell, so |cells| bounds every search.  Neither enumerates paths: the
 length of each cell is that of its first execution in `first_paths`, the
 one walk over cells, and classes come from `explore`.
 """
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidBound, NotATree
 from .homotopy import explore, find_shortcuts
-from .model import PHDA, Cell, Morphism, saturate
+from .model import PHDA, Cell, Morphism, run_faces
 from .paths import first_paths
-from .words import FUTURE, PAST, single
+from .words import PAST, single
 
 
 @dataclass(frozen=True)
@@ -41,36 +42,24 @@ class TreeReport:
 def unfold(x: PHDA, depth: int) -> UnfoldResult:
     """Classes of executions of length <= depth, with faces between them.
 
+    `run_faces` writes the table from each class's past step and runs.
     A future face is materialised only when the extended execution stays
     within the depth bound; `truncated` reports whether anything was cut.
     """
     if depth < 0:
         raise InvalidBound(f"depth must be >= 0, got {depth}")
-    cells, entries, cover_map, truncated = _states(x, depth)
-    tree = PHDA(alphabet=x.alphabet, cells=cells, initial="u0", faces=saturate(entries))
-    return UnfoldResult(tree=tree, cover=Morphism(tree, x, cover_map), truncated=truncated)
-
-
-def _states(x: PHDA, depth: int) -> tuple[dict[str, Cell], list, dict[str, str], bool]:
-    """States, single faces, cover and cut flag; the class records die before `saturate` runs."""
-    classes = list(explore(x, depth))
-    sids = [f"u{c.ordinal}" for c in classes]
-    cells: dict[str, Cell] = {}
-    entries = []
-    cover_map: dict[str, str] = {}
-    truncated = False
-    for c, sid in zip(classes, sids):
-        cells[sid] = Cell(sid, x.dim(c.end), x.label(c.end))
+    ids, cells, cover_map, past, future, truncated = {}, {}, {}, {}, {}, False
+    for c in explore(x, depth):
+        sid = ids[c.ordinal] = f"u{c.ordinal}"
+        cells[sid] = Cell(sid, x.cells[c.end].dim, x.cells[c.end].label)
         cover_map[sid] = c.end
         if c.step is not None and c.step[1] == PAST:
-            entries.append((sid, single(c.step[0], PAST), sids[c.prefix]))
-        if c.level < depth:
-            for move in x.moves.get(c.end, ()):
-                if move[0][1] == FUTURE:
-                    entries.append((sid, single(*move[0]), sids[c.successors[move]]))
-        elif c.end in x.moves:
-            truncated = True
-    return cells, entries, cover_map, truncated
+            past[c.ordinal] = (single(c.step[0], PAST), c.prefix)
+        for o, w, _ in c.runs:
+            future.setdefault(o, []).append((w, c.ordinal))
+        truncated = truncated or (c.level == depth and c.end in x.moves)
+    tree = PHDA(alphabet=x.alphabet, cells=cells, initial="u0", faces=run_faces(ids, past, future))
+    return UnfoldResult(tree=tree, cover=Morphism(tree, x, cover_map), truncated=truncated)
 
 
 def _levels(x: PHDA) -> tuple[dict[str, int], str | None]:

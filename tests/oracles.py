@@ -27,6 +27,9 @@ before its one sweep over positions: an artificial basepoint node below
 every object, and the future-run rule rescanned from every class until a
 round merges nothing.
 
+`patch_everywhere` swaps a library function for a stub in every module
+that imported it, so a test can show that a path is never taken.
+
 `union_find_completion` is completion as `completion.completion_of`
 computed it before it closed over the missing faces only: a union-find
 over every abstract face, each merge queueing the merges of the two
@@ -34,6 +37,7 @@ sides' single-letter faces.
 `face_child` is the single-letter face of an abstract face.
 """
 import itertools
+import sys
 from collections import deque
 from typing import Iterator
 
@@ -150,7 +154,7 @@ def chain_walk_explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator
         return
     moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
     chains = ChainIndex(x)
-    found = [ExecutionClass(0, x.initial, 0, 1, None, None, {})]
+    found = [ExecutionClass(0, x.initial, 0, 1, None, None, {}, [])]
     levels = [found[:]]
     yield found[0]
     for n in range(max_len):
@@ -175,7 +179,7 @@ def chain_walk_explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator
         level = []
         for members in uf.groups().values():
             c, (step, z) = pairs[members[0]]
-            new = ExecutionClass(len(found), z, n + 1, sum(pairs[i][0].size for i in members), step, c.ordinal, {})
+            new = ExecutionClass(len(found), z, n + 1, sum(pairs[i][0].size for i in members), step, c.ordinal, {}, [])
             for i in members:
                 pc, m = pairs[i]
                 pc.successors[m] = new.ordinal
@@ -408,8 +412,10 @@ BASE = ("", -1)  # artificial basepoint node, below every (object, position) pai
 
 def fixpoint_colimit(d):
     """The glueing, with the future-run rule rescanned from every class until nothing merges."""
-    shapes = validate_diagram(d)
+    validate_diagram(d)
     spines = d.objects
+    alphabet = frozenset(l for s in spines.values() for _, w in s.entries for l in w)
+    shapes = {u: d.shape(u, alphabet) for u in spines}
     nodes = [BASE] + [(u, k) for u in sorted(spines) for k in range(len(spines[u]) + 1)]
     positions = {n: max(n[1], 0) for n in nodes}
     uf = UnionFind(nodes)
@@ -476,13 +482,21 @@ def fixpoint_colimit(d):
             else:
                 entries.append((lo, single(j, FUTURE), hi))
 
-    alphabet = frozenset(l for s in spines.values() for _, w in s.entries for l in w)
     model = PHDA(alphabet=alphabet, cells=cells, initial=ids[uf.find(BASE)], faces=saturate(entries))
     injections = {}
     for u, shape in shapes.items():
         at = {str(k): ids[uf.find((u, k))] for k in range(len(spines[u]) + 1)}
         injections[u] = Morphism(shape, model, at)
     return ColimitResult(model=model, injections=injections)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace a library function in every `phda` module that holds it: modules import functions by name."""
+    for name, module in list(sys.modules.items()):
+        if name == "phda" or name.startswith("phda."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def glueing_outcome(glue, d):

@@ -11,6 +11,7 @@ from phda.model import (
     face,
     identity,
     is_hda,
+    run_faces,
     saturate,
     validate_morphism,
     validate_phda,
@@ -60,6 +61,20 @@ def test_saturate_conflict_is_not_functional():
     with pytest.raises(ModelInvalid) as err:
         saturate(entries)
     assert kinds(err.value.violations) == {"NotFunctional"}
+
+
+def test_run_faces_walks_back_then_forward():
+    # i starts a, then b; a may finish on its own, ab finishes a, then b
+    names = {0: "i", 1: "a", 2: "ab", 3: "b", 4: "v", 5: "j"}
+    past = {1: (single(1, 0), 0), 2: (single(2, 0), 1)}
+    future = {1: [(single(1, 1), 5)], 2: [(single(1, 1), 3), (word((1, 1), (2, 1)), 4)], 3: [(single(1, 1), 4)]}
+    singles = [("a", single(1, 0), "i"), ("a", single(1, 1), "j"), ("ab", single(2, 0), "a")]
+    singles += [("ab", single(1, 1), "b"), ("b", single(1, 1), "v")]
+    table = run_faces(names, past, future)
+    assert table == saturate(singles) and table[("ab", word((1, 1), (2, 0)))] == "j" and len(table) == 8
+    with pytest.raises(ModelInvalid) as err:
+        run_faces(names, past, {**future, 2: [(single(1, 1), 3), (single(1, 1), 4)]})
+    assert [str(v) for v in err.value.violations] == ["NotFunctional(ab,[(1,1)]): targets b and v"]
 
 
 @pytest.mark.parametrize("name", list(F.MODELS))

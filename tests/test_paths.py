@@ -166,7 +166,7 @@ def oracle_unfold(x, depth):
             for i, z in future.get(rep.end, []):
                 entries.append((sid, single(i, FUTURE), state_of[rep.extend((i, FUTURE), z).key()]))
     faces = saturate(entries)
-    return list(cells.items()), state_of[empty_path(x).key()], list(faces.items()), list(cover.items()), truncated
+    return list(cells.items()), state_of[empty_path(x).key()], faces, list(cover.items()), truncated
 
 
 @pytest.mark.parametrize("name", EXPLORER_MODELS)
@@ -174,7 +174,7 @@ def test_unfold_paths_match_oracle(name):
     x = explorer_models()[name]
     for bound in BOUNDS:
         tree, cover, truncated = unfold(x, bound)
-        got = list(tree.cells.items()), tree.initial, list(tree.faces.items()), list(cover.mapping.items()), truncated
+        got = list(tree.cells.items()), tree.initial, tree.faces, list(cover.mapping.items()), truncated
         assert got == oracle_unfold(x, bound), bound
 
 

@@ -19,6 +19,11 @@ class explorer's record stream is checked against the explorer that
 walked every group of equal future chains through the successor maps.
 Both explorer checks also run on 3-cubes without some of their finishing
 orders, where only a window of three future steps may glue two classes.
+The face tables that `unfold` and `colimit` write from their runs are
+checked against the saturation of their single faces, read off the
+class records and the spines; accepted colimits of executions are trees;
+and each unfolding is isomorphic, through `mediate`, to the colimit of
+its class-pair diagram, one object per (class, step) pair.
 """
 import itertools
 
@@ -29,12 +34,12 @@ import pytest
 from phda import fixtures as F
 from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
 from phda.completion import AbstractFace, complete, completion_of, counit
-from phda.errors import ModelInvalid
+from phda.errors import InvalidDiagram, ModelInvalid
 from phda.homotopy import are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.lifting import ExtensionSquare, is_covering, is_open
 from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
 from phda.model import validate_morphism, validate_phda
-from phda.paths import Path, Spine, enumerate_paths, spine_of, validate_path
+from phda.paths import Path, Spine, empty_path, enumerate_paths, spine_of, validate_path
 from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
@@ -664,3 +669,100 @@ def test_colimit_matches_the_fixpoint_on_prefix_glued_executions(d):
     assert check_cocone(d, r.model, r.injections)
     assert mediate(d, r, r.injections).mapping == identity(r.model).mapping
     event("runs glued classes" if len(r.model.cells) < arrow_classes(d) else "arrows alone glued")
+
+
+def unfold_single_faces(x, depth):
+    """The single faces of `unfold(x, depth)`, read off the class records as unfold listed them before `run_faces`."""
+    out = []
+    for c in list(explore(x, depth)):  # successors are filled in once the next level is built
+        if c.step is not None and c.step[1] == PAST:
+            out.append((f"u{c.ordinal}", single(*c.step), f"u{c.prefix}"))
+        out += [(f"u{c.ordinal}", single(*step), f"u{o}") for (step, _), o in c.successors.items() if step[1] == FUTURE]
+    return out
+
+
+def spine_faces(d, r):
+    """The single faces of a colimit, read off the objects' steps through the injections."""
+    out = []
+    for u, s in d.objects.items():
+        at = r.injections[u].mapping
+        for k, (j, a) in enumerate(s.steps, start=1):
+            lo, hi = at[str(k - 1)], at[str(k)]
+            out.append((hi, single(j, a), lo) if a == PAST else (lo, single(j, a), hi))
+    return out
+
+
+def check_unfold_table(x, depth):
+    """The written table of the unfolding against the saturation of its single faces."""
+    assert unfold(x, depth).tree.faces == saturate(unfold_single_faces(x, depth)), depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(RANDOM_MODELS, SHORTCUT_MODELS, WINDOW_MODELS), st.integers(0, 5))
+def test_unfold_table_is_the_saturation_of_its_single_faces(x, depth):
+    check_unfold_table(x, depth)
+
+
+@pytest.mark.parametrize("name", list(FIXED_MODELS) + sorted(F.MODELS.keys() - FIXED_MODELS.keys()))
+def test_unfold_table_is_the_saturation_of_its_single_faces_on_fixed_models(name):
+    x = FIXED_MODELS[name] if name in FIXED_MODELS else F.MODELS[name]()
+    for depth in range(6):
+        check_unfold_table(x, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix_glued_diagrams())
+def test_accepted_prefix_glued_colimits_are_trees_with_saturated_tables(d):
+    try:
+        r = colimit(d)
+    except InvalidDiagram:
+        event("rejected")
+        return
+    assert r.model.faces == saturate(spine_faces(d, r))
+    assert is_tree(r.model) == TreeReport(True)
+
+
+def class_pair_diagram(x, depth):
+    """The empty execution and one object per (class, step) pair of `explore(x, depth)`, with prefix arrows.
+
+    A pair's object is its class's first member extended by the step; the
+    first member is the object of the pair that enters the class.  Returns
+    the diagram and, per object, the unfolding's states of its prefixes.
+    """
+    classes = list(explore(x, depth))
+    first, obj = {0: empty_path(x)}, {0: "e"}
+    objects, arrows, states = {"e": spine_of(first[0])}, [], {"e": ["u0"]}
+    for c in classes:
+        for (step, z), o in c.successors.items():
+            u = f"{c.ordinal}-{step[0]}{step[1]}-{z}"
+            p = first[c.ordinal].extend(step, z)
+            objects[u], states[u] = spine_of(p), states[obj[c.ordinal]] + [f"u{o}"]
+            arrows.append(Arrow(f"{obj[c.ordinal]}<{u}", obj[c.ordinal], u, {k: k for k in range(len(p))}))
+            if o not in first:  # the first pair into class o
+                first[o], obj[o] = p, u
+    return Diagram(objects, tuple(arrows)), states
+
+
+def check_builders_agree(x, depth):
+    """`unfold(x, depth).tree` is isomorphic to the colimit of the class-pair diagram, through `mediate`."""
+    tree = unfold(x, depth).tree
+    d, states = class_pair_diagram(x, depth)
+    r = colimit(d)
+    assert r.model.faces == saturate(spine_faces(d, r)), depth
+    legs = {u: Morphism(d.shape(u), tree, {str(k): s for k, s in enumerate(states[u])}) for u in d.objects}
+    h = mediate(d, r, legs)
+    assert sorted(h.mapping.values()) == sorted(tree.cells) and len(h.mapping) == len(r.model.cells), depth
+    inverse = Morphism(tree, r.model, {y: c for c, y in h.mapping.items()})
+    assert validate_morphism(h) == [] and validate_morphism(inverse) == [], depth
+
+
+@pytest.mark.parametrize("name", sorted(F.MODELS))
+def test_unfolding_is_the_colimit_of_its_class_pair_diagram(name):
+    for depth in (3, 5):
+        check_builders_agree(F.MODELS[name](), depth)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(RANDOM_MODELS, WINDOW_MODELS), st.sampled_from([3, 5]))
+def test_unfolding_is_the_colimit_of_its_class_pair_diagram_on_random_models(x, depth):
+    check_builders_agree(x, depth)

@@ -10,7 +10,7 @@ from phda.model import _generators, compose, identity, validate_morphism, valida
 from phda.paths import path_shape, spine_of, enumerate_paths
 from phda.unfolding import cell_depths, is_tree, tree_unit, unfold
 
-from oracles import partition_paths
+from oracles import partition_paths, patch_everywhere
 
 
 def test_unfold_point():
@@ -133,8 +133,6 @@ def test_tree_has_one_class_per_cell():
 
 def test_classes_are_built_without_enumerating_paths(monkeypatch):
     """Unfolding, tree recognition, `classes_to` and lifting work in classes and cells: no path stream."""
-    import sys
-
     from phda import paths
     from phda.lifting import construct_lift, is_covering, is_open
 
@@ -162,12 +160,7 @@ def test_classes_are_built_without_enumerating_paths(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("executions were enumerated")
 
-    original = paths.enumerate_paths
-    for name, module in list(sys.modules.items()):
-        if name == "phda" or name.startswith("phda."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, refuse)
+    patch_everywhere(monkeypatch, paths.enumerate_paths, refuse)
     assert results() == expect
     assert expect[0] is not None and expect[1] and len(expect[3]) > 1
     assert [r.ok for r in expect[4]] == [True] * 9 + [False] * 3 and expect[4][-1].lifts == 2
@@ -189,3 +182,19 @@ def test_a_loaded_model_is_peeled_once(tmp_path):
     finally:
         sys.setprofile(None)
     assert not report and len(peelings) == 1
+
+
+def test_unfold_writes_its_table_without_saturate(monkeypatch):
+    """The unfolding's table comes from the class records' runs, never from closing single faces."""
+    from phda import model
+
+    cases = [(mk(), depth) for mk in F.MODELS.values() for depth in (0, 3, 6)] + [(F.loop_unrolling(2).source, 5)]
+    expect = [unfold(x, depth) for x, depth in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a face table was saturated")
+
+    patch_everywhere(monkeypatch, model.saturate, refuse)
+    got = [unfold(x, depth) for x, depth in cases]
+    assert [(r.tree, r.cover.mapping, r.truncated) for r in got] == [(r.tree, r.cover.mapping, r.truncated) for r in expect]
+    assert [bool(is_tree(r.tree)) for r in got] == [True] * len(cases)
