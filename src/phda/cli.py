@@ -12,13 +12,10 @@ import os
 import sys
 
 from . import jsonio
-from .completion import complete
-from .colimits import colimit
 from .errors import PhdaError, UnknownCell
-from .homotopy import classes_to
-from .lifting import construct_lift, is_covering, is_open
-from .paths import enumerate_paths
-from .unfolding import is_tree, unfold
+
+# Each command imports its decision module itself: without cached bytecode,
+# every module imported is compiled anew at each start.
 
 
 def _emit(doc: dict, summary: str) -> None:
@@ -34,6 +31,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    from .completion import complete
     x = jsonio.load_model(args.model)
     model, unit = complete(x)
     _emit(
@@ -44,6 +42,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .paths import enumerate_paths
     x = jsonio.load_model(args.model)
     if args.to is not None and args.to not in x.cells:
         raise UnknownCell(args.to)
@@ -56,6 +55,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
+    from .homotopy import classes_to
     x = jsonio.load_model(args.model)
     max_len = args.max_len if args.max_len is not None else len(x.cells)
     classes = classes_to(x, args.to, max_len)
@@ -67,6 +67,7 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_is_tree(args) -> int:
+    from .unfolding import is_tree
     x = jsonio.load_model(args.model)
     report = is_tree(x)
     _emit({"is_tree": report.is_tree, "reason": report.reason}, report.reason or "tree")
@@ -74,6 +75,7 @@ def cmd_is_tree(args) -> int:
 
 
 def cmd_unfold(args) -> int:
+    from .unfolding import unfold
     x = jsonio.load_model(args.model)
     tree, cover, truncated = unfold(x, args.depth)
     _emit(
@@ -88,6 +90,7 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_colimit(args) -> int:
+    from .colimits import colimit
     d = jsonio.load_diagram(args.diagram)
     result = colimit(d)
     _emit(
@@ -101,6 +104,7 @@ def cmd_colimit(args) -> int:
 
 
 def cmd_check_open(args) -> int:
+    from .lifting import is_open
     f = jsonio.load_morphism(args.morphism)
     report = is_open(f, args.max_len)
     doc = {
@@ -113,6 +117,7 @@ def cmd_check_open(args) -> int:
 
 
 def cmd_check_covering(args) -> int:
+    from .lifting import is_covering
     f = jsonio.load_morphism(args.morphism)
     report = is_covering(f, args.max_len)
     doc = {
@@ -125,6 +130,7 @@ def cmd_check_covering(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .lifting import construct_lift
     g = jsonio.load_morphism(args.g_morphism)
     f = jsonio.load_morphism(args.f_morphism)
     h = construct_lift(g, f)

@@ -10,14 +10,16 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, TextIO
+from typing import TYPE_CHECKING, Any, Callable, TextIO
 
-from .colimits import Arrow, Diagram
 from .errors import ModelInvalid, ParseError
-from .homotopy import HomotopyClass
 from .model import PHDA, Cell, Morphism, Violation, check_phda, saturate, shape_violation, validate_morphism
-from .paths import Path, Spine
 from .words import FUTURE, PAST, FaceWord, single
+
+if TYPE_CHECKING:  # the decision modules load only with the commands that run them
+    from .colimits import Diagram
+    from .homotopy import HomotopyClass
+    from .paths import Path, Spine
 
 
 def _label(raw: Any) -> tuple[str, ...]:
@@ -143,6 +145,7 @@ def load_morphism(path: str) -> Morphism:
 
 
 def spine_from_dict(doc: dict) -> Spine:
+    from .paths import Spine
     try:
         labels = [_label(w) for w in doc["labels"]]
         steps = tuple((_int(j, "step index"), _int(a, "step direction")) for j, a in doc["steps"])
@@ -165,6 +168,7 @@ def class_to_dict(c: HomotopyClass) -> dict:
 
 
 def diagram_from_dict(doc: dict) -> Diagram:
+    from .colimits import Arrow, Diagram
     try:
         objects = {u: spine_from_dict(s) for u, s in doc["objects"].items()}
         arrows = tuple(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .errors import DomainMismatch, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
 from .paths import Path, first_paths
-from .unfolding import is_tree
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,7 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     its image; a cell entered by future steps is forced to be the future
     face of the already-lifted predecessor.
     """
+    from .unfolding import is_tree  # only lifts need it, so open-map checks load no explorer
     if g.target != f.target:
         raise DomainMismatch("both maps must share their codomain")
     x, y = g.source, f.source
@@ -145,4 +145,5 @@ def is_cofibrant(x: PHDA) -> bool:
     The paper proves that the cofibrant models are exactly the trees, so
     this is tree recognition.
     """
+    from .unfolding import is_tree
     return bool(is_tree(x))

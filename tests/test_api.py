@@ -1,4 +1,9 @@
-"""The public names of `phda`, pinned so that a change to them is deliberate."""
+"""The public names of `phda`, pinned so that a change to them is deliberate, and their lazy resolution."""
+import importlib
+import importlib.util
+
+import pytest
+
 import phda
 
 PUBLIC = [
@@ -17,3 +22,27 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(phda.__all__) == PUBLIC
+
+
+def test_names_resolve_lazily_to_their_defining_module():
+    modules = sorted(name for name in phda.__all__ if importlib.util.find_spec(f"phda.{name}"))
+    spaces = [vars(importlib.import_module(f"phda.{m}")) for m in modules]
+    for name in phda.__all__:
+        value = phda.__getattr__(name)  # the resolver itself, whether or not the name is cached yet
+        assert getattr(phda, name) is value
+        if name in modules:
+            assert value is importlib.import_module(f"phda.{name}")
+        else:  # every submodule that holds the name holds this object
+            held = [space[name] for space in spaces if name in space]
+            assert held and all(v is value for v in held), name
+
+
+def test_dir_unknown_names_and_star_import():
+    assert set(phda.__all__) <= set(dir(phda))
+    assert "__version__" in dir(phda)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        phda.no_such_name
+    assert not hasattr(phda, "no_such_name")
+    namespace = {}
+    exec("from phda import *", namespace)
+    assert {name: namespace[name] for name in phda.__all__} == {name: getattr(phda, name) for name in phda.__all__}

@@ -564,6 +564,39 @@ def test_cli_subprocess_entry():
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
 
 
+_LOADED = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m.removeprefix("phda.") for m in sys.modules if m.startswith("phda."))
+import phda
+package = loaded()
+import phda.cli
+cli = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = phda.cli.main(sys.argv[1:])
+print(json.dumps([package, cli, code, loaded()]))
+"""
+BASE_MODULES = ["cli", "errors", "jsonio", "model", "words"]
+
+
+@pytest.mark.parametrize(
+    "args, extra",
+    [
+        (["complete", "split_segment"], ["completion", "uf"]),
+        (["is-tree", "glued_square"], ["homotopy", "paths", "uf", "unfolding"]),
+        (["check-open", "fold"], ["lifting", "paths"]),
+    ],
+    ids=["complete", "is-tree", "check-open"],
+)
+def test_each_command_imports_only_the_modules_it_runs(model_files, args, extra):
+    # a fresh interpreter per command: what it imports, it compiles at every start when bytecode is not cached
+    proc = subprocess.run([sys.executable, "-c", _LOADED, args[0], model_files[args[1]]],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    package, cli, code, command = json.loads(proc.stdout)
+    assert (package, cli, code) == ([], BASE_MODULES, 0)
+    assert command == sorted(BASE_MODULES + extra)
+
+
 @pytest.mark.parametrize(
     "args",
     [

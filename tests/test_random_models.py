@@ -23,7 +23,10 @@ The face tables that `unfold` and `colimit` write from their runs are
 checked against the saturation of their single faces, read off the
 class records and the spines; accepted colimits of executions are trees;
 and each unfolding is isomorphic, through `mediate`, to the colimit of
-its class-pair diagram, one object per (class, step) pair.
+its class-pair diagram, one object per (class, step) pair.  An unfolding
+is a fixed tree: `tree_unit` is an isomorphism on it, and it is again
+the colimit of its own class-pair diagram.  The colimit of all
+executions, in contrast, is pinned as a known difference.
 """
 import itertools
 
@@ -41,7 +44,7 @@ from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, s
 from phda.model import validate_morphism, validate_phda
 from phda.paths import Path, Spine, empty_path, enumerate_paths, spine_of, validate_path
 from phda.uf import UnionFind
-from phda.unfolding import TreeReport, is_tree, unfold
+from phda.unfolding import TreeReport, is_tree, tree_unit, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
 
 from oracles import (
@@ -766,3 +769,51 @@ def test_unfolding_is_the_colimit_of_its_class_pair_diagram(name):
 @given(st.one_of(RANDOM_MODELS, WINDOW_MODELS), st.sampled_from([3, 5]))
 def test_unfolding_is_the_colimit_of_its_class_pair_diagram_on_random_models(x, depth):
     check_builders_agree(x, depth)
+
+
+def check_tree_is_fixed(x, depth):
+    """`T = unfold(x, depth).tree` is fixed: `tree_unit(T)` is an isomorphism, and T is the colimit of its class-pair diagram."""
+    tree = unfold(x, depth).tree
+    eta = tree_unit(tree)
+    inverse = Morphism(eta.target, tree, {y: c for c, y in eta.mapping.items()})
+    assert len(eta.target.cells) == len(tree.cells), depth
+    assert validate_morphism(eta) == [] and validate_morphism(inverse) == [], depth
+    check_builders_agree(tree, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(RANDOM_MODELS, WINDOW_MODELS), st.sampled_from([3, 5]))
+def test_unfoldings_are_fixed_trees_on_random_models(x, depth):
+    check_tree_is_fixed(x, depth)
+
+
+def execution_diagram(x, depth):
+    """Every execution of length at most `depth`, each with an arrow from its prefix one step shorter."""
+    paths = enumerate_paths(x, depth)
+    name = {p.key(): f"p{i}" for i, p in enumerate(paths)}
+    arrows = []
+    for p in paths[1:]:  # all but the empty execution
+        u, v = name[p.cells[:-1], p.steps[:-1]], name[p.key()]
+        arrows.append(Arrow(f"{u}<{v}", u, v, {k: k for k in range(len(p))}))
+    return Diagram({name[p.key()]: spine_of(p) for p in paths}, tuple(arrows))
+
+
+def test_colimit_of_all_executions_differs_from_the_unfolding():
+    """A known difference, recorded until it is settled against the paper's definition of homotopy (arXiv 1804.10894).
+
+    This is not a theorem.  The paper builds a tree as the colimit of some
+    diagram of paths, and the class-pair diagram above is one.  The
+    diagram of all 181 executions of `full_cube` of length at most 5,
+    glued by one-step prefix arrows, gives 157 cells where the unfolding
+    has 151; the executions of that unfolding, itself a tree, give 157
+    again.  `explore` makes two past extensions one class once a window
+    of future steps glues their prefixes; the colimit glues only the ends
+    of runs of future steps.  A change to either builder that moves these
+    counts changes `unfold` or `colimit` digests.
+    """
+    x = F.full_cube()
+    d = execution_diagram(x, 5)
+    tree = unfold(x, 5).tree
+    assert (len(d.objects), len(colimit(d).model.cells), len(tree.cells)) == (181, 157, 151)
+    assert is_tree(tree)
+    assert len(colimit(execution_diagram(tree, 5)).model.cells) == 157
