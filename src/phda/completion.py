@@ -33,7 +33,7 @@ class AbstractFace:
     cell: str
 
     def sort_key(self) -> tuple:
-        return (self.cell, self.word.pairs)
+        return (self.cell, self.word)
 
     def id(self) -> str:
         return f"{self.cell}#{self.word.text()}"
@@ -74,12 +74,12 @@ def completion_of(x: PHDA) -> Completion:
     """Compute the total completion together with the unit morphism."""
     cells, faces, words = x.cells, x.faces, cache(enumerate_words)
     # defined classes: each cell's least member, and the number of faces each cell defines
-    least = {cid: (cid, ()) for cid in cells}
+    least = {cid: (cid, EPSILON) for cid in cells}
     defined = dict.fromkeys(cells, 0)
     for (c, w), t in faces.items():
         defined[c] += 1
-        if (c, w.pairs) < least[t]:
-            least[t] = (c, w.pairs)
+        if (c, w) < least[t]:
+            least[t] = (c, w)
     gaps = [cid for cid in sorted(cells) if defined[cid] < 3 ** cells[cid].dim - 1]
     missing = [(cid, w) for cid in gaps for w in words(cells[cid].dim)[1:] if (cid, w) not in faces]
     # the congruence: each missing (t, v) meets (c, u*v) for each defined (c, u) -> t
@@ -93,7 +93,7 @@ def completion_of(x: PHDA) -> Completion:
         for c, u in into[t]:
             uf.union(node[(c, star(u, v))], (t, v))
 
-    classes = {cid: AbstractFace(FaceWord(pairs), c) for cid, (c, pairs) in least.items()}
+    classes = {cid: AbstractFace(w, c) for cid, (c, w) in least.items()}
     classes.update((key, AbstractFace(key[1], key[0])) for key in missing)
     for members in uf.groups().values():
         rep = min((classes[m] for m in members), key=AbstractFace.sort_key)

@@ -84,7 +84,7 @@ def model_from_dict(doc: dict) -> PHDA:
         for x, w, y in raw_entries:
             if len(w) == 0:
                 if y != x:
-                    dups.append(Violation("NotFunctional", (x, w.text(), y)))
+                    dups.append(Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity"))
                 continue
             if faces.setdefault((x, w), y) != y:
                 dups.append(Violation("NotFunctional", (x, w.text()), f"targets {faces[(x, w)]} and {y}"))
@@ -102,7 +102,7 @@ def model_to_dict(x: PHDA) -> dict:
         ],
         "initial": x.initial,
         "faces": [
-            {"from": a, "word": [list(p) for p in w.pairs], "to": b}
+            {"from": a, "word": [list(p) for p in w], "to": b}
             for a, w, b in x.entries()
         ],
         "saturate": False,
@@ -348,7 +348,7 @@ def export_dot(x: PHDA) -> str:
     """
     lines = ["digraph model {", "  rankdir=LR;"]
     singles: dict[str, list[str]] = {}
-    for (src, w), y in sorted(x.faces.items(), key=lambda kv: kv[0][1].pairs):
+    for (src, w), y in sorted(x.faces.items(), key=lambda kv: kv[0][1]):
         if len(w) == 1:
             singles.setdefault(src, []).append(f"{w.text()}->{y}")
     for cid in sorted(c.id for c in x.cells.values() if c.dim >= 2):

@@ -82,7 +82,7 @@ class PHDA:
         found: dict[str, list[tuple[int, int, str]]] = {}
         for (src, w), tgt in self.faces.items():
             if len(w) == 1:
-                ((i, a),) = w.pairs
+                ((i, a),) = w
                 here, there = (tgt, src) if a == PAST else (src, tgt)
                 found.setdefault(here, []).append((a, i, there))
         return {c: tuple(((i, a), z) for a, i, z in sorted(found[c])) for c in sorted(found)}
@@ -274,17 +274,16 @@ def _generators(faces: FaceTable, cells: dict[str, Cell]) -> FaceTable:
     unknown cell or the empty word are left out; validation reports them.
     """
     out: FaceTable = {}
-    ones = {(c, w.pairs[0]): y for (c, w), y in faces.items() if len(w.pairs) == 1 and c in cells and y in cells}
-    for (c, w), y in sorted(faces.items(), key=lambda item: len(item[0][1].pairs)):
-        pairs = w.pairs
-        if not pairs or c not in cells or y not in cells:
+    ones = {(c, w[0]): y for (c, w), y in faces.items() if len(w) == 1 and c in cells and y in cells}
+    for (c, w), y in sorted(faces.items(), key=lambda item: len(item[0][1])):
+        if not w or c not in cells or y not in cells:
             continue
-        for k in range(len(pairs) if len(pairs) >= 2 else 0):
-            mid = ones.get((c, pairs[k]))
+        for k in range(len(w) if len(w) >= 2 else 0):
+            mid = ones.get((c, w[k]))
             if mid is None:
                 continue
-            rest = (mid, FaceWord(pairs[:k] + tuple((j - 1, b) for j, b in pairs[k + 1 :])))
-            if faces.get(rest) == y and (len(pairs) == 2 or rest not in out):
+            rest = (mid, FaceWord(w[:k] + tuple((j - 1, b) for j, b in w[k + 1 :])))
+            if faces.get(rest) == y and (len(w) == 2 or rest not in out):
                 break
         else:
             out[(c, w)] = y

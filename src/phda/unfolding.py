@@ -80,7 +80,7 @@ def is_tree(x: PHDA) -> TreeReport:
     """No shortcuts, every cell reachable, one execution class per cell."""
     shortcuts = find_shortcuts(x)
     if shortcuts:
-        cid, w = min(shortcuts, key=lambda s: (s[0], s[1].pairs))
+        cid, w = min(shortcuts)
         return TreeReport(False, f"shortcut {w.text()} on cell {cid}")
     level, clash = _levels(x)
     if clash:

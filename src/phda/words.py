@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError
-from functools import total_ordering
-from typing import Iterator
 
 from .errors import IndexOutOfRange
 
@@ -26,16 +24,16 @@ _INTERNED: dict[tuple[tuple[int, int], ...], "FaceWord"] = {}
 _STARRED: dict[tuple["FaceWord", "FaceWord"], "FaceWord"] = {}
 
 
-@total_ordering
-class FaceWord:
+class FaceWord(tuple):
     """An ordered sequence of (index, direction) pairs, indices strictly increasing.
 
-    Words are interned: a pairs tuple is checked and hashed once, and every
-    later construction with equal pairs returns the same object.  Equality,
-    hashing and order still go by `pairs`, as for a frozen dataclass.
+    A word is the tuple of its pairs, so equality, hashing, order and length
+    are those of that tuple, and a word equals the plain tuple of its pairs.
+    Words are interned: a pairs tuple is checked once, and every later
+    construction with equal pairs returns the same object.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ()
 
     def __new__(cls, pairs: tuple[tuple[int, int], ...] = ()) -> "FaceWord":
         w = _INTERNED.get(pairs)
@@ -48,11 +46,8 @@ class FaceWord:
             if a not in (PAST, FUTURE):
                 raise ValueError(f"direction must be 0 or 1: {pairs}")
             prev = i
-        w = object.__new__(cls)
-        norm = tuple((int(i), int(a)) for i, a in pairs)
-        object.__setattr__(w, "pairs", norm)
-        object.__setattr__(w, "_hash", hash((norm,)))
-        return _INTERNED.setdefault(norm, w)
+        w = tuple.__new__(cls, ((int(i), int(a)) for i, a in pairs))
+        return _INTERNED.setdefault(w, w)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
         pass  # __new__ built or found the word; this keeps the signature of FaceWord(pairs)
@@ -63,35 +58,17 @@ class FaceWord:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return FaceWord, (self.pairs,)
-
     def __repr__(self) -> str:
-        return f"FaceWord(pairs={self.pairs!r})"
+        return f"FaceWord(pairs={tuple.__repr__(self)})"
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FaceWord:
-            return NotImplemented
-        return self is other or self.pairs == other.pairs
-
-    def __lt__(self, other: "FaceWord") -> bool:
-        return self.pairs < other.pairs if other.__class__ is FaceWord else NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
+    pairs = property(tuple, doc="The pairs as a plain tuple.")
 
     @property
     def max_index(self) -> int:
-        return self.pairs[-1][0] if self.pairs else 0
+        return self[-1][0] if self else 0
 
     def text(self) -> str:
-        return "[" + ",".join(f"({i},{a})" for i, a in self.pairs) + "]"
+        return "[" + ",".join(f"({i},{a})" for i, a in self) + "]"
 
     @classmethod
     def parse(cls, s: str) -> "FaceWord":
@@ -133,10 +110,9 @@ def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
         return w
     out: list[tuple[int, int]] = []
     i, j, shift = 0, 0, 0
-    lp, rp = lhs.pairs, rhs.pairs
-    while i < len(lp) and j < len(rp):
-        li, la = lp[i]
-        rj, ra = rp[j][0] + shift, rp[j][1]
+    while i < len(lhs) and j < len(rhs):
+        li, la = lhs[i]
+        rj, ra = rhs[j][0] + shift, rhs[j][1]
         if li <= rj:
             out.append((li, la))
             i += 1
@@ -144,8 +120,8 @@ def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
         else:
             out.append((rj, ra))
             j += 1
-    out.extend(lp[i:])
-    out.extend((r + shift, a) for r, a in rp[j:])
+    out.extend(lhs[i:])
+    out.extend((r + shift, a) for r, a in rhs[j:])
     w = _STARRED[lhs, rhs] = FaceWord(tuple(out))
     return w
 
@@ -153,7 +129,7 @@ def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
 def delete_letters(w: FaceWord, label: Label) -> Label:
     """Drop the letter positions named by `w`, highest index first."""
     letters = list(label)
-    for i, _ in reversed(w.pairs):
+    for i, _ in reversed(w):
         if not 1 <= i <= len(letters):
             raise IndexOutOfRange(f"cannot delete position {i} of word of length {len(letters)}")
         del letters[i - 1]

@@ -4,7 +4,7 @@ import pytest
 
 from phda import colimits, model
 from phda import fixtures as F
-from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
+from phda.colimits import Arrow, ColimitResult, Diagram, check_cocone, colimit, mediate
 from phda.errors import InvalidDiagram, NotACocone
 from phda.homotopy import are_confluently_homotopic
 from phda.model import Morphism, validate_morphism, validate_phda
@@ -131,8 +131,16 @@ def test_mediate_rejects_non_cocones():
         "B": Morphism(d.shape("B", sq.alphabet), sq, {"0": "00", "1": "0*", "2": "**", "3": "1*", "4": "11"}),
         "C": Morphism(d.shape("C", sq.alphabet), sq, {"0": "00", "1": "*0", "2": "**", "3": "*1", "4": "11"}),
     }
-    with pytest.raises(NotACocone):
+    with pytest.raises(NotACocone, match="legs do not commute with the diagram"):
         mediate(d, res, bad)
+    with pytest.raises(NotACocone, match="no legs supplied"):
+        mediate(d, res, {})
+    # a glueing that identifies the two future edges, which the legs into the square keep apart
+    good = dict(bad, C=Morphism(bad["C"].source, sq, {**bad["C"].mapping, "1": "0*"}))
+    c_in = res.injections["C"]
+    over_glued = dict(res.injections, C=Morphism(c_in.source, res.model, {**c_in.mapping, "3": "B:3"}))
+    with pytest.raises(NotACocone, match="legs disagree on glued cell B:3"):
+        mediate(d, ColimitResult(res.model, over_glued), good)
 
 
 def test_invalid_arrow_rejected():

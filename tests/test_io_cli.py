@@ -124,6 +124,10 @@ def test_parse_errors(tmp_path):
     empty.write_text("{}")
     with pytest.raises(ParseError):
         jsonio.load_model(str(empty))
+    array = tmp_path / "array.json"
+    array.write_text("[]")
+    with pytest.raises(ParseError, match=r"array\.json: top level must be an object$"):
+        jsonio.load_model(str(array))
 
 
 def test_dot_export_contracts():
@@ -691,3 +695,17 @@ def test_saturate_rejects_unknown_cells_before_closing(files):
     error = json.loads(out)["error"]
     assert error["type"] == "ModelInvalid"
     assert error["violations"] == ["UnknownCell(**,[(1,0)],zz)"]
+
+
+def test_loader_reports_repeated_keys_and_non_identity_empty_words_in_entry_order(files):
+    _, write = files
+    doc = jsonio.model_to_dict(F.full_square())
+    doc["faces"] += [{"from": "**", "word": [[1, 0]], "to": "*0"}, {"from": "0*", "word": [], "to": "00"}]
+    code, out, _ = cli(["validate", write("duplicates.json", doc)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelInvalid"
+    assert error["violations"] == [
+        "NotFunctional(**,[(1,0)]): targets 0* and *0",
+        "NotFunctional(0*,[],00): empty word must be the identity",
+    ]

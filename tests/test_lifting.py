@@ -1,7 +1,7 @@
 import pytest
 
 from phda import fixtures as F
-from phda.errors import NotATree, NotOpen
+from phda.errors import DomainMismatch, NotATree, NotOpen
 from phda.lifting import construct_lift, enumerate_morphisms, is_cofibrant, is_covering, is_open
 from phda.colimits import colimit, mediate
 from phda.model import Morphism, build, compose, identity, validate_morphism
@@ -183,6 +183,8 @@ def test_construct_lift_requires_tree():
     cover = square_cover()
     with pytest.raises(NotATree):
         construct_lift(identity(F.full_square()), cover)
+    with pytest.raises(DomainMismatch, match="both maps must share their codomain"):
+        construct_lift(identity(cover.source), cover)
 
 
 def test_factor_universal_loop():

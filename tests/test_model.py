@@ -173,3 +173,5 @@ def test_morphism_violation_kinds():
     two = F.branch_tree(2)
     relabel = Morphism(two, two, {"r": "v0", "v0": "r", "v1": "v1", "e0": "e0", "e1": "e1"})
     assert "FaceNotPreserved" in kinds(validate_morphism(relabel))
+    collapse = validate_morphism(Morphism(seg, seg, {"p0": "p0", "p1": "p1", "e": "p0"}))
+    assert "DimensionMismatch(e,p0)" in [str(v) for v in collapse]

@@ -7,7 +7,7 @@ from phda import fixtures as F
 from phda.errors import InvalidBound, InvalidSpine, NotAPathShape, NotATree
 from phda.homotopy import classes_to
 from phda.lifting import is_covering, is_open
-from phda.model import Cell, is_hda, saturate, validate_morphism, validate_phda
+from phda.model import PHDA, Cell, is_hda, saturate, validate_morphism, validate_phda
 from phda.paths import (
     Path,
     Spine,
@@ -219,6 +219,8 @@ def test_bad_final_step_reported():
     assert (issue.kind, issue.step) == ("BadStep", 3)
     wrong_start = Path(x, ("10",), ())
     assert validate_path(wrong_start).kind == "BadStart"
+    too_few_steps = Path(x, ("00", "*0"), ())
+    assert str(validate_path(too_few_steps)) == "BadStart"
 
 
 def test_spine_of_canonical_path():
@@ -233,10 +235,15 @@ def test_spine_of_empty_path():
 
 
 def test_invalid_spine_rejected():
-    with pytest.raises(InvalidSpine):
-        Spine(((0, ()), (2, ("a", "b"))), ((1, PAST),))
-    with pytest.raises(InvalidSpine):
-        Spine(((1, ("a",)),), ())
+    cases = [
+        (((0, ()), (2, ("a", "b"))), ((1, PAST),), r"bad transition at step 1"),
+        (((1, ("a",)),), (), r"must start at \(0, ε\)"),
+        (((0, ()),), ((1, PAST),), r"entry/step count mismatch"),
+        (((0, ()), (1, ())), ((1, PAST),), r"label length differs from dimension at 1"),
+    ]
+    for entries, steps, message in cases:
+        with pytest.raises(InvalidSpine, match=message):
+            Spine(entries, steps)
 
 
 def test_path_shape_of_canonical_spine():
@@ -280,8 +287,18 @@ def test_morphism_to_path_rejects_non_shapes():
     sq = F.full_square()
     from phda.model import identity
 
-    with pytest.raises(NotAPathShape):
+    with pytest.raises(NotAPathShape, match="branching at cell"):
         morphism_to_path(identity(sq))
+    with pytest.raises(NotAPathShape, match="cycle through cell p"):
+        morphism_to_path(identity(F.self_loop()))
+    seg = F.segment()
+    stray = PHDA(seg.alphabet, seg.cells | {"q": Cell("q", 0, ())}, seg.initial, seg.faces)
+    with pytest.raises(NotAPathShape, match=r"unreachable cells \['q'\]"):
+        morphism_to_path(identity(stray))
+    shape = path_shape(spine_of(F.notched_square_path()))
+    unclosed = PHDA(shape.alphabet, shape.cells, shape.initial, {k: v for k, v in shape.faces.items() if len(k[1]) == 1})
+    with pytest.raises(NotAPathShape, match="face table is not freely generated by the spine"):
+        morphism_to_path(identity(unclosed))
 
 
 def test_map_path_preserves_validity_and_spine():

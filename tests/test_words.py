@@ -52,6 +52,12 @@ def test_text_parse_roundtrip():
     assert EPSILON.text() == "[]"
 
 
+@pytest.mark.parametrize("text", ["(1,0)", "[(1,0)", "[1,0]", "[(1,0),2]"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError, match=r"^not a face word: "):
+        FaceWord.parse(text)
+
+
 @given(words(), words())
 def test_star_canonical_and_length(lhs, rhs):
     out = star(lhs, rhs)
@@ -125,10 +131,25 @@ def test_words_are_interned():
 def test_hash_and_order_are_those_of_the_pairs():
     universe = enumerate_words(3)
     for w in universe:
-        assert hash(w) == hash((w.pairs,))
+        assert hash(w) == hash(w.pairs) and w == w.pairs
     assert sorted(universe) == sorted(universe, key=lambda w: w.pairs)
     assert single(1, 1) > single(1, 0) >= single(1, 0) > EPSILON
     assert (single(1, 0) == (1, 0)) is False
+
+
+def test_a_word_is_the_tuple_of_its_pairs():
+    w = word((1, 0), (3, 1))
+    assert word((1, 0)) == ((1, 0),) and word((1, 0)) < ((1, 1),)
+    assert {w: "a"}[((1, 0), (3, 1))] == "a"
+    assert len({w, w.pairs}) == 1
+    assert type(w.pairs) is tuple and w.pairs == w.pairs and w.pairs is not w.pairs
+    assert FaceWord(w) is w and FaceWord(w.pairs) is w
+    assert w[0] == (1, 0) and type(w[1:]) is tuple and w[1:] == ((3, 1),)
+    assert copy.copy(w) is w and copy.deepcopy(w) is w
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(w, protocol)) is w
+    for protocol in (0, 1):  # the legacy protocols rebuild an equal word without interning it
+        assert pickle.loads(pickle.dumps(w, protocol)) == w
 
 
 def test_invalid_pairs_raise_every_time_and_are_not_interned():
