@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 from .errors import ModelInvalid, ParseError
-from .model import PHDA, Cell, Morphism, Violation, check_phda, saturate, shape_violation, validate_morphism
+from .model import PHDA, Cell, Morphism, Violation, face_table, saturate, validate_morphism, validate_phda
 from .words import FUTURE, PAST, FaceWord, single
 
 if TYPE_CHECKING:  # the decision modules load only with the commands that run them
@@ -48,9 +48,14 @@ def _position(raw: str) -> int:
     return int(raw)
 
 
-def _word(raw: Any) -> FaceWord:
+def _word(raw: Any, words: dict[tuple, FaceWord]) -> FaceWord:
+    """The word of a list of [index, direction] pairs, memoised in `words` by its pairs."""
     try:
-        return FaceWord(tuple((_int(i, "face index"), _int(a, "face direction")) for i, a in raw))
+        pairs = tuple([(i, a) for i, a in raw if type(i) is int and type(a) is int])
+        if len(pairs) != len(raw):  # `true` and `1.0` equal 1, so types are checked before the memo
+            pairs = tuple((_int(i, "face index"), _int(a, "face direction")) for i, a in raw)
+        w = words.get(pairs)
+        return w if w is not None else words.setdefault(pairs, FaceWord(pairs))
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad face word {raw!r}: {e}") from None
 
@@ -66,31 +71,28 @@ def model_from_dict(doc: dict) -> PHDA:
             if cells.setdefault(cell.id, cell) is not cell:
                 raise ParseError(f"repeated cell id: {cell.id!r}")
         initial = _str(doc["initial"])
-        raw_entries = [(_str(e["from"]), _word(e["word"]), _str(e["to"])) for e in doc.get("faces", [])]
+        words: dict[tuple, FaceWord] = {}
+        raw_entries = [(_str(e["from"]), _word(e["word"], words), _str(e["to"])) for e in doc.get("faces", [])]
         close = doc.get("saturate", False)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed model document: {e!r}") from None
     if not isinstance(close, bool):
         raise ParseError(f"saturate must be true or false: {close!r}")
     if close:
-        # every chain of checked entries lowers the dimension, so the closure is finite
-        bad = [v for x, w, y in raw_entries if (v := shape_violation(cells, x, w, y))]
+        # an entry must name known cells and lower the dimension by its length, so the closure is finite
+        bad = []
+        for x, w, y in raw_entries:
+            if x not in cells or y not in cells:
+                bad.append(Violation("UnknownCell", (x, w.text(), y)))
+            elif w and (w.max_index > cells[x].dim or cells[y].dim != cells[x].dim - len(w)):
+                bad.append(Violation("DimensionMismatch", (x, w.text(), y)))
         if bad:
             raise ModelInvalid(bad)
-        faces = saturate(raw_entries)
-    else:
-        faces = {}
-        dups = []
-        for x, w, y in raw_entries:
-            if len(w) == 0:
-                if y != x:
-                    dups.append(Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity"))
-                continue
-            if faces.setdefault((x, w), y) != y:
-                dups.append(Violation("NotFunctional", (x, w.text()), f"targets {faces[(x, w)]} and {y}"))
-        if dups:
-            raise ModelInvalid(dups)
-    return check_phda(PHDA(alphabet=alphabet, cells=cells, initial=initial, faces=faces))
+    x = PHDA(alphabet, cells, initial, saturate(raw_entries) if close else face_table(raw_entries))
+    bad = validate_phda(x)
+    if bad:
+        raise ModelInvalid(bad)
+    return x
 
 
 def model_to_dict(x: PHDA) -> dict:

@@ -3,10 +3,11 @@
 A model is a graded set of cells, an initial point, a labelling word per
 cell, and a partial table mapping (cell, face word) to the cell's face.
 The table stores every defined composite explicitly; `validate_phda`
-checks closure against the table's generators rather than computing it.
-`run_faces` writes the tables of `unfold` and `colimit` from the faces
-their runs list; `saturate` closes tables given by generators (`build`,
-`"saturate": true` files) and is the tests' oracle for `run_faces`.
+walks it once, as stored, and checks closure against the table's
+generators rather than computing it.  `face_table` holds a file's
+entries, `run_faces` writes the tables of `unfold` and `colimit` from the
+faces their runs list, and `saturate` closes tables given by generators
+(`build`, `"saturate": true` files); it is the tests' oracle for `run_faces`.
 
 Models and morphisms are immutable after construction; every operation
 here is pure, so they can be shared freely.  `PHDA.moves`, the model's
@@ -89,10 +90,7 @@ class PHDA:
 
     @cached_property
     def generators(self) -> FaceTable:
-        """The table's generators (`_generators`), peeled once per model.
-
-        Validation's closure check and `find_shortcuts` both read it.
-        """
+        """The table's generators (`_generators`), peeled once per model for validation and `find_shortcuts`."""
         return _generators(self.faces, self.cells)
 
 
@@ -128,39 +126,44 @@ def face(x: PHDA, cid: str, w: FaceWord) -> str | None:
     return x.faces.get((cid, w))
 
 
+def face_table(entries: Iterable[FaceEntry]) -> FaceTable:
+    """The entries as a table, identities of the empty word left out; ModelInvalid lists
+    each entry that gives a key a second target or maps the empty word to another cell."""
+    table: FaceTable = {}
+    bad: list[Violation] = []
+    for x, w, y in entries:
+        if not w:
+            if y != x:
+                bad.append(Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity"))
+        elif table.setdefault((x, w), y) != y:
+            bad.append(Violation("NotFunctional", (x, w.text()), f"targets {table[x, w]} and {y}"))
+    if bad:
+        raise ModelInvalid(bad)
+    return table
+
+
 def saturate(entries: Iterable[FaceEntry]) -> FaceTable:
     """Close a set of generator entries under composition of defined faces.
 
     The closure is every composite along a chain of generators.  Composition
     is associative, so each new entry is composed on the right with the
     generators out of its target only: the right Cayley-graph closure of
-    Froidure & Pin (1997).  Raises ModelInvalid(NotFunctional) at the first
-    (cell, word) key given two targets.
+    Froidure & Pin (1997).  Raises ModelInvalid(NotFunctional) as
+    `face_table` does, then at the first composite given two targets.
     """
-    table: FaceTable = {}
-    queue: deque[FaceEntry] = deque()
-
-    def add(x: str, w: FaceWord, y: str) -> None:
-        if len(w) == 0:
-            if x != y:
-                raise ModelInvalid([Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity")])
-            return
-        old = table.get((x, w))
-        if old is None:
-            table[(x, w)] = y
-            queue.append((x, w, y))
-        elif old != y:
-            raise ModelInvalid([Violation("NotFunctional", (x, w.text()), f"targets {old} and {y}")])
-
-    for x, w, y in entries:
-        add(x, w, y)
-    gens: dict[str, list[tuple[FaceWord, str]]] = {}
-    for (x, w), y in table.items():
-        gens.setdefault(x, []).append((w, y))
+    table = face_table(entries)
+    gens = _by_source(table)
+    queue = deque(table.items())
     while queue:
-        x, w, y = queue.popleft()
+        (x, w), y = queue.popleft()
         for j, z in gens.get(y, ()):
-            add(x, star(w, j), z)
+            key = (x, star(w, j))
+            old = table.get(key)
+            if old is None:
+                table[key] = z
+                queue.append((key, z))
+            elif old != z:
+                raise ModelInvalid([Violation("NotFunctional", (x, key[1].text()), f"targets {old} and {z}")])
     return table
 
 
@@ -200,25 +203,14 @@ def build(
     return PHDA(alphabet=frozenset(alphabet), cells=cmap, initial=initial, faces=saturate(entries))
 
 
-def shape_violation(cells: dict[str, Cell], xc: str, w: FaceWord, y: str) -> Violation | None:
-    """UnknownCell if an entry names a missing cell; DimensionMismatch if its
-    non-empty word has an index above the source's dimension or does not
-    lower the dimension by its length."""
-    if xc not in cells or y not in cells:
-        return Violation("UnknownCell", (xc, w.text(), y))
-    dx = cells[xc].dim
-    if len(w) and (w.max_index > dx or cells[y].dim != dx - len(w)):
-        return Violation("DimensionMismatch", (xc, w.text(), y))
-    return None
-
-
 def validate_phda(x: PHDA) -> list[Violation]:
     """Check functionality, dimensions, labelling, closure, and the initial point.
 
-    A table is closed iff each entry composed on the right with each of the
-    table's generators (`PHDA.generators`) out of the entry's target is defined
-    and agrees, by induction along the right factor's generator chain.  Only
-    a table that fails this is checked pair by pair, for the full violation list.
+    Entries are checked as stored, a label deletion once per (source label,
+    word), and violations sorted by entry.  A table is closed iff each entry
+    composed on the right with each generator (`PHDA.generators`) out of its
+    target is defined and agrees, by induction along the right factor's
+    generator chain; only a table that fails this is checked pair by pair.
     """
     out: list[Violation] = []
     if x.initial not in x.cells:
@@ -232,35 +224,47 @@ def validate_phda(x: PHDA) -> list[Violation]:
         for letter in cell.label:
             if letter not in x.alphabet:
                 out.append(Violation("LabelViolation", (cid,), f"letter {letter!r} not in alphabet"))
-    entries = x.entries()
-    for xc, w, y in entries:
-        bad_shape = shape_violation(x.cells, xc, w, y)
-        if bad_shape:
-            out.append(bad_shape)
-            continue
-        if len(w) == 0:
+    cells, faces = x.cells, x.faces
+    found: list[tuple[tuple[str, FaceWord], Violation]] = []
+    deleted: dict[tuple[Label, FaceWord], Label] = {}
+    for key, y in faces.items():
+        xc, w = key
+        cx, cy = cells.get(xc), cells.get(y)
+        if cx is None or cy is None:
+            found.append((key, Violation("UnknownCell", (xc, w.text(), y))))
+        elif not w:
             if y != xc:
-                out.append(Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity"))
-            continue
-        if delete_letters(w, x.cells[xc].label) != x.cells[y].label:
-            out.append(Violation("LabelViolation", (xc, w.text(), y)))
-    valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
-    for right in (x.generators, valid):
-        by_src: dict[str, list[tuple[FaceWord, str]]] = {}
-        for (xc, w), y in right.items():
-            by_src.setdefault(xc, []).append((w, y))
-        bad: list[Violation] = []
+                found.append((key, Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity")))
+        elif w[-1][0] > cx.dim or cy.dim != cx.dim - len(w):
+            found.append((key, Violation("DimensionMismatch", (xc, w.text(), y))))
+        else:
+            got = deleted.get((cx.label, w))
+            if got is None:
+                got = deleted[cx.label, w] = delete_letters(w, cx.label)
+            if got != cy.label:
+                found.append((key, Violation("LabelViolation", (xc, w.text(), y))))
+    out += [v for _, v in sorted(found, key=lambda kv: kv[0])]
+    right = _by_source(x.generators)
+    if any(faces.get((xc, star(w, j))) != z for (xc, w), y in faces.items() for j, z in right.get(y, ())):
+        valid = dict(sorted((key, y) for key, y in faces.items() if key[1] and key[0] in cells and y in cells))
+        right = _by_source(valid)
         for (xc, w), y in valid.items():
-            for j, z in by_src.get(y, ()):
+            for j, z in right.get(y, ()):
                 comp = star(w, j)
                 got = valid.get((xc, comp))
                 if got is None:
-                    bad.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
+                    out.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
                 elif got != z:
-                    bad.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
-        if not bad:
-            break
-    return out + bad
+                    out.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
+    return out
+
+
+def _by_source(table: FaceTable) -> dict[str, list[tuple[FaceWord, str]]]:
+    """The (word, target) pairs of a table's entries, grouped by source cell in table order."""
+    out: dict[str, list[tuple[FaceWord, str]]] = {}
+    for (x, w), y in table.items():
+        out.setdefault(x, []).append((w, y))
+    return out
 
 
 def _generators(faces: FaceTable, cells: dict[str, Cell]) -> FaceTable:
@@ -270,31 +274,28 @@ def _generators(faces: FaceTable, cells: dict[str, Cell]) -> FaceTable:
     iff for some pair (i, a) of w, (c, single(i, a)) is defined, say as c',
     and (c', rest) is a single face or a produced composite with the same
     target, where rest is w without the pair and the indices above i
-    lowered by one, so that w = star(single(i, a), rest).  Entries with an
-    unknown cell or the empty word are left out; validation reports them.
+    lowered by one, so that w = star(single(i, a), rest); each word is
+    peeled once.  Entries with an unknown cell or the empty word are left
+    out; validation reports them.
     """
-    out: FaceTable = {}
-    ones = {(c, w[0]): y for (c, w), y in faces.items() if len(w) == 1 and c in cells and y in cells}
-    for (c, w), y in sorted(faces.items(), key=lambda item: len(item[0][1])):
-        if not w or c not in cells or y not in cells:
-            continue
-        for k in range(len(w) if len(w) >= 2 else 0):
-            mid = ones.get((c, w[k]))
-            if mid is None:
-                continue
-            rest = (mid, FaceWord(w[:k] + tuple((j - 1, b) for j, b in w[k + 1 :])))
-            if faces.get(rest) == y and (len(w) == 2 or rest not in out):
-                break
-        else:
-            out[(c, w)] = y
+    by_len: dict[int, list[tuple[tuple[str, FaceWord], str]]] = {}
+    for key, y in faces.items():
+        if key[1] and key[0] in cells and y in cells:
+            by_len.setdefault(len(key[1]), []).append((key, y))
+    out: FaceTable = dict(by_len.pop(1, ()))
+    ones = {(c, w[0]): y for (c, w), y in out.items()}
+    peels: dict[FaceWord, list[tuple[Step, FaceWord]]] = {}
+    for n in sorted(by_len):
+        for (c, w), y in by_len[n]:
+            pw = peels.get(w) or peels.setdefault(
+                w, [(w[k], FaceWord(w[:k] + tuple((j - 1, b) for j, b in w[k + 1 :]))) for k in range(n)])
+            for pair, rest in pw:
+                mid = ones.get((c, pair))
+                if mid is not None and faces.get((mid, rest)) == y and (n == 2 or (mid, rest) not in out):
+                    break
+            else:
+                out[c, w] = y
     return out
-
-
-def check_phda(x: PHDA) -> PHDA:
-    violations = validate_phda(x)
-    if violations:
-        raise ModelInvalid(violations)
-    return x
 
 
 def validate_morphism(f: Morphism) -> list[Violation]:
@@ -314,13 +315,12 @@ def validate_morphism(f: Morphism) -> list[Violation]:
         out.append(Violation("UnknownCell", (cid,), "not a cell of the source"))
     if f.mapping.get(src.initial) != tgt.initial:
         out.append(Violation("InitialViolation", (src.initial,)))
-    for xc, w, y in src.entries():
-        fx, fy = f.mapping.get(xc), f.mapping.get(y)
-        if fx is None or fy is None:
-            continue  # reported as NotTotal already
-        if tgt.faces.get((fx, w)) != fy:
-            out.append(Violation("FaceNotPreserved", (xc, w.text(), y)))
-    return out
+    m = f.mapping  # an entry with an unmapped cell is reported as NotTotal already
+    lost = sorted(
+        (xc, w, y) for (xc, w), y in src.faces.items()
+        if m.get(xc) is not None and m.get(y) is not None and tgt.faces.get((m[xc], w)) != m[y]
+    )
+    return out + [Violation("FaceNotPreserved", (xc, w.text(), y)) for xc, w, y in lost]
 
 
 def identity(x: PHDA) -> Morphism:

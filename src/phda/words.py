@@ -78,13 +78,10 @@ class FaceWord(tuple):
         body = s[1:-1].replace(" ", "")
         if not body:
             return EPSILON
-        pairs = []
-        for item in body.replace("),(", ");(").split(";"):
-            if not (item.startswith("(") and item.endswith(")")):
-                raise ValueError(f"not a face word: {s!r}")
-            i, a = item[1:-1].split(",")
-            pairs.append((int(i), int(a)))
-        return cls(tuple(pairs))
+        items = [item.partition(",") for item in body[1:-1].split("),(")]
+        if not (body[0] + body[-1] == "()" and all(i.isdecimal() and a.isdecimal() for i, _, a in items)):
+            raise ValueError(f"not a face word: {s!r}")
+        return cls(tuple((int(i), int(a)) for i, _, a in items))
 
 
 EPSILON = FaceWord()

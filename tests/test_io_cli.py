@@ -376,6 +376,29 @@ def test_cli_malformed_model_is_parse_error(files, case):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+def _retype(faces, pair, k):
+    """Write the k-th entry whose word is [[1, 0]] with `pair` in place of the integers."""
+    [e for e in faces if e["word"] == [[1, 0]]][k]["word"] = [pair]
+
+
+@pytest.mark.parametrize("pair", [[True, 0], [1.0, 0], [1, False]])
+def test_a_word_seen_with_integers_is_type_checked_again(files, pair):
+    # (True, 0) == (1, 0) and they hash alike, so a word memo must check types before it looks up
+    _, write = files
+    doc = jsonio.model_to_dict(F.full_square())
+    _retype(doc["faces"], pair, -1)
+    code, out, _ = cli(["validate", write("late.json", doc)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+    # the second file's first [[1, 0]] follows those of the first file
+    fold = jsonio.morphism_to_dict(F.branch_fold(2, 1))
+    first = write("fold.json", fold)
+    _retype(fold["source"]["faces"], pair, 0)
+    code, out, _ = cli(["lift", first, write("second.json", fold)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 def _rekey(old, new):
     """Rename one key of the first arrow's map, in place of the old one."""
     def mutate(doc):

@@ -2,6 +2,7 @@ import pytest
 
 from phda import fixtures as F
 from phda.errors import DomainMismatch, ModelInvalid, UnknownCell
+from phda.homotopy import find_shortcuts
 from phda.model import (
     PHDA,
     Cell,
@@ -18,7 +19,7 @@ from phda.model import (
 )
 from phda.words import EPSILON, single, star, word
 
-from oracles import broken_tables, pairwise_validate_phda
+from oracles import broken_tables, pairwise_validate_phda, saturation_shortcuts
 
 
 def kinds(violations):
@@ -85,6 +86,18 @@ def test_validation_matches_the_pairwise_loop_on_fixtures(name):
         got = validate_phda(y)
         assert [str(v) for v in got] == [str(v) for v in pairwise_validate_phda(y)], kind
         assert kind in kinds(got), kind
+
+
+def test_generators_do_not_depend_on_entry_order():
+    # without the 2-cells' single faces, the cube's length-3 words are shortcuts only because
+    # the length-2 words below them are: peeling must decide the shorter words first
+    x = F.full_cube()
+    faces = {k: y for k, y in x.faces.items() if not (len(k[1]) == 1 and x.cells[k[0]].dim == 2)}
+    for longest_first in (False, True):
+        table = dict(sorted(faces.items(), key=lambda e: len(e[0][1]), reverse=longest_first))
+        y = PHDA(x.alphabet, x.cells, x.initial, table)
+        assert validate_phda(y) == []
+        assert find_shortcuts(y) == saturation_shortcuts(y) and len(find_shortcuts(y)) == 44
 
 
 def test_dimension_and_label_violations():

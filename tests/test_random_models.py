@@ -39,6 +39,7 @@ from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
 from phda.completion import AbstractFace, complete, completion_of, counit
 from phda.errors import InvalidDiagram, ModelInvalid
 from phda.homotopy import are_confluently_homotopic, classes_to, explore, find_shortcuts
+from phda.jsonio import model_from_dict, model_to_dict
 from phda.lifting import ExtensionSquare, is_covering, is_open
 from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
 from phda.model import validate_morphism, validate_phda
@@ -599,6 +600,27 @@ def test_validation_matches_the_pairwise_loop(x, pick):
     assert find_shortcuts(x) == saturation_shortcuts(x)
     for kind, y in {"valid": x, **broken_tables(x, pick)}.items():
         assert [str(v) for v in validate_phda(y)] == [str(v) for v in pairwise_validate_phda(y)], kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(RANDOM_MODELS, SHORTCUT_MODELS), st.integers(0, 1000), st.randoms(use_true_random=False))
+def test_loading_does_not_depend_on_entry_order(x, pick, rnd):
+    """A file's face entries in any order give the same violation list, or the same model and generators."""
+    for kind, y in {"valid": x, **broken_tables(x, pick)}.items():
+        doc = model_to_dict(y)
+        rnd.shuffle(doc["faces"])
+        expect = [str(v) for v in pairwise_validate_phda(y)]
+        try:
+            got = model_from_dict(doc)
+        except ModelInvalid as err:
+            assert [str(v) for v in err.violations] == expect, kind
+        else:
+            assert not expect and got == y and got.generators == y.generators, kind
+    source = PHDA(x.alphabet, x.cells, x.initial, dict(rnd.sample(list(x.faces.items()), len(x.faces))))
+    no_faces = Morphism(source, PHDA(x.alphabet, x.cells, x.initial, {}), {c: c for c in x.cells})
+    assert [str(v) for v in validate_morphism(no_faces)] == [
+        f"FaceNotPreserved({a},{w.text()},{b})" for a, w, b in x.entries()
+    ]
 
 
 def prefix(s, m):

@@ -92,3 +92,15 @@ def test_glued_square_demo():
     proc = run_script("glued_square_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert "confluently homotopic: True" in proc.stdout and "is_tree: True" in proc.stdout
+
+
+def test_time_load_reports_each_phase(exported):
+    path = exported / "fixtures" / "full_square.json"
+    proc = run_script("time_load.py", "--repeat", "2", str(path))
+    assert proc.returncode == 0, proc.stderr
+    entries = len(json.loads(path.read_text())["faces"])
+    assert re.fullmatch(
+        rf"{re.escape(str(path))}: {entries} entries, \d+ distinct words; "
+        r"json\.load [\d.]+ ms, model_from_dict [\d.]+ ms, is_tree [\d.]+ ms \(median of 2\)\n",
+        proc.stdout,
+    ), proc.stdout

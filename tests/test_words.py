@@ -52,7 +52,9 @@ def test_text_parse_roundtrip():
     assert EPSILON.text() == "[]"
 
 
-@pytest.mark.parametrize("text", ["(1,0)", "[(1,0)", "[1,0]", "[(1,0),2]"])
+@pytest.mark.parametrize(
+    "text", ["(1,0)", "[(1,0)", "[1,0]", "[(1,0),2]", "[(1,0);(2,1)]", "[(1)]", "[(a,0)]", "[(1,0,2)]"]
+)
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ValueError, match=r"^not a face word: "):
         FaceWord.parse(text)
