@@ -24,6 +24,11 @@ def _emit(doc: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _max_len(args, x) -> int:
+    """The given --max-len, or else the number of cells of x (exact for `check-open` and `check-covering`)."""
+    return args.max_len if args.max_len is not None else len(x.cells)
+
+
 def cmd_validate(args) -> int:
     x = jsonio.load_model(args.model)  # raises on violation
     _emit({"ok": True, "violations": []}, f"{args.model}: valid ({len(x.cells)} cells)")
@@ -46,7 +51,7 @@ def cmd_paths(args) -> int:
     x = jsonio.load_model(args.model)
     if args.to is not None and args.to not in x.cells:
         raise UnknownCell(args.to)
-    max_len = args.max_len if args.max_len is not None else len(x.cells)
+    max_len = _max_len(args, x)
     found = enumerate_paths(x, max_len)
     if args.to is not None:
         found = [p for p in found if p.end == args.to]
@@ -57,8 +62,7 @@ def cmd_paths(args) -> int:
 def cmd_homotopy(args) -> int:
     from .homotopy import classes_to
     x = jsonio.load_model(args.model)
-    max_len = args.max_len if args.max_len is not None else len(x.cells)
-    classes = classes_to(x, args.to, max_len)
+    classes = classes_to(x, args.to, _max_len(args, x))
     _emit(
         {"cell": args.to, "count": len(classes), "classes": [jsonio.class_to_dict(c) for c in classes]},
         f"{len(classes)} classes of executions to {args.to}",
@@ -106,7 +110,7 @@ def cmd_colimit(args) -> int:
 def cmd_check_open(args) -> int:
     from .lifting import is_open
     f = jsonio.load_morphism(args.morphism)
-    report = is_open(f, args.max_len)
+    report = is_open(f, _max_len(args, f.source))
     doc = {
         "open": report.ok,
         "mode": "prefix",
@@ -119,7 +123,7 @@ def cmd_check_open(args) -> int:
 def cmd_check_covering(args) -> int:
     from .lifting import is_covering
     f = jsonio.load_morphism(args.morphism)
-    report = is_covering(f, args.max_len)
+    report = is_covering(f, _max_len(args, f.source))
     doc = {
         "covering": report.ok,
         "counterexample": str(report.square) if report.square else None,
@@ -184,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-open", help="right lifting property against execution extensions")
     p.add_argument("morphism")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(run=cmd_check_open)
 
     p = sub.add_parser("check-covering", help="open with unique lifts")
     p.add_argument("morphism")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(run=cmd_check_covering)
 
     p = sub.add_parser("lift", help="lift a tree-domain map through an open map")

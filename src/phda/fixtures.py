@@ -2,38 +2,39 @@
 
 Cube-shaped fixtures name cells by coordinate strings over {0,1,*}: a *
 marks a running action, so the number of stars is the dimension.  The
-letter of coordinate position i is ALPHABET[i-1].
+letter of coordinate position i is the i-th lowercase letter.
 """
 from __future__ import annotations
 
 import itertools
+import string
 
 from .colimits import Arrow, Diagram
 from .model import PHDA, Morphism, build
 from .paths import Path, Spine
 from .words import FUTURE, PAST, single
 
-ALPHABET = ("a", "b", "c")
 
+def cube(n: int, removed=()) -> PHDA:
+    """The n-cube on the letters a, b, c, ... from its single faces, less the cells in `removed`.
 
-def _cube_cells(dim: int) -> list[tuple[str, int, tuple[str, ...]]]:
-    cells = []
-    for coords in itertools.product("01*", repeat=dim):
+    A cell's i-th star set to 0 is its (i, 0) face and set to 1 its (i, 1)
+    face; a face into a removed cell goes with it.
+    """
+    letters = string.ascii_lowercase[:n]
+    cells, entries = [], []
+    for coords in itertools.product("01*", repeat=n):
         cid = "".join(coords)
-        label = tuple(ALPHABET[i] for i, c in enumerate(coords) if c == "*")
-        cells.append((cid, cid.count("*"), label))
-    return cells
-
-
-def _cube_single_faces(dim: int) -> list[tuple[str, object, str]]:
-    entries = []
-    for coords in itertools.product("01*", repeat=dim):
-        cid = "".join(coords)
-        stars = [p for p, c in enumerate(coords) if c == "*"]
-        for i, pos in enumerate(stars, start=1):
-            for a, digit in ((PAST, "0"), (FUTURE, "1")):
-                entries.append((cid, single(i, a), cid[:pos] + digit + cid[pos + 1 :]))
-    return entries
+        if cid in removed:
+            continue
+        stars = [p for p, c in enumerate(cid) if c == "*"]
+        cells.append((cid, len(stars), tuple(letters[p] for p in stars)))
+        for i, p in enumerate(stars, start=1):
+            for a in (PAST, FUTURE):
+                face = cid[:p] + "01"[a] + cid[p + 1 :]
+                if face not in removed:
+                    entries.append((cid, single(i, a), face))
+    return build(letters, cells, "0" * n, entries)
 
 
 def point() -> PHDA:
@@ -55,11 +56,11 @@ def split_segment() -> PHDA:
 
 
 def full_square() -> PHDA:
-    return build(ALPHABET[:2], _cube_cells(2), "00", _cube_single_faces(2))
+    return cube(2)
 
 
 def full_cube() -> PHDA:
-    return build(ALPHABET, _cube_cells(3), "000", _cube_single_faces(3))
+    return cube(3)
 
 
 def punctured_cube() -> PHDA:
@@ -69,18 +70,12 @@ def punctured_cube() -> PHDA:
     edge 11* connecting it is gone; both surviving single-face chains
     reach it, so saturation keeps the table consistent.
     """
-    removed = {"**0", "11*"}
-    cells = [c for c in _cube_cells(3) if c[0] not in removed]
-    entries = [e for e in _cube_single_faces(3) if e[0] not in removed and e[2] not in removed]
-    return build(ALPHABET, cells, "000", entries)
+    return cube(3, {"**0", "11*"})
 
 
 def notched_square() -> PHDA:
     """The full square minus its top edge and top-left vertex."""
-    removed = {"*1", "01"}
-    cells = [c for c in _cube_cells(2) if c[0] not in removed]
-    entries = [e for e in _cube_single_faces(2) if e[0] not in removed and e[2] not in removed]
-    return build(ALPHABET[:2], cells, "00", entries)
+    return cube(2, {"*1", "01"})
 
 
 def notched_square_path() -> Path:
@@ -168,14 +163,14 @@ def double_square_tree() -> PHDA:
     for i in range(2):
         cells += [(f"e{i}", 1, ("b",)), (f"q{i}", 2, ("a", "b"))]
         entries += [(f"e{i}", single(1, PAST), "r"), (f"q{i}", single(1, PAST), f"e{i}")]
-    return build(ALPHABET[:2], cells, "r", entries)
+    return build("ab", cells, "r", entries)
 
 
 def double_square_fold() -> Morphism:
     """Retract the second square branch onto the first."""
     src = double_square_tree()
     tgt = build(
-        ALPHABET[:2],
+        "ab",
         [("r", 0, ()), ("e0", 1, ("b",)), ("q0", 2, ("a", "b"))],
         "r",
         [("e0", single(1, PAST), "r"), ("q0", single(1, PAST), "e0")],

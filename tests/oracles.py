@@ -27,6 +27,10 @@ before its one sweep over positions: an artificial basepoint node below
 every object, and the future-run rule rescanned from every class until a
 round merges nothing.
 
+`split_moves` splits the single faces of a face table into starting and
+finishing steps, each keyed by the cell the step leaves: the step tables
+the path oracles walk instead of `PHDA.moves`.
+
 `patch_everywhere` swaps a library function for a stub in every module
 that imported it, so a test can show that a path is never taken.
 
@@ -208,6 +212,22 @@ def elementary_neighbors(p, chains=None):
                     q = Path(p.host, p.cells[:s] + cells[:-1] + p.cells[t:], p.steps[: s - 1] + steps + p.steps[t:])
                     found[q.key()] = q
     return [found[k] for k in sorted(found)]
+
+
+def split_moves(x):
+    """Past steps keyed by the entered cell's past face, future steps by source; (index, cell) sorted."""
+    up, future = {}, {}
+    for (src, w), tgt in x.faces.items():
+        if len(w) == 1:
+            ((i, a),) = w.pairs
+            if a == PAST:
+                up.setdefault(tgt, []).append((i, src))
+            else:
+                future.setdefault(src, []).append((i, tgt))
+    for table in (up, future):
+        for moves in table.values():
+            moves.sort()
+    return up, future
 
 
 def path_stream_lifting(f, max_len, unique):

@@ -122,6 +122,31 @@ def test_injections_form_a_cocone_and_mediate_to_identity():
     assert phi.mapping == identity(res.model).mapping
 
 
+def test_check_cocone_rejects_a_missing_leg_a_leg_into_another_apex_or_an_invalid_leg():
+    d = F.glued_square_diagram()
+    res = colimit(d)
+    assert not check_cocone(d, res.model, {u: res.injections[u] for u in ("A", "B")})
+    assert not check_cocone(d, F.full_square(), res.injections)
+    c = res.injections["C"]
+    point_for_edge = Morphism(c.source, res.model, {**c.mapping, "1": c.mapping["0"]})
+    assert validate_morphism(point_for_edge)
+    assert not check_cocone(d, res.model, dict(res.injections, C=point_for_edge))
+
+
+def test_check_cocone_rejects_legs_that_disagree_along_an_arrow():
+    d = F.glued_square_diagram()
+    loose = Diagram(objects=d.objects)  # the same executions glued at the start only
+    res = colimit(loose)
+    assert check_cocone(loose, res.model, res.injections)
+    assert not check_cocone(d, res.model, res.injections)
+
+
+def test_colimit_result_unpacks_into_model_and_injections():
+    res = colimit(F.glued_square_diagram())
+    model, injections = res
+    assert model is res.model and injections is res.injections
+
+
 def test_mediate_rejects_non_cocones():
     d = F.glued_square_diagram()
     res = colimit(d)

@@ -1,6 +1,5 @@
 import copy
 import functools
-import itertools
 import json
 import os
 import re
@@ -16,7 +15,7 @@ from phda import jsonio
 from phda.cli import main
 from phda.colimits import colimit
 from phda.errors import ModelInvalid, ParseError, PhdaError
-from phda.model import build
+from phda.model import Morphism, build
 from phda.unfolding import unfold
 from phda.words import FUTURE, PAST, single
 
@@ -169,17 +168,8 @@ def old_export_dot(x):
     return "\n".join(lines + markers + arcs + ["}"]) + "\n"
 
 
-def cube(n):
-    """The total n-cube from its single faces; coordinate i carries letter i."""
-    cells = ["".join(c) for c in itertools.product("01*", repeat=n)]
-    stars = {c: [p for p, ch in enumerate(c) if ch == "*"] for c in cells}
-    entries = [(c, single(i, a), c[:p] + "01"[a] + c[p + 1:])
-               for c in cells for i, p in enumerate(stars[c], 1) for a in (PAST, FUTURE)]
-    return build("abcde"[:n], [(c, len(stars[c]), ["abcde"[p] for p in stars[c]]) for c in cells], "0" * n, entries)
-
-
 # split_segment, notched_square, glued_square and double_square_tree have edges without an endpoint
-DOT_MODELS = {**F.MODELS, "cube-4": lambda: cube(4), "cube-5": lambda: cube(5)}
+DOT_MODELS = {**F.MODELS, "cube-4": lambda: F.cube(4), "cube-5": lambda: F.cube(5)}
 
 
 @pytest.mark.parametrize("name", sorted(DOT_MODELS))
@@ -281,6 +271,26 @@ def test_cli_validate_and_decisions(model_files):
     assert cli(["check-covering", model_files["cover"], "--max-len", "3"])[0] == 0
 
 
+def test_check_open_and_covering_default_to_the_exact_bound(files):
+    """A chain of 8 a-edges into the chain with one more edge out of its end: no lift 16 steps in."""
+    def chain(n):
+        cells, entries = [("v0", 0, ())], []
+        for i in range(n):
+            cells += [(f"e{i}", 1, ("a",)), (f"v{i + 1}", 0, ())]
+            entries += [(f"e{i}", single(1, PAST), f"v{i}"), (f"e{i}", single(1, FUTURE), f"v{i + 1}")]
+        return build("a", cells, "v0", entries)
+
+    src = chain(8)
+    _, write = files
+    path = write("chain.json", jsonio.morphism_to_dict(Morphism(src, chain(9), {c: c for c in src.cells})))
+    for command, key in (("check-open", "open"), ("check-covering", "covering")):
+        code, out, err = cli([command, path])
+        square = json.loads(out)["counterexample"]
+        assert code == 1 and json.loads(out)[key] is False
+        assert square.endswith("v8 | image extends by -(1,0)-> e8") and square in err
+        assert cli([command, path, "--max-len", "15"])[0] == 0  # short of the 16 steps to v8
+
+
 def test_cli_structural_commands(model_files):
     code, out, _ = cli(["complete", model_files["split_segment"]])
     assert code == 0 and len(json.loads(out)["model"]["cells"]) == 5
@@ -303,7 +313,6 @@ def test_cli_lift(model_files, tmp_path):
     res = colimit(d)
     sq = F.full_square()
     from phda.colimits import mediate
-    from phda.model import Morphism
 
     legs = {
         "A": Morphism(d.shape("A", sq.alphabet), sq, {"0": "00", "1": "0*", "2": "**"}),

@@ -31,6 +31,16 @@ def test_fixture_models_validate():
         assert validate_phda(mk()) == [], name
 
 
+def test_cube_leaves_out_the_removed_cells_and_every_face_into_them():
+    for n in range(5):
+        x = F.cube(n)
+        assert len(x.cells) == 3**n and x.alphabet == set("abcd"[:n]) and validate_phda(x) == []
+    removed = {"***1", "0001"}
+    x = F.cube(4, removed)
+    assert sorted(F.cube(4).cells.keys() - x.cells.keys()) == sorted(removed) and validate_phda(x) == []
+    assert not removed & set(x.faces.values()) and ("000*", single(1, 0)) in x.faces
+
+
 def test_lax_closure_violation_detected():
     y = build(
         "ab",
@@ -123,6 +133,21 @@ def test_bad_initial():
     seg = F.segment()
     bad = PHDA(seg.alphabet, seg.cells, "e", seg.faces)
     assert "BadInitial" in kinds(validate_phda(bad))
+
+
+def test_empty_word_to_another_cell_is_not_functional():
+    # the loader rejects this entry before validation, so only a directly built model reaches the check
+    seg = F.segment()
+    x = PHDA(seg.alphabet, seg.cells, seg.initial, {**seg.faces, ("p0", EPSILON): "p1"})
+    assert [str(v) for v in validate_phda(x)] == ["NotFunctional(p0,[],p1): empty word must be the identity"]
+
+
+def test_cell_accessors_reject_unknown_cells():
+    x = F.full_square()
+    assert (x.dim("**"), x.label("**")) == (2, ("a", "b"))
+    for accessor in (x.dim, x.label):
+        with pytest.raises(UnknownCell):
+            accessor("zz")
 
 
 def test_face_lookup():

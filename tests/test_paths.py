@@ -23,7 +23,7 @@ from phda.paths import (
 from phda.unfolding import cell_depths, is_tree, unfold
 from phda.words import FUTURE, PAST, single
 
-from oracles import late_clash, partition_paths
+from oracles import late_clash, partition_paths, split_moves
 
 
 # Independent oracles for the explorers: the three breadth-first frontier
@@ -32,22 +32,6 @@ from oracles import late_clash, partition_paths
 # `PHDA.moves`.  Unfolding works in classes and tree recognition in cells
 # and classes; their results are compared with the ones these paths give,
 # grouped by the path-level `partition_paths`.
-
-
-def split_moves(x):
-    """Past steps keyed by the entered cell's past face, future steps by source; (index, cell) sorted."""
-    up, future = {}, {}
-    for (src, w), tgt in x.faces.items():
-        if len(w) == 1:
-            ((i, a),) = w.pairs
-            if a == PAST:
-                up.setdefault(tgt, []).append((i, src))
-            else:
-                future.setdefault(src, []).append((i, tgt))
-    for table in (up, future):
-        for moves in table.values():
-            moves.sort()
-    return up, future
 
 
 def oracle_enumerate_paths(x, max_len):

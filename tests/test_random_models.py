@@ -62,6 +62,7 @@ from oracles import (
     partition_paths,
     path_stream_lifting,
     saturation_shortcuts,
+    split_moves,
     two_sided_saturate,
     union_find_completion,
 )
@@ -148,22 +149,6 @@ def lifting_maps(x, depth):
         "completion unit": complete(x)[1],
         "fold of two copies": doubled(x),
     }
-
-
-def split_moves(x):
-    """Past steps keyed by the entered cell's past face, future steps by source; (index, cell) sorted."""
-    up, future = {}, {}
-    for (src, w), tgt in x.faces.items():
-        if len(w) == 1:
-            ((i, a),) = w.pairs
-            if a == PAST:
-                up.setdefault(tgt, []).append((i, src))
-            else:
-                future.setdefault(src, []).append((i, tgt))
-    for table in (up, future):
-        for moves in table.values():
-            moves.sort()
-    return up, future
 
 
 def oracle_lifting(f, max_len, unique):
@@ -364,9 +349,9 @@ def cube_without_orders(orders):
     for i, j, _ in orders:
         square = "".join("1" if k == i else "*" for k in (1, 2, 3))
         dropped.add((square, single(j - (j > i), FUTURE)))  # j's position among the square's stars
-    cids = ["".join(c) for c in itertools.product("01*", repeat=3)]
-    cells = [(cid, cid.count("*"), tuple(l for l, k in zip(LETTERS, cid) if k == "*")) for cid in cids]
-    return build(LETTERS, cells, "000", [e for cid in cids for e in cube_faces(cid) if e[:2] not in dropped])
+    cells = F.cube(3).cells.values()
+    entries = [e for c in cells for e in cube_faces(c.id) if e[:2] not in dropped]
+    return build(LETTERS, [(c.id, c.dim, c.label) for c in cells], "000", entries)
 
 
 def split_hexagon():
