@@ -15,13 +15,8 @@ from . import jsonio
 from .errors import PhdaError, UnknownCell
 
 # Each command imports its decision module itself: without cached bytecode,
-# every module imported is compiled anew at each start.
-
-
-def _emit(doc: dict, summary: str) -> None:
-    jsonio.write_json(sys.stdout, doc)
-    sys.stdout.write("\n")
-    print(summary, file=sys.stderr)
+# every module imported is compiled anew at each start.  A handler returns
+# (stdout document, stderr summary, exit code), and `_run` writes them.
 
 
 def _max_len(args, x) -> int:
@@ -29,24 +24,20 @@ def _max_len(args, x) -> int:
     return args.max_len if args.max_len is not None else len(x.cells)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     x = jsonio.load_model(args.model)  # raises on violation
-    _emit({"ok": True, "violations": []}, f"{args.model}: valid ({len(x.cells)} cells)")
-    return 0
+    return {"ok": True, "violations": []}, f"{args.model}: valid ({len(x.cells)} cells)", 0
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args):
     from .completion import complete
     x = jsonio.load_model(args.model)
     model, unit = complete(x)
-    _emit(
-        {"model": jsonio.model_to_dict(model), "unit": {k: unit.mapping[k] for k in sorted(unit.mapping)}},
-        f"completed: {len(x.cells)} -> {len(model.cells)} cells",
-    )
-    return 0
+    doc = {"model": jsonio.model_to_dict(model), "unit": jsonio.map_to_dict(unit)}
+    return doc, f"completed: {len(x.cells)} -> {len(model.cells)} cells", 0
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args):
     from .paths import enumerate_paths
     x = jsonio.load_model(args.model)
     if args.to is not None and args.to not in x.cells:
@@ -55,167 +46,119 @@ def cmd_paths(args) -> int:
     found = enumerate_paths(x, max_len)
     if args.to is not None:
         found = [p for p in found if p.end == args.to]
-    _emit({"paths": [jsonio.path_to_dict(p) for p in found]}, f"{len(found)} paths (max length {max_len})")
-    return 0
+    return {"paths": [jsonio.path_to_dict(p) for p in found]}, f"{len(found)} paths (max length {max_len})", 0
 
 
-def cmd_homotopy(args) -> int:
+def cmd_homotopy(args):
     from .homotopy import classes_to
     x = jsonio.load_model(args.model)
     classes = classes_to(x, args.to, _max_len(args, x))
-    _emit(
-        {"cell": args.to, "count": len(classes), "classes": [jsonio.class_to_dict(c) for c in classes]},
-        f"{len(classes)} classes of executions to {args.to}",
-    )
-    return 0
+    doc = {"cell": args.to, "count": len(classes), "classes": [jsonio.class_to_dict(c) for c in classes]}
+    return doc, f"{len(classes)} classes of executions to {args.to}", 0
 
 
-def cmd_is_tree(args) -> int:
+def cmd_is_tree(args):
     from .unfolding import is_tree
-    x = jsonio.load_model(args.model)
-    report = is_tree(x)
-    _emit({"is_tree": report.is_tree, "reason": report.reason}, report.reason or "tree")
-    return 0 if report.is_tree else 1
+    report = is_tree(jsonio.load_model(args.model))
+    return {"is_tree": report.is_tree, "reason": report.reason}, report.reason or "tree", 0 if report.is_tree else 1
 
 
-def cmd_unfold(args) -> int:
+def cmd_unfold(args):
     from .unfolding import unfold
-    x = jsonio.load_model(args.model)
-    tree, cover, truncated = unfold(x, args.depth)
-    _emit(
-        {
-            "model": jsonio.model_to_dict(tree),
-            "cover": {k: cover.mapping[k] for k in sorted(cover.mapping)},
-            "truncated": truncated,
-        },
-        f"{len(tree.cells)} states at depth {args.depth}" + (" (truncated)" if truncated else ""),
-    )
-    return 0
+    tree, cover, truncated = unfold(jsonio.load_model(args.model), args.depth)
+    doc = {"model": jsonio.model_to_dict(tree), "cover": jsonio.map_to_dict(cover), "truncated": truncated}
+    return doc, f"{len(tree.cells)} states at depth {args.depth}" + (" (truncated)" if truncated else ""), 0
 
 
-def cmd_colimit(args) -> int:
+def cmd_colimit(args):
     from .colimits import colimit
-    d = jsonio.load_diagram(args.diagram)
-    result = colimit(d)
-    _emit(
-        {
-            "model": jsonio.model_to_dict(result.model),
-            "injections": {u: dict(sorted(m.mapping.items())) for u, m in sorted(result.injections.items())},
-        },
-        f"colimit has {len(result.model.cells)} cells",
-    )
-    return 0
+    result = colimit(jsonio.load_diagram(args.diagram))
+    injections = {u: jsonio.map_to_dict(m) for u, m in sorted(result.injections.items())}
+    doc = {"model": jsonio.model_to_dict(result.model), "injections": injections}
+    return doc, f"colimit has {len(result.model.cells)} cells", 0
 
 
-def cmd_check_open(args) -> int:
+def cmd_check_open(args):
     from .lifting import is_open
     f = jsonio.load_morphism(args.morphism)
     report = is_open(f, _max_len(args, f.source))
-    doc = {
-        "open": report.ok,
-        "mode": "prefix",
-        "counterexample": str(report.square) if report.square else None,
-    }
-    _emit(doc, "open" if report.ok else f"not open: {report.square}")
-    return 0 if report.ok else 1
+    doc = {"open": report.ok, "mode": "prefix", "counterexample": str(report.square) if report.square else None}
+    return doc, "open" if report.ok else f"not open: {report.square}", 0 if report.ok else 1
 
 
-def cmd_check_covering(args) -> int:
+def cmd_check_covering(args):
     from .lifting import is_covering
     f = jsonio.load_morphism(args.morphism)
     report = is_covering(f, _max_len(args, f.source))
-    doc = {
-        "covering": report.ok,
-        "counterexample": str(report.square) if report.square else None,
-        "lifts": report.lifts,
-    }
-    _emit(doc, "covering" if report.ok else f"not a covering ({report.lifts} lifts): {report.square}")
-    return 0 if report.ok else 1
+    square = str(report.square) if report.square else None
+    doc = {"covering": report.ok, "counterexample": square, "lifts": report.lifts}
+    summary = "covering" if report.ok else f"not a covering ({report.lifts} lifts): {report.square}"
+    return doc, summary, 0 if report.ok else 1
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args):
     from .lifting import construct_lift
-    g = jsonio.load_morphism(args.g_morphism)
-    f = jsonio.load_morphism(args.f_morphism)
-    h = construct_lift(g, f)
-    _emit({"map": {k: h.mapping[k] for k in sorted(h.mapping)}}, f"lift found on {len(h.mapping)} cells")
-    return 0
+    h = construct_lift(jsonio.load_morphism(args.g_morphism), jsonio.load_morphism(args.f_morphism))
+    return {"map": jsonio.map_to_dict(h)}, f"lift found on {len(h.mapping)} cells", 0
 
 
-def cmd_dot(args) -> int:
+def cmd_dot(args):
     x = jsonio.load_model(args.model)
-    sys.stdout.write(jsonio.export_dot(x))
-    print(f"dot export of {len(x.cells)} cells", file=sys.stderr)
-    return 0
+    return jsonio.export_dot(x), f"dot export of {len(x.cells)} cells", 0
+
+
+_MODEL = ("model", {})
+_MAX_LEN = ("--max-len", {"type": int, "default": None})
+
+# name -> (handler, help, arguments as (name or flag, `add_argument` options)), in `--help` order
+COMMANDS = {
+    "validate": (cmd_validate, "check a model file against all structural laws", [_MODEL]),
+    "complete": (cmd_complete, "adjoin every missing face", [_MODEL]),
+    "paths": (cmd_paths, "enumerate executions",
+              [_MODEL, ("--to", {"default": None, "help": "only executions ending at this cell"}), _MAX_LEN]),
+    "homotopy": (cmd_homotopy, "group executions to a cell by confluent homotopy",
+                 [_MODEL, ("--to", {"required": True}), _MAX_LEN]),
+    "is-tree": (cmd_is_tree, "decide the unique-execution property", [_MODEL]),
+    "unfold": (cmd_unfold, "depth-bounded tree of execution classes",
+               [_MODEL, ("--depth", {"type": int, "required": True})]),
+    "colimit": (cmd_colimit, "glue a diagram of execution shapes", [("diagram", {})]),
+    "check-open": (cmd_check_open, "right lifting property against execution extensions", [("morphism", {}), _MAX_LEN]),
+    "check-covering": (cmd_check_covering, "open with unique lifts", [("morphism", {}), _MAX_LEN]),
+    "lift": (cmd_lift, "lift a tree-domain map through an open map", [
+        ("g_morphism", {"help": "map out of the tree"}),
+        ("f_morphism", {"help": "open map with the same codomain"}),
+    ]),
+    "dot": (cmd_dot, "deterministic DOT export", [_MODEL]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="phda", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a model file against all structural laws")
-    p.add_argument("model")
-    p.set_defaults(run=cmd_validate)
-
-    p = sub.add_parser("complete", help="adjoin every missing face")
-    p.add_argument("model")
-    p.set_defaults(run=cmd_complete)
-
-    p = sub.add_parser("paths", help="enumerate executions")
-    p.add_argument("model")
-    p.add_argument("--to", default=None, help="only executions ending at this cell")
-    p.add_argument("--max-len", type=int, default=None)
-    p.set_defaults(run=cmd_paths)
-
-    p = sub.add_parser("homotopy", help="group executions to a cell by confluent homotopy")
-    p.add_argument("model")
-    p.add_argument("--to", required=True)
-    p.add_argument("--max-len", type=int, default=None)
-    p.set_defaults(run=cmd_homotopy)
-
-    p = sub.add_parser("is-tree", help="decide the unique-execution property")
-    p.add_argument("model")
-    p.set_defaults(run=cmd_is_tree)
-
-    p = sub.add_parser("unfold", help="depth-bounded tree of execution classes")
-    p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(run=cmd_unfold)
-
-    p = sub.add_parser("colimit", help="glue a diagram of execution shapes")
-    p.add_argument("diagram")
-    p.set_defaults(run=cmd_colimit)
-
-    p = sub.add_parser("check-open", help="right lifting property against execution extensions")
-    p.add_argument("morphism")
-    p.add_argument("--max-len", type=int, default=None)
-    p.set_defaults(run=cmd_check_open)
-
-    p = sub.add_parser("check-covering", help="open with unique lifts")
-    p.add_argument("morphism")
-    p.add_argument("--max-len", type=int, default=None)
-    p.set_defaults(run=cmd_check_covering)
-
-    p = sub.add_parser("lift", help="lift a tree-domain map through an open map")
-    p.add_argument("g_morphism", help="map out of the tree")
-    p.add_argument("f_morphism", help="open map with the same codomain")
-    p.set_defaults(run=cmd_lift)
-
-    p = sub.add_parser("dot", help="deterministic DOT export")
-    p.add_argument("model")
-    p.set_defaults(run=cmd_dot)
+    for name, (run, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(run=run)
     return ap
 
 
 def _run(args) -> int:
+    """Run the command; write its document (a string as is, else as JSON) and summary, or those of its error."""
     try:
-        return args.run(args)
+        doc, summary, code = args.run(args)
     except PhdaError as e:
         doc = {"error": {"type": type(e).__name__, "detail": str(e)}}
         if hasattr(e, "violations"):
             doc["error"]["violations"] = [str(v) for v in e.violations]
-        _emit(doc, f"error: {type(e).__name__}: {e}")
-        return 2
+        summary, code = f"error: {type(e).__name__}: {e}", 2
+    if isinstance(doc, str):
+        sys.stdout.write(doc)
+    else:
+        jsonio.write_json(sys.stdout, doc)
+        sys.stdout.write("\n")
+    print(summary, file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

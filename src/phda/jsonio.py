@@ -138,8 +138,13 @@ def morphism_to_dict(f: Morphism) -> dict:
     return {
         "source": model_to_dict(f.source),
         "target": model_to_dict(f.target),
-        "map": {k: f.mapping[k] for k in sorted(f.mapping)},
+        "map": map_to_dict(f),
     }
+
+
+def map_to_dict(f: Morphism) -> dict[str, str]:
+    """The cell map of f, in key order."""
+    return dict(sorted(f.mapping.items()))
 
 
 def load_morphism(path: str) -> Morphism:

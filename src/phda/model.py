@@ -237,6 +237,8 @@ def validate_phda(x: PHDA) -> list[Violation]:
                 found.append((key, Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity")))
         elif w[-1][0] > cx.dim or cy.dim != cx.dim - len(w):
             found.append((key, Violation("DimensionMismatch", (xc, w.text(), y))))
+        elif len(cx.label) != cx.dim:  # deleting letters is undefined; the cell's own violation is above
+            found.append((key, Violation("LabelViolation", (xc, w.text(), y))))
         else:
             got = deleted.get((cx.label, w))
             if got is None:

@@ -1,4 +1,4 @@
-"""Union-find over hashable keys, path halving, union by rank."""
+"""Union-find over hashable keys, with path halving."""
 from __future__ import annotations
 
 from typing import Hashable, Iterable
@@ -7,7 +7,6 @@ from typing import Hashable, Iterable
 class UnionFind:
     def __init__(self, keys: Iterable[Hashable] = ()) -> None:
         self.parent: dict = {}
-        self.rank: dict = {}
         for k in keys:
             self.find(k)
 
@@ -15,7 +14,6 @@ class UnionFind:
         p = self.parent
         if x not in p:
             p[x] = x
-            self.rank[x] = 0
             return x
         while p[x] is not x:
             p[x] = p[p[x]]
@@ -23,14 +21,11 @@ class UnionFind:
         return x
 
     def union(self, a: Hashable, b: Hashable) -> bool:
+        """Merge the groups of a and b, the root of b's under a's; False if they were one group."""
         ra, rb = self.find(a), self.find(b)
         if ra is rb:
             return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
         self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
         return True
 
     def groups(self) -> dict:

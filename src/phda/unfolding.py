@@ -102,14 +102,6 @@ def is_tree(x: PHDA) -> TreeReport:
     raise AssertionError("a cell with two classes was found, then lost")
 
 
-def cell_depths(x: PHDA) -> dict[str, int]:
-    """Length of the executions reaching each cell; requires unique lengths."""
-    level, clash = _levels(x)
-    if clash:
-        raise NotATree(clash)
-    return level
-
-
 def tree_unit(x: PHDA) -> Morphism:
     """The inverse of the unfolding cover: a cell goes to its unique class."""
     report = is_tree(x)

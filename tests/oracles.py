@@ -31,6 +31,9 @@ round merges nothing.
 finishing steps, each keyed by the cell the step leaves: the step tables
 the path oracles walk instead of `PHDA.moves`.
 
+`cell_depths` is the length of the executions to each cell of a model
+whose lengths are unique, as tree recognition reads them.
+
 `patch_everywhere` swaps a library function for a stub in every module
 that imported it, so a test can show that a path is never taken.
 
@@ -47,13 +50,14 @@ from typing import Iterator
 
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
 from phda.completion import AbstractFace
-from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid
+from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid, NotATree
 from phda.homotopy import ExecutionClass, _cone
 from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
 from phda.paths import Path, Spine, enumerate_paths
 from phda.uf import UnionFind
+from phda.unfolding import _levels
 from phda.words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, enumerate_words, single, star
 
 Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
@@ -286,6 +290,14 @@ def homotopy_closure(p, chains=None):
     return seen
 
 
+def cell_depths(x):
+    """Length of the executions reaching each cell, from `unfolding._levels`; requires unique lengths."""
+    level, clash = _levels(x)
+    if clash:
+        raise NotATree(clash)
+    return level
+
+
 def late_clash():
     """Cell v is reached at lengths 2 and 4, the longer route after another path of its level."""
     return build(
@@ -386,7 +398,7 @@ def pairwise_validate_phda(x):
         if w.max_index > dx or dy != dx - len(w):
             out.append(Violation("DimensionMismatch", (xc, w.text(), y)))
             continue
-        if delete_letters(w, x.cells[xc].label) != x.cells[y].label:
+        if len(x.cells[xc].label) != dx or delete_letters(w, x.cells[xc].label) != x.cells[y].label:
             out.append(Violation("LabelViolation", (xc, w.text(), y)))
     valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
     by_src = {}

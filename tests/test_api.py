@@ -1,10 +1,12 @@
-"""The public names of `phda`, pinned so that a change to them is deliberate, and their lazy resolution."""
+"""The public names of `phda` and the CLI's subcommands, pinned so that a change is deliberate; lazy name resolution."""
+import argparse
 import importlib
 import importlib.util
 
 import pytest
 
 import phda
+from phda.cli import build_parser
 
 PUBLIC = [
     "Arrow", "Cell", "ColimitResult", "Completion", "Diagram", "EPSILON", "ExtensionSquare",
@@ -46,3 +48,41 @@ def test_dir_unknown_names_and_star_import():
     namespace = {}
     exec("from phda import *", namespace)
     assert {name: namespace[name] for name in phda.__all__} == {name: getattr(phda, name) for name in phda.__all__}
+
+
+MODEL = ([], "model", None, None, True, None)
+MAX_LEN = (["--max-len"], "max_len", int, None, False, None)
+
+# subcommand, help, and per argument: option strings, dest, type, default, required, help
+CLI = [
+    ("validate", "check a model file against all structural laws", [MODEL]),
+    ("complete", "adjoin every missing face", [MODEL]),
+    ("paths", "enumerate executions",
+     [MODEL, (["--to"], "to", None, None, False, "only executions ending at this cell"), MAX_LEN]),
+    ("homotopy", "group executions to a cell by confluent homotopy",
+     [MODEL, (["--to"], "to", None, None, True, None), MAX_LEN]),
+    ("is-tree", "decide the unique-execution property", [MODEL]),
+    ("unfold", "depth-bounded tree of execution classes", [MODEL, (["--depth"], "depth", int, None, True, None)]),
+    ("colimit", "glue a diagram of execution shapes", [([], "diagram", None, None, True, None)]),
+    ("check-open", "right lifting property against execution extensions",
+     [([], "morphism", None, None, True, None), MAX_LEN]),
+    ("check-covering", "open with unique lifts", [([], "morphism", None, None, True, None), MAX_LEN]),
+    ("lift", "lift a tree-domain map through an open map", [
+        ([], "g_morphism", None, None, True, "map out of the tree"),
+        ([], "f_morphism", None, None, True, "open map with the same codomain"),
+    ]),
+    ("dot", "deterministic DOT export", [MODEL]),
+]
+
+
+def test_cli_subcommands_and_arguments_are_pinned():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    got = [
+        (name, helps[name], [
+            (a.option_strings, a.dest, a.type, a.default, a.required, a.help)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, p in sub.choices.items()
+    ]
+    assert got == CLI

@@ -348,6 +348,24 @@ def test_cli_error_exit_code(files):
     assert cli(["validate", missing])[0] == 2
 
 
+def test_cli_reports_a_face_past_a_short_label(files):
+    _, write = files
+    doc = {
+        "alphabet": ["a"],
+        "cells": [{"id": "p", "dim": 0, "label": []}, {"id": "q", "dim": 1, "label": ["a"]},
+                  {"id": "e", "dim": 2, "label": ["a"]}],
+        "initial": "p",
+        "faces": [{"from": "e", "word": [[2, 0]], "to": "q"}],
+    }
+    code, out, err = cli(["validate", write("short_label.json", doc)])
+    assert code == 2 and err.startswith("error: ModelInvalid")
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelInvalid"
+    assert error["violations"] == [
+        "LabelViolation(e): label length differs from dimension", "LabelViolation(e,[(2,0)],q)"
+    ]
+
+
 def _set(path, value):
     def mutate(doc):
         target = doc

@@ -127,6 +127,18 @@ def test_dimension_and_label_violations():
     assert "LabelViolation" in kinds(validate_phda(y))
 
 
+def test_a_face_past_a_short_label_is_a_label_violation():
+    # e has dimension 2 but one letter: deleting letter 2 of its label is undefined, and is reported
+    x = PHDA(
+        alphabet=frozenset("a"),
+        cells={"p": Cell("p", 0, ()), "q": Cell("q", 1, ("a",)), "e": Cell("e", 2, ("a",))},
+        initial="p",
+        faces={("e", single(2, 0)): "q"},
+    )
+    expect = ["LabelViolation(e): label length differs from dimension", "LabelViolation(e,[(2,0)],q)"]
+    assert [str(v) for v in validate_phda(x)] == [str(v) for v in pairwise_validate_phda(x)] == expect
+
+
 def test_bad_initial():
     x = PHDA(frozenset(), {"p": Cell("p", 0, ())}, "missing", {})
     assert kinds(validate_phda(x)) == {"BadInitial"}

@@ -20,10 +20,10 @@ from phda.paths import (
     spine_of,
     validate_path,
 )
-from phda.unfolding import cell_depths, is_tree, unfold
+from phda.unfolding import is_tree, unfold
 from phda.words import FUTURE, PAST, single
 
-from oracles import late_clash, partition_paths, split_moves
+from oracles import cell_depths, late_clash, partition_paths, split_moves
 
 
 # Independent oracles for the explorers: the three breadth-first frontier

@@ -8,9 +8,9 @@ from phda.homotopy import classes_to
 from phda.jsonio import load_model, model_to_dict, save_json
 from phda.model import _generators, compose, identity, validate_morphism, validate_phda
 from phda.paths import path_shape, spine_of, enumerate_paths
-from phda.unfolding import cell_depths, is_tree, tree_unit, unfold
+from phda.unfolding import is_tree, tree_unit, unfold
 
-from oracles import partition_paths, patch_everywhere
+from oracles import cell_depths, partition_paths, patch_everywhere
 
 
 def test_unfold_point():
