@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # the decision modules load only with the commands that run t
 
 
 def _label(raw: Any) -> tuple[str, ...]:
-    if isinstance(raw, str):
-        return tuple(raw)
     if isinstance(raw, list) and all(isinstance(l, str) for l in raw):
         return tuple(raw)
     raise ParseError(f"label must be a list of letters: {raw!r}")

@@ -7,10 +7,10 @@ the (dimension, label) shadow of a path; it freely generates a shape
 model whose morphisms into a host are exactly the host's paths.
 
 The steps themselves come from `PHDA.moves`, the one step table of a
-model: executions, path validation, the shape walk, the homotopy chain
-index, unfolding and lifting all read it.  `first_paths` is the one walk
-over cells: lifting and tree recognition read its first execution to each
-cell.  Only `enumerate_paths` (and so `phda paths`) lists every execution;
+model: executions, path validation, the homotopy chain index, unfolding
+and lifting all read it.  `first_paths` is the one walk over cells:
+lifting, tree recognition and the shape walk read its first execution to
+each cell.  Only `enumerate_paths` (and so `phda paths`) lists every execution;
 homotopy classes come from `homotopy.explore`, which walks classes.
 """
 from __future__ import annotations
@@ -48,6 +48,11 @@ class Path:
         return " ".join(out)
 
 
+def _upper_lower(k: int, direction: int) -> tuple[int, int]:
+    """Step k's (upper cell, face) positions: a past step climbs from the face, a future step descends to it."""
+    return (k, k - 1) if direction == PAST else (k - 1, k)
+
+
 @dataclass(frozen=True)
 class Spine:
     entries: tuple[tuple[int, Label], ...]
@@ -62,13 +67,8 @@ class Spine:
             (dp, wp), (dk, wk) = self.entries[k - 1], self.entries[k]
             if len(wp) != dp or len(wk) != dk:
                 raise InvalidSpine(f"label length differs from dimension at {k}")
-            if a == PAST:
-                ok = dp == dk - 1 and 1 <= j <= dk and wk[: j - 1] + wk[j:] == wp
-            elif a == FUTURE:
-                ok = dk == dp - 1 and 1 <= j <= dp and wp[: j - 1] + wp[j:] == wk
-            else:
-                ok = False
-            if not ok:
+            (du, wu), (dl, wl) = (self.entries[e] for e in _upper_lower(k, a))  # the face lacks letter j
+            if a not in (PAST, FUTURE) or not (dl == du - 1 and 1 <= j <= du and wu[: j - 1] + wu[j:] == wl):
                 raise InvalidSpine(f"bad transition at step {k}: {(dp, wp)} -({j},{a})-> {(dk, wk)}")
 
     def __len__(self) -> int:
@@ -117,13 +117,8 @@ def path_shape(s: Spine, alphabet: frozenset[str] | None = None) -> PHDA:
     """The model freely generated by a spine: one cell per position, faces from the steps."""
     letters = alphabet if alphabet is not None else frozenset(l for _, w in s.entries for l in w)
     cells = [(str(k), d, w) for k, (d, w) in enumerate(s.entries)]
-    entries = []
-    for k, (j, a) in enumerate(s.steps, start=1):
-        if a == PAST:
-            entries.append((str(k), single(j, PAST), str(k - 1)))
-        else:
-            entries.append((str(k - 1), single(j, FUTURE), str(k)))
-    return build(letters, cells, "0", entries)
+    ends = (_upper_lower(k, a) for k, (_, a) in enumerate(s.steps, start=1))
+    return build(letters, cells, "0", [(str(u), single(j, a), str(l)) for (u, l), (j, a) in zip(ends, s.steps)])
 
 
 def path_to_morphism(p: Path) -> Morphism:
@@ -132,26 +127,17 @@ def path_to_morphism(p: Path) -> Morphism:
 
 
 def _shape_walk(x: PHDA) -> Path:
-    """The unique maximal chain of a path shape; raises NotAPathShape otherwise."""
-    cur = x.initial
-    cells, steps = [cur], []
-    seen = {cur}
-    while True:
-        moves = x.moves.get(cur, ())
-        if not moves:
-            break
-        if len(moves) > 1:
-            raise NotAPathShape(f"branching at cell {cur}")
-        (step, nxt) = moves[0]
-        if nxt in seen:
-            raise NotAPathShape(f"cycle through cell {nxt}")
-        cells.append(nxt)
-        steps.append(step)
-        seen.add(nxt)
-        cur = nxt
-    if seen != set(x.cells):
-        raise NotAPathShape(f"unreachable cells {sorted(set(x.cells) - seen)}")
-    return Path(x, tuple(cells), tuple(steps))
+    """The unique maximal chain of a path shape, read from `first_paths`; raises NotAPathShape otherwise."""
+    first = first_paths(x, len(x.cells))
+    for c in first:
+        if len(x.moves.get(c, ())) > 1:
+            raise NotAPathShape(f"branching at cell {c}")
+    *_, walk = first.values()  # no cell branches, so the cells met form one chain
+    for _, z in x.moves.get(walk.end, ()):
+        raise NotAPathShape(f"cycle through cell {z}")
+    if len(first) != len(x.cells):
+        raise NotAPathShape(f"unreachable cells {sorted(set(x.cells) - set(first))}")
+    return walk
 
 
 def morphism_to_path(f: Morphism) -> Path:

@@ -50,7 +50,8 @@ class FaceWord(tuple):
         return _INTERNED.setdefault(w, w)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
-        pass  # __new__ built or found the word; this keeps the signature of FaceWord(pairs)
+        # __new__ built or found the word.  Keep this no-op: perfbench's tracer wraps FaceWord.__init__
+        pass  # to count words made, and a wrapped object.__init__(word, pairs) would raise TypeError
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -98,28 +99,20 @@ def single(index: int, direction: int) -> FaceWord:
 def star(lhs: FaceWord, rhs: FaceWord) -> FaceWord:
     """Compose two face words: taking the `lhs` face and then the `rhs` face.
 
-    Each pair of words is merged once, then read back from `_STARRED`.  Merge
-    by heads; whenever an lhs entry is emitted, the still-pending rhs indices
-    shift up by one because they act on a cell one dimension lower.
+    Each rhs pair moves up past every lhs index it reaches, and the product
+    is the sorted union of the two words.  Each pair is composed once, then
+    read back from `_STARRED`.
     """
     w = _STARRED.get((lhs, rhs))
     if w is not None:
         return w
-    out: list[tuple[int, int]] = []
-    i, j, shift = 0, 0, 0
-    while i < len(lhs) and j < len(rhs):
-        li, la = lhs[i]
-        rj, ra = rhs[j][0] + shift, rhs[j][1]
-        if li <= rj:
-            out.append((li, la))
-            i += 1
-            shift += 1
-        else:
-            out.append((rj, ra))
-            j += 1
-    out.extend(lhs[i:])
-    out.extend((r + shift, a) for r, a in rhs[j:])
-    w = _STARRED[lhs, rhs] = FaceWord(tuple(out))
+    moved = []
+    for r, a in rhs:
+        for i, _ in lhs:
+            if i <= r:
+                r += 1
+        moved.append((r, a))
+    w = _STARRED[lhs, rhs] = FaceWord(tuple(sorted(lhs + tuple(moved))))
     return w
 
 

@@ -366,6 +366,29 @@ def test_cli_reports_a_face_past_a_short_label(files):
     ]
 
 
+def test_cli_reports_a_letter_outside_the_alphabet(files):
+    _, write = files
+    doc = {
+        "alphabet": ["a"],
+        "cells": [{"id": "p", "dim": 0, "label": []}, {"id": "e", "dim": 1, "label": ["b"]}],
+        "initial": "p",
+        "faces": [],
+    }
+    code, out, err = cli(["validate", write("stray_letter.json", doc)])
+    assert code == 2 and err.startswith("error: ModelInvalid")
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelInvalid"
+    assert error["violations"] == ["LabelViolation(e): letter 'b' not in alphabet"]
+
+
+def test_cli_colimit_rejects_a_spine_step_direction_other_than_0_or_1(files):
+    _, write = files
+    doc = {"objects": {"A": {"labels": [[], ["a"]], "steps": [[1, 2]]}}, "arrows": []}
+    code, out, _ = cli(["colimit", write("direction.json", doc)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidSpine"
+
+
 def _set(path, value):
     def mutate(doc):
         target = doc
@@ -390,6 +413,7 @@ MALFORMED_MODELS = {
     "alphabet is a string": _set(("alphabet",), "ab"),
     "alphabet is an object": _set(("alphabet",), {"a": 1}),
     "cell id is listed twice": lambda doc: doc["cells"].append(dict(doc["cells"][0])),
+    "cell label is a string": lambda doc: next(c for c in doc["cells"] if c["dim"] == 2).update(label="ab"),
 }
 
 
@@ -446,6 +470,7 @@ MALFORMED_DIAGRAMS = {
     "arrow map key has a plus sign": _rekey("1", "+1"),
     "arrow map key has an underscore": _rekey("2", "0_2"),
     "arrow map key repeats a position": _set(("arrows", 0, "map", "01"), 1),
+    "spine label is a string": _set(("objects", "A", "labels", 2), "ab"),
 }
 
 

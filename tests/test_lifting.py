@@ -179,6 +179,16 @@ def test_construct_lift_reports_the_least_failing_cell_of_the_first_failing_leve
     assert str(err.value) == "no lift for cell u over square r -(1,0)-> e1 | image extends by -(1,1)-> u"
 
 
+def test_construct_lift_rejects_a_map_that_moves_the_initial_cell():
+    # g sends the initial cell p0 to p1, so the stepwise lift of g through the identity does not commute
+    s = F.segment()
+    g = Morphism(s, s, {"p0": "p1", "e": "e", "p1": "p1"})
+    with pytest.raises(NotOpen) as err:
+        construct_lift(g, identity(s))
+    # the message blames f, though the invalid map is g
+    assert str(err.value) == "the stepwise lift is not a commuting morphism; the map is not open at this depth"
+
+
 def test_construct_lift_requires_tree():
     cover = square_cover()
     with pytest.raises(NotATree):

@@ -139,6 +139,12 @@ def test_a_face_past_a_short_label_is_a_label_violation():
     assert [str(v) for v in validate_phda(x)] == [str(v) for v in pairwise_validate_phda(x)] == expect
 
 
+def test_a_letter_outside_the_alphabet_is_a_label_violation():
+    x = build("a", [("p", 0, ()), ("e", 1, ("b",))], "p")
+    expect = ["LabelViolation(e): letter 'b' not in alphabet"]
+    assert [str(v) for v in validate_phda(x)] == [str(v) for v in pairwise_validate_phda(x)] == expect
+
+
 def test_bad_initial():
     x = PHDA(frozenset(), {"p": Cell("p", 0, ())}, "missing", {})
     assert kinds(validate_phda(x)) == {"BadInitial"}

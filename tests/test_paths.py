@@ -224,6 +224,9 @@ def test_invalid_spine_rejected():
         (((1, ("a",)),), (), r"must start at \(0, ε\)"),
         (((0, ()),), ((1, PAST),), r"entry/step count mismatch"),
         (((0, ()), (1, ())), ((1, PAST),), r"label length differs from dimension at 1"),
+        (((0, ()), (1, ("a",))), ((1, 2),), r"bad transition at step 1: \(0, \(\)\) -\(1,2\)-> \(1, \('a',\)\)"),
+        # read as a future step, step 2 would be valid: only its direction is wrong
+        (((0, ()), (1, ("a",)), (0, ())), ((1, PAST), (1, 2)), r"bad transition at step 2"),
     ]
     for entries, steps, message in cases:
         with pytest.raises(InvalidSpine, match=message):
