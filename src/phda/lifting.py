@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainMismatch, NotATree, NotOpen
+from .errors import DomainMismatch, ModelInvalid, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
 from .paths import Path, first_paths
 
@@ -85,6 +85,9 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     from .unfolding import is_tree  # only lifts need it, so open-map checks load no explorer
     if g.target != f.target:
         raise DomainMismatch("both maps must share their codomain")
+    bad = validate_morphism(g)
+    if bad:  # else the stepwise lift below would blame f
+        raise ModelInvalid(bad)
     x, y = g.source, f.source
     report = is_tree(x)
     if not report:

@@ -203,6 +203,17 @@ def build(
     return PHDA(alphabet=frozenset(alphabet), cells=cmap, initial=initial, faces=saturate(entries))
 
 
+def entry_violation(cells: dict[str, Cell], x: str, w: FaceWord, y: str) -> Violation | None:
+    """The UnknownCell or DimensionMismatch of the entry x -w-> y, unless it names known cells and its
+    word, of indices up to x's dimension, lowers the dimension by its length."""
+    cx, cy = cells.get(x), cells.get(y)
+    if cx is None or cy is None:
+        return Violation("UnknownCell", (x, w.text(), y))
+    if w and (w[-1][0] > cx.dim or cy.dim != cx.dim - len(w)):
+        return Violation("DimensionMismatch", (x, w.text(), y))
+    return None
+
+
 def validate_phda(x: PHDA) -> list[Violation]:
     """Check functionality, dimensions, labelling, closure, and the initial point.
 
@@ -230,13 +241,11 @@ def validate_phda(x: PHDA) -> list[Violation]:
     for key, y in faces.items():
         xc, w = key
         cx, cy = cells.get(xc), cells.get(y)
-        if cx is None or cy is None:
-            found.append((key, Violation("UnknownCell", (xc, w.text(), y))))
+        if bad := entry_violation(cells, xc, w, y):
+            found.append((key, bad))
         elif not w:
             if y != xc:
                 found.append((key, Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity")))
-        elif w[-1][0] > cx.dim or cy.dim != cx.dim - len(w):
-            found.append((key, Violation("DimensionMismatch", (xc, w.text(), y))))
         elif len(cx.label) != cx.dim:  # deleting letters is undefined; the cell's own violation is above
             found.append((key, Violation("LabelViolation", (xc, w.text(), y))))
         else:

@@ -9,6 +9,7 @@ from phda import fixtures as F
 from phda import jsonio
 from phda.cli import main
 from phda.homotopy import classes_to
+from phda.paths import enumerate_paths
 from phda.unfolding import unfold
 
 
@@ -42,6 +43,12 @@ def test_fixture_morphism_documents(name):
 
 def test_fixture_diagram_document():
     assert_same(jsonio.diagram_to_dict(F.glued_square_diagram()))
+
+
+def test_documents_with_keys_that_are_not_strings():
+    model = jsonio.model_to_dict(F.segment())
+    assert_same({1: model})  # json.dumps writes the key as "1"
+    assert_same({"model": model, "map": {2: "p0", 10: "e"}, "none": {None: [model]}})
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +106,14 @@ def test_cli_stdout_is_json_dumps(fixture_files, capsys, args):
 
 
 def test_entries_across_chunks(monkeypatch):
-    monkeypatch.setattr(jsonio, "_CHUNK", 7)  # a chunk boundary falls inside both entry lists
+    monkeypatch.setattr(jsonio, "_CHUNK", 7)  # a chunk boundary falls inside both entry lists and the paths
     tree, cover, truncated = unfold(F.full_cube(), 6)
     model = jsonio.model_to_dict(tree)
     assert_same(model)
     assert_same({"model": model, "cover": dict(sorted(cover.mapping.items())), "truncated": truncated})
+    paths = [jsonio.path_to_dict(p) for p in enumerate_paths(F.full_square(), 4)]
+    assert len(paths) > 7
+    assert_same({"paths": paths})
 
 
 def homotopy_doc(x, to, max_len):
@@ -123,8 +133,8 @@ def test_class_records_across_chunks(monkeypatch):
     assert_same(homotopy_doc(F.full_cube(), "000", 3))  # one class, of the empty path
 
 
-# quotes, backslashes, control and non-ASCII characters, as letters, ids and keys
-TEXT = st.text(st.sampled_from('ab*0"\\\n\x00ε'), max_size=4)
+# quotes, backslashes, percent signs, control and non-ASCII characters, as letters, ids and keys
+TEXT = st.text(st.sampled_from('ab*0"%\\\n\x00ε'), max_size=4)
 SCALARS = st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | TEXT
 VALUES = st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3), max_leaves=3
@@ -142,7 +152,21 @@ MODEL_DOCS = st.fixed_dictionaries({
     "initial": TEXT | VALUES,
     "saturate": st.booleans() | VALUES,
 })
-DOCS = MODEL_DOCS | st.dictionaries(TEXT, MODEL_DOCS | VALUES, max_size=3)
+RECORD = st.dictionaries(TEXT, VALUES | st.dictionaries(TEXT, VALUES, min_size=1, max_size=2), min_size=1, max_size=3)
+
+
+def like(value):
+    """Values with the keys of `value` where it is a dict, nested dicts included, perhaps with a key more
+    ("~" is not a TEXT), and any values elsewhere."""
+    if type(value) is dict and value:
+        return st.fixed_dictionaries({k: like(v) for k, v in value.items()}, optional={"~": VALUES})
+    return VALUES
+
+
+# a first record, then records of its layout, records of other layouts and items that are not dicts
+RECORDS = RECORD.flatmap(
+    lambda first: st.lists(like(first) | RECORD | VALUES, max_size=4).map(lambda more: [first, *more]))
+DOCS = MODEL_DOCS | RECORDS | st.dictionaries(TEXT, MODEL_DOCS | RECORDS | VALUES, max_size=3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
 from phda import fixtures as F
-from phda.errors import DomainMismatch, NotATree, NotOpen
+from phda.errors import DomainMismatch, ModelInvalid, NotATree, NotOpen
 from phda.lifting import construct_lift, enumerate_morphisms, is_cofibrant, is_covering, is_open
 from phda.colimits import colimit, mediate
 from phda.model import Morphism, build, compose, identity, validate_morphism
@@ -155,6 +155,22 @@ def test_construct_lift_unit_through_completion_cover():
     assert len(enumerate_lifts(unit, cover)) == 1
 
 
+def test_every_map_from_a_tree_factors_uniquely_through_the_unfolding_cover():
+    # the cover is universal: each g from a tree T into x has exactly one h with cover o h = g, by brute force
+    trees = [F.point(), F.segment(), F.branch_tree(2), F.double_square_tree(),
+             unfold(F.self_loop(), 3).tree, unfold(F.full_square(), 3).tree]
+    found = 0
+    for x in (F.segment(), F.full_square(), F.notched_square(), F.self_loop(), F.glued_square()):
+        for t in trees:
+            cover = unfold(x, len(t.cells)).cover  # deep enough for every execution of t
+            for g in enumerate_morphisms(t, x):
+                h = construct_lift(g, cover)
+                assert validate_morphism(h) == [] and compose(cover, h) == g
+                assert [l.mapping for l in enumerate_lifts(g, cover)] == [h.mapping]
+                found += 1
+    assert found == 18
+
+
 def test_construct_lift_reports_the_least_failing_cell_of_the_first_failing_level():
     # the walk meets the edge ends in the order w, u; the lift is solved by (length, cell)
     tree = build(
@@ -180,13 +196,13 @@ def test_construct_lift_reports_the_least_failing_cell_of_the_first_failing_leve
 
 
 def test_construct_lift_rejects_a_map_that_moves_the_initial_cell():
-    # g sends the initial cell p0 to p1, so the stepwise lift of g through the identity does not commute
+    # g sends the initial cell p0 to p1, so g is not a morphism; the identity it is lifted through is open
     s = F.segment()
     g = Morphism(s, s, {"p0": "p1", "e": "e", "p1": "p1"})
-    with pytest.raises(NotOpen) as err:
+    with pytest.raises(ModelInvalid) as err:
         construct_lift(g, identity(s))
-    # the message blames f, though the invalid map is g
-    assert str(err.value) == "the stepwise lift is not a commuting morphism; the map is not open at this depth"
+    assert str(err.value) == "InitialViolation(p0); FaceNotPreserved(e,[(1,0)],p0)"
+    assert err.value.violations == validate_morphism(g)
 
 
 def test_construct_lift_requires_tree():
