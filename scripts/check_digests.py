@@ -8,11 +8,14 @@ the code the theorems predict, print the predicted cell count where one is
 fixed, and print the stdout whose sha256 is pinned in
 `perfbench/digests.json`.  Nothing under `perfbench/` is written.
 
-Usage: python3 scripts/check_digests.py
-Prints each mismatch and a total; exits 1 when any command mismatches.
+Usage: python3 scripts/check_digests.py [--hash-seed N]
+Each command runs with PYTHONHASHSEED=N (default 0): its bytes must not
+depend on the seed.  Prints each mismatch and a total; exits 1 when any
+command mismatches.
 """
 from __future__ import annotations
 
+import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +28,9 @@ from workloads import WORKLOADS
 
 
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--hash-seed", type=int, default=0, metavar="N", help="PYTHONHASHSEED of every command (default 0)")
+    args = ap.parse_args()
     digests = harness.load_digests()
     runs, keys, bad = 0, set(), 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -34,14 +40,15 @@ def main() -> int:
                 workdir = Path(tmp) / name
                 harness.setup(plan, workdir)
                 for cmd in plan.commands:
-                    rc, out, _ = harness.run_subprocess(cmd, workdir, pythonhashseed=0)
+                    rc, out, _ = harness.run_subprocess(cmd, workdir, pythonhashseed=args.hash_seed)
                     why = harness.problem(cmd, rc, out, digests)
                     if why:
                         print(f"mismatch: {name} top={top or 'full'}: {cmd.key}: {why}")
                         bad += 1
                     runs += 1
                     keys.add(cmd.key)
-    print(f"{runs} catalogue commands ({len(keys)} distinct) checked against {len(digests)} pinned digests: {bad} mismatches")
+    print(f"{runs} catalogue commands ({len(keys)} distinct) checked against {len(digests)} pinned digests"
+          f" with PYTHONHASHSEED={args.hash_seed}: {bad} mismatches")
     return 1 if bad else 0
 
 

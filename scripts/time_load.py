@@ -5,11 +5,13 @@ For each file, prints the median of each phase over the repeats, with the
 number of face entries the file lists and of distinct face words among them.
 `model_from_dict` includes validation, and with it the peeling pass that
 `is_tree` reads, so `is_tree` is timed as a command runs it: on a model
-just loaded.
+just loaded, and with the cyclic garbage collector off, as `phda.cli.main`
+runs every command.
 
 Usage: python3 scripts/time_load.py [--repeat N] FILE...
 """
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -32,6 +34,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
+    gc.disable()
     for path in args.files:
         times: dict[str, list[float]] = {"json.load": [], "model_from_dict": [], "is_tree": []}
         for _ in range(args.repeat):

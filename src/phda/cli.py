@@ -8,6 +8,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -163,6 +164,8 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()  # the caller's policy, restored on every exit below
+    gc.disable()  # what a command builds lives until it returns: a collection would rescan it and free nothing
     try:
         code = _run(args)
         sys.stdout.flush()  # a reader that closed stdout early shows here at the latest
@@ -172,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write stdout: {e}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

@@ -19,13 +19,15 @@ the chain-walking explorer that came before the run rule are test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainMismatch, InvalidBound, UnknownCell
 from .model import PHDA, Move, Step
-from .paths import Path, empty_path
 from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star
+
+if TYPE_CHECKING:  # only `classes_to` builds executions, so tree recognition and unfolding load no `paths`
+    from .paths import Path
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,7 @@ def classes_to(x, cell: str, max_len: int) -> list[HomotopyClass]:
     keeps the key order of equally long paths; so one forward pass finds
     each class's least execution from those of the pairs that enter it.
     """
+    from .paths import empty_path
     if cell not in x.cells:
         raise UnknownCell(cell)
     least, out = {0: empty_path(x)}, []

@@ -7,17 +7,20 @@ of a longer extension is again an execution of the domain, so the next
 step is a one-step square over it, and induction on the extension's
 length lifts the whole of it (the open-map argument of Joyal, Nielsen and
 Winskel, *Bisimulation from open maps*, 1996).  A square lifts or not by
-the cell its execution ends at, so squares are checked only over the first
-execution to each cell, from `paths.first_paths`.  Trees lift through open
-maps: the lift is built by induction on depth, one square per cell.
+the cell its execution ends at, so squares are checked once per cell of
+`PHDA.walk`; only a failed one builds its execution.  Trees lift through
+open maps: the lift is built by induction on depth, one square per cell.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import DomainMismatch, ModelInvalid, NotATree, NotOpen
+from .errors import DomainMismatch, InvalidBound, ModelInvalid, NotATree, NotOpen
 from .model import PHDA, Morphism, validate_morphism
-from .paths import Path, first_paths
+
+if TYPE_CHECKING:  # a positive verdict builds no execution, so `paths` is imported only to report a square
+    from .paths import Path
 
 
 @dataclass(frozen=True)
@@ -43,18 +46,22 @@ class LiftReport:
         return self.ok
 
 
-def _one_step_lifts(f: Morphism, cell: str, step: tuple[int, int], target: str) -> list[str]:
-    """Domain cells completing one extension square over an execution ending at `cell`, in cell order."""
-    return [z for s, z in f.source.moves.get(cell, ()) if s == step and f.mapping[z] == target]
-
-
 def _first_failed_square(f: Morphism, max_len: int, enough) -> LiftReport:
-    """The first square, over executions of length <= max_len, whose number of lifts fails `enough`."""
-    for p in first_paths(f.source, max_len).values():
-        for step, target in f.target.moves.get(f.mapping[p.end], ()):
-            lifts = _one_step_lifts(f, p.end, step, target)
-            if not enough(len(lifts)):
-                return LiftReport(False, ExtensionSquare(p, step, target), len(lifts))
+    """The first square, over executions of length <= max_len, whose number of lifts fails `enough`;
+    a cell's moves are counted by (step, image) once for all its squares."""
+    if max_len < 0:
+        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
+    x, m = f.source, f.mapping
+    for cell, (n, _, _) in x.walk.items():
+        if n > max_len:
+            break
+        lifts = {}
+        for step, z in x.moves.get(cell, ()):
+            lifts[step, m[z]] = lifts.get((step, m[z]), 0) + 1
+        for square in f.target.moves.get(m[cell], ()):
+            if not enough(lifts.get(square, 0)):
+                from .paths import first_paths
+                return LiftReport(False, ExtensionSquare(first_paths(x, n)[cell], *square), lifts.get(square, 0))
     return LiftReport(True)
 
 
@@ -80,7 +87,7 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     map onto its codomain.
     A cell entered by a past step is solved as an extension square over
     its image; a cell entered by future steps is forced to be the future
-    face of the already-lifted predecessor.
+    face of the already-lifted predecessor.  Cells go by (length, cell).
     """
     from .unfolding import is_tree  # only lifts need it, so open-map checks load no explorer
     if g.target != f.target:
@@ -92,16 +99,17 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
     report = is_tree(x)
     if not report:
         raise NotATree(report.reason)
-    reps = first_paths(x, len(x.cells))
+    walk = x.walk
     h = {x.initial: y.initial}
-    for cid in sorted(reps, key=lambda c: (len(reps[c]), c))[1:]:  # after the initial cell
-        p = reps[cid]
-        step = p.steps[-1]
-        lifted = Path(y, tuple(h[c] for c in p.cells[:-1]), p.steps[:-1])
-        candidates = _one_step_lifts(f, lifted.end, step, g.mapping[cid])
-        if not candidates:
-            raise NotOpen(f"no lift for cell {cid} over square {ExtensionSquare(lifted, step, g.mapping[cid])}")
-        h[cid] = candidates[0]
+    for cid in sorted(walk, key=lambda c: (walk[c][0], c))[1:]:  # after the initial cell
+        _, prev, step = walk[cid]
+        lift = next((z for s, z in y.moves.get(h[prev], ()) if s == step and f.mapping[z] == g.mapping[cid]), None)
+        if lift is None:
+            from .paths import Path, first_paths
+            below = first_paths(x, walk[prev][0])[prev]
+            square = ExtensionSquare(Path(y, tuple(h[c] for c in below.cells), below.steps), step, g.mapping[cid])
+            raise NotOpen(f"no lift for cell {cid} over square {square}")
+        h[cid] = lift
     out = Morphism(x, y, h)
     if validate_morphism(out) or any(f.mapping[h[c]] != g.mapping[c] for c in h):
         raise NotOpen("the stepwise lift is not a commuting morphism; the map is not open at this depth")

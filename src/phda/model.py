@@ -89,6 +89,18 @@ class PHDA:
         return {c: tuple(((i, a), z) for a, i, z in sorted(found[c])) for c in sorted(found)}
 
     @cached_property
+    def walk(self) -> dict[str, tuple[int, str | None, Step | None]]:
+        """(length, predecessor, step) of the first execution to each cell reached, in the order a
+        breadth-first walk over `moves` first meets the cells, so lengths never fall; (0, None, None) at the start."""
+        seen, order = {self.initial: (0, None, None)}, [self.initial]
+        for c in order:  # grows while it is read: a queue
+            for step, z in self.moves.get(c, ()):
+                if z not in seen:
+                    seen[z] = (seen[c][0] + 1, c, step)
+                    order.append(z)
+        return seen
+
+    @cached_property
     def generators(self) -> FaceTable:
         """The table's generators (`_generators`), peeled once per model for validation and `find_shortcuts`."""
         return _generators(self.faces, self.cells)

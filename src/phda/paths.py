@@ -8,10 +8,11 @@ model whose morphisms into a host are exactly the host's paths.
 
 The steps themselves come from `PHDA.moves`, the one step table of a
 model: executions, path validation, the homotopy chain index, unfolding
-and lifting all read it.  `first_paths` is the one walk over cells:
-lifting, tree recognition and the shape walk read its first execution to
-each cell.  Only `enumerate_paths` (and so `phda paths`) lists every execution;
-homotopy classes come from `homotopy.explore`, which walks classes.
+and lifting all read it.  `PHDA.walk` is the one walk over cells, and
+`first_paths` reads its first executions back as paths for the shape
+walk and for the squares lifting reports.  Only `enumerate_paths` (and
+so `phda paths`) lists every execution; homotopy classes come from
+`homotopy.explore`, which walks classes.
 """
 from __future__ import annotations
 
@@ -154,27 +155,16 @@ def map_path(f: Morphism, p: Path) -> Path:
 
 
 def first_paths(x: PHDA, max_len: int) -> dict[str, Path]:
-    """The first execution to each cell within max_len steps, in the order the cells are first met.
-
-    A cell first met at length n + 1 is met only from cells first met at
-    length n, so a breadth-first walk with a visited set meets the cells
-    in the order, and by the executions, of the breadth-first path stream
-    of `enumerate_paths`, in O(cells + moves) steps.
-    """
+    """The first execution to each cell within max_len steps, read back from `PHDA.walk` in its order.
+    A cell first met at length n + 1 is met only from cells first met at length n, so these are the
+    executions, and the order, in which the breadth-first path stream of `enumerate_paths` meets cells."""
     if max_len < 0:
         raise InvalidBound(f"max_len must be >= 0, got {max_len}")
-    first = {x.initial: empty_path(x)}
-    frontier = [first[x.initial]]
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for step, z in x.moves.get(p.end, ()):
-                if z not in first:
-                    first[z] = p.extend(step, z)
-                    nxt.append(first[z])
-        if not nxt:
+    first: dict[str, Path] = {}
+    for c, (n, prev, step) in x.walk.items():
+        if n > max_len:
             break
-        frontier = nxt
+        first[c] = empty_path(x) if prev is None else first[prev].extend(step, c)
     return first
 
 

@@ -6,8 +6,8 @@ endpoint; `model.run_faces` writes its face table from the classes'
 past steps and runs, as `colimit` does.  A model is a tree exactly when
 it has no shortcuts and a single class of executions to every cell;
 path lengths are then unique per cell, so |cells| bounds every search.  Neither enumerates paths: the
-length of each cell is that of its first execution in `first_paths`, the
-one walk over cells, and classes come from `explore`.
+length of each cell is its level in `PHDA.walk`, the one walk over cells,
+and classes come from `explore`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import InvalidBound, NotATree
 from .homotopy import explore, find_shortcuts
 from .model import PHDA, Cell, Morphism, run_faces
-from .paths import first_paths
 from .words import PAST, single
 
 
@@ -68,7 +67,7 @@ def _levels(x: PHDA) -> tuple[dict[str, int], str | None]:
     Lengths are unique per cell iff every step c -> z goes one level up;
     the first step that does not, in the order of the walk, is the clash.
     """
-    level = {c: len(p) for c, p in first_paths(x, len(x.cells)).items()}
+    level = {c: n for c, (n, _, _) in x.walk.items()}
     for c, n in level.items():
         for _, z in x.moves.get(c, ()):
             if level[z] != n + 1:

@@ -6,6 +6,11 @@ without enumerating paths.  These are the path-level procedures it
 replaced: rewrite one path, group an enumerated set of paths by closure
 under elementary rewrites, decide homotopy of two paths by breadth-first
 closure, and check the lifting squares over every enumerated execution.
+`breadth_first_paths` walks paths, not cells, to the first execution to
+each cell, as `paths.first_paths` did before `PHDA.walk`, and
+`first_path_lifting` checks the squares over those executions, each lift
+found by rescanning the cell's moves: `lifting` as it was before it
+counted the lifts at a cell once for all of its squares.
 `enumerate_lifts` lists every lift of one map through another, from all
 morphisms between their domains, independently of `construct_lift`.
 The rewrites draw their windows from a `ChainIndex`, every future chain
@@ -55,7 +60,7 @@ from phda.homotopy import ExecutionClass, _cone
 from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
-from phda.paths import Path, Spine, enumerate_paths
+from phda.paths import Path, Spine, empty_path, enumerate_paths
 from phda.uf import UnionFind
 from phda.unfolding import _levels
 from phda.words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, enumerate_words, single, star
@@ -240,6 +245,35 @@ def path_stream_lifting(f, max_len, unique):
     A square fails when it has no lift, or, with `unique`, not exactly one.
     """
     for p in enumerate_paths(f.source, max_len):
+        for step, target in f.target.moves.get(f.mapping[p.end], ()):
+            lifts = [z for s, z in f.source.moves.get(p.end, ()) if s == step and f.mapping[z] == target]
+            if len(lifts) != 1 if unique else not lifts:
+                return LiftReport(False, ExtensionSquare(p, step, target), len(lifts))
+    return LiftReport(True)
+
+
+def breadth_first_paths(x, max_len):
+    """The first execution to each cell within max_len steps, in the order a breadth-first walk over paths meets the cells."""
+    if max_len < 0:
+        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
+    first = {x.initial: empty_path(x)}
+    frontier = [first[x.initial]]
+    for _ in range(max_len):
+        nxt = []
+        for p in frontier:
+            for step, z in x.moves.get(p.end, ()):
+                if z not in first:
+                    first[z] = p.extend(step, z)
+                    nxt.append(first[z])
+        if not nxt:
+            break
+        frontier = nxt
+    return first
+
+
+def first_path_lifting(f, max_len, unique):
+    """The first failed extension square over the first execution to each cell, as `path_stream_lifting` decides it."""
+    for p in breadth_first_paths(f.source, max_len).values():
         for step, target in f.target.moves.get(f.mapping[p.end], ()):
             lifts = [z for s, z in f.source.moves.get(p.end, ()) if s == step and f.mapping[z] == target]
             if len(lifts) != 1 if unique else not lifts:

@@ -1,5 +1,9 @@
+import contextlib
 import copy
+import errno
 import functools
+import gc
+import io
 import json
 import os
 import re
@@ -271,15 +275,17 @@ def test_cli_validate_and_decisions(model_files):
     assert cli(["check-covering", model_files["cover"], "--max-len", "3"])[0] == 0
 
 
+def chain(n):
+    """n a-edges in a row from v0."""
+    cells, entries = [("v0", 0, ())], []
+    for i in range(n):
+        cells += [(f"e{i}", 1, ("a",)), (f"v{i + 1}", 0, ())]
+        entries += [(f"e{i}", single(1, PAST), f"v{i}"), (f"e{i}", single(1, FUTURE), f"v{i + 1}")]
+    return build("a", cells, "v0", entries)
+
+
 def test_check_open_and_covering_default_to_the_exact_bound(files):
     """A chain of 8 a-edges into the chain with one more edge out of its end: no lift 16 steps in."""
-    def chain(n):
-        cells, entries = [("v0", 0, ())], []
-        for i in range(n):
-            cells += [(f"e{i}", 1, ("a",)), (f"v{i + 1}", 0, ())]
-            entries += [(f"e{i}", single(1, PAST), f"v{i}"), (f"e{i}", single(1, FUTURE), f"v{i + 1}")]
-        return build("a", cells, "v0", entries)
-
     src = chain(8)
     _, write = files
     path = write("chain.json", jsonio.morphism_to_dict(Morphism(src, chain(9), {c: c for c in src.cells})))
@@ -651,29 +657,62 @@ import phda
 package = loaded()
 import phda.cli
 cli = loaded()
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     code = phda.cli.main(sys.argv[1:])
-print(json.dumps([package, cli, code, loaded()]))
+print(json.dumps([package, cli, code, loaded(), out.getvalue()]))
 """
 BASE_MODULES = ["cli", "errors", "jsonio", "model", "words"]
+
+
+def run_loaded(argv):
+    """(modules after `import phda`, after `import phda.cli`, exit code, modules after the command, stdout)
+    of one command in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize(
     "args, extra",
     [
         (["complete", "split_segment"], ["completion", "uf"]),
-        (["is-tree", "glued_square"], ["homotopy", "paths", "uf", "unfolding"]),
-        (["check-open", "fold"], ["lifting", "paths"]),
+        # a positive verdict builds no execution
+        (["is-tree", "glued_square"], ["homotopy", "uf", "unfolding"]),
+        (["check-open", "fold"], ["lifting"]),
+        (["check-covering", "cover", "--max-len", "3"], ["lifting"]),
     ],
-    ids=["complete", "is-tree", "check-open"],
+    ids=["complete", "is-tree", "check-open", "check-covering"],
 )
 def test_each_command_imports_only_the_modules_it_runs(model_files, args, extra):
     # a fresh interpreter per command: what it imports, it compiles at every start when bytecode is not cached
-    proc = subprocess.run([sys.executable, "-c", _LOADED, args[0], model_files[args[1]]],
-                          capture_output=True, text=True, env=child_env(), timeout=60)
-    package, cli, code, command = json.loads(proc.stdout)
+    package, cli, code, command, _ = run_loaded([args[0], model_files[args[1]], *args[2:]])
     assert (package, cli, code) == ([], BASE_MODULES, 0)
     assert command == sorted(BASE_MODULES + extra)
+
+
+FAILED_SQUARES = {
+    ("check-covering", "fold"):
+        '{\n  "counterexample": "r | image extends by -(1,0)-> e0",\n  "covering": false,\n  "lifts": 2\n}\n',
+    ("check-open", "chain"):
+        '{\n  "counterexample": "v0 -(1,0)-> e0 -(1,1)-> v1 -(1,0)-> e1 -(1,1)-> v2 -(1,0)-> e2 -(1,1)-> v3'
+        ' | image extends by -(1,0)-> e3",\n  "mode": "prefix",\n  "open": false\n}\n',
+    ("check-covering", "chain"):
+        '{\n  "counterexample": "v0 -(1,0)-> e0 -(1,1)-> v1 -(1,0)-> e1 -(1,1)-> v2 -(1,0)-> e2 -(1,1)-> v3'
+        ' | image extends by -(1,0)-> e3",\n  "covering": false,\n  "lifts": 0\n}\n',
+}
+
+
+@pytest.mark.parametrize("command, name", FAILED_SQUARES, ids=[" ".join(k) for k in FAILED_SQUARES])
+def test_a_failed_square_prints_its_execution(model_files, tmp_path, command, name):
+    # chain: the chain of 3 edges into the chain of 4, where the square over the whole source chain has no lift
+    src = chain(3)
+    path = tmp_path / "chain.json"
+    jsonio.save_json(str(path), jsonio.morphism_to_dict(Morphism(src, chain(4), {c: c for c in src.cells})))
+    files = dict(model_files, chain=str(path))
+    *_, code, command_modules, out = run_loaded([command, files[name]])
+    assert (code, out) == (1, FAILED_SQUARES[command, name])
+    assert "paths" in command_modules
 
 
 @pytest.mark.parametrize(
@@ -705,6 +744,56 @@ def test_cli_output_deterministic(model_files):
     a = cli(["colimit", model_files["diagram"]])
     b = cli(["colimit", model_files["diagram"]])
     assert a == b
+
+
+class UnwritableStdout(io.StringIO):
+    """A stdout whose every write raises OSError; its file descriptor is a spare one on the null device."""
+
+    def __init__(self):
+        super().__init__()
+        self.fd = os.open(os.devnull, os.O_WRONLY)
+
+    def write(self, text):
+        raise OSError(errno.EIO, "stdout is gone")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+def test_cli_runs_without_the_collector_and_restores_the_callers_state(model_files, monkeypatch, collecting):
+    seen = []
+    load = jsonio.load_model
+
+    def load_and_look(path):
+        seen.append(gc.isenabled())
+        return load(path)
+
+    monkeypatch.setattr(jsonio, "load_model", load_and_look)
+    square = model_files["full_square"]
+    broken = UnwritableStdout()
+    runs = [
+        (["validate", square], None, 0),
+        (["is-tree", square], None, 1),
+        (["validate", "/nonexistent.json"], None, 2),  # a PhdaError
+        (["is-tree", square], broken, 2),  # the OSError branch
+        (["no-such-command"], None, SystemExit),  # argparse
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, stdout, expected in runs:
+            (gc.enable if collecting else gc.disable)()
+            with contextlib.redirect_stdout(stdout or io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                if expected is SystemExit:
+                    with pytest.raises(SystemExit):
+                        main(argv)
+                else:
+                    assert main(argv) == expected, argv
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+        os.close(broken.fd)
+    assert seen == [False] * 4
 
 
 def test_cli_closed_stdout_exits_2_without_traceback(tmp_path):

@@ -195,6 +195,24 @@ def test_construct_lift_reports_the_least_failing_cell_of_the_first_failing_leve
     assert str(err.value) == "no lift for cell u over square r -(1,0)-> e1 | image extends by -(1,1)-> u"
 
 
+@pytest.mark.parametrize("removed, message", [
+    (("111",), "no lift for cell u151 over square 000 -(1,0)-> *00 -(2,0)-> **0 -(3,0)-> *** -(1,1)-> 1** -(1,1)-> 11*"
+               " | image extends by -(1,1)-> 111"),
+    (("11*",), "no lift for cell u101 over square 000 -(1,0)-> *00 -(1,1)-> 100 -(1,0)-> 1*0 -(2,0)-> 1**"
+               " | image extends by -(1,1)-> 11*"),
+    (("1*1", "*11"), "no lift for cell u100 over square 000 -(1,0)-> *00 -(2,0)-> *0* -(2,1)-> *01 -(2,0)-> **1"
+                     " | image extends by -(2,1)-> *11"),
+])
+def test_construct_lift_reports_the_lifted_execution_of_a_deep_failure(removed, message):
+    # the 3-cube less some cells, included into the 3-cube: the cover of the cube's unfolding lifts until it meets them
+    cube, part = F.cube(3), F.cube(3, removed)
+    f = Morphism(part, cube, {c: c for c in part.cells})
+    assert validate_morphism(f) == []
+    with pytest.raises(NotOpen) as err:
+        construct_lift(unfold(cube, 6).cover, f)
+    assert str(err.value) == message
+
+
 def test_construct_lift_rejects_a_map_that_moves_the_initial_cell():
     # g sends the initial cell p0 to p1, so g is not a morphism; the identity it is lifted through is open
     s = F.segment()

@@ -43,17 +43,19 @@ from phda.jsonio import model_from_dict, model_to_dict
 from phda.lifting import ExtensionSquare, is_covering, is_open
 from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
 from phda.model import validate_morphism, validate_phda
-from phda.paths import Path, Spine, empty_path, enumerate_paths, spine_of, validate_path
+from phda.paths import Path, Spine, empty_path, enumerate_paths, first_paths, spine_of, validate_path
 from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, tree_unit, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
 
 from oracles import (
     ChainIndex,
+    breadth_first_paths,
     broken_tables,
     chain_walk_explore,
     face_child,
     finish_order_diagram,
+    first_path_lifting,
     fixpoint_colimit,
     glueing_outcome,
     homotopy_closure,
@@ -231,6 +233,7 @@ def test_lifting_matches_face_lookups(x, depth):
         for check, unique in ((is_open, False), (is_covering, True)):
             r = check(f, 3)
             assert (r.ok, str(r.square) if r.square else None, r.lifts) == oracle_lifting(f, 3, unique), name
+        check_lifting(f, (0, 1, 3))
     result = unfold(x, depth)
     assert is_tree(result.tree) and is_covering(result.cover, depth - 1)
 
@@ -486,12 +489,16 @@ def test_explorer_tree_and_homotopy_match_oracles_on_fixed_models(name):
     check_homotopy(x)
 
 
-def check_lifting(f):
-    """`is_open` and `is_covering` against the path-stream oracle at every bound 0..|cells| + 2."""
-    for bound in range(len(f.source.cells) + 3):
+def check_lifting(f, bounds=None):
+    """`is_open` and `is_covering` against the path-stream and first-path oracles, and `first_paths` against
+    the breadth-first walk over paths, at the given bounds, by default every bound 0..|cells| + 2."""
+    for bound in range(len(f.source.cells) + 3) if bounds is None else bounds:
+        assert list(first_paths(f.source, bound).items()) == list(breadth_first_paths(f.source, bound).items())
         for check, unique in ((is_open, False), (is_covering, True)):
-            r, expect = check(f, bound), path_stream_lifting(f, bound, unique)
-            assert (r.ok, str(r.square), r.lifts) == (expect.ok, str(expect.square), expect.lifts), bound
+            r = check(f, bound)
+            for oracle in (path_stream_lifting, first_path_lifting):
+                expect = oracle(f, bound, unique)
+                assert (r.ok, str(r.square), r.lifts) == (expect.ok, str(expect.square), expect.lifts), (oracle, bound)
 
 
 def fixture_lifting_maps():
@@ -499,7 +506,7 @@ def fixture_lifting_maps():
     for name, mk in F.MODELS.items():
         maps |= {f"{kind} of {name}": f for kind, f in lifting_maps(mk(), 4).items()}
     maps |= {
-        "branch_fold(2, 1)": F.branch_fold(2, 1),
+        **{f"branch_fold({n}, {m})": F.branch_fold(n, m) for n in range(1, 5) for m in range(1, n + 1)},
         "double_square_fold": F.double_square_fold(),
         "loop_unrolling(2)": F.loop_unrolling(2),
         "loop_unrolling(3)": F.loop_unrolling(3),
@@ -522,6 +529,12 @@ def test_lifting_matches_path_stream_on_fixtures(name):
 def test_lifting_matches_path_stream_on_dense_models(x, depth):
     for f in lifting_maps(x, depth).values():
         check_lifting(f)
+
+
+@pytest.mark.parametrize("n, depth", [(n, depth) for n in (3, 4) for depth in range(3, 9)])
+def test_lifting_matches_the_oracles_on_cube_covers(n, depth):
+    cover = unfold(F.cube(n), depth).cover
+    check_lifting(cover, (0, 1, depth - 1, depth, len(cover.source.cells)))
 
 
 @pytest.mark.parametrize("f", [identity(F.self_loop()), unfold(F.self_loop(), 4).cover, F.loop_unrolling(2), F.loop_unrolling(3)])
