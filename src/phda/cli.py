@@ -173,7 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         # exit 2 with no traceback; stdout now discards, so the flush at exit stays quiet
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write stdout: {e}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     finally:
         if collecting:

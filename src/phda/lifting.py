@@ -8,8 +8,9 @@ step is a one-step square over it, and induction on the extension's
 length lifts the whole of it (the open-map argument of Joyal, Nielsen and
 Winskel, *Bisimulation from open maps*, 1996).  A square lifts or not by
 the cell its execution ends at, so squares are checked once per cell of
-`PHDA.walk`; only a failed one builds its execution.  Trees lift through
-open maps: the lift is built by induction on depth, one square per cell.
+`PHDA.walk`; only a failed one builds its execution, with `paths.first_path`.
+Trees lift through open maps: the lift is built by induction on depth, one
+square per cell.
 """
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ def _first_failed_square(f: Morphism, max_len: int, enough) -> LiftReport:
             lifts[step, m[z]] = lifts.get((step, m[z]), 0) + 1
         for square in f.target.moves.get(m[cell], ()):
             if not enough(lifts.get(square, 0)):
-                from .paths import first_paths
-                return LiftReport(False, ExtensionSquare(first_paths(x, n)[cell], *square), lifts.get(square, 0))
+                from .paths import first_path
+                return LiftReport(False, ExtensionSquare(first_path(x, cell), *square), lifts.get(square, 0))
     return LiftReport(True)
 
 
@@ -105,9 +106,8 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
         _, prev, step = walk[cid]
         lift = next((z for s, z in y.moves.get(h[prev], ()) if s == step and f.mapping[z] == g.mapping[cid]), None)
         if lift is None:
-            from .paths import Path, first_paths
-            below = first_paths(x, walk[prev][0])[prev]
-            square = ExtensionSquare(Path(y, tuple(h[c] for c in below.cells), below.steps), step, g.mapping[cid])
+            from .paths import first_path, map_path
+            square = ExtensionSquare(map_path(Morphism(x, y, h), first_path(x, prev)), step, g.mapping[cid])
             raise NotOpen(f"no lift for cell {cid} over square {square}")
         h[cid] = lift
     out = Morphism(x, y, h)

@@ -90,8 +90,8 @@ class PHDA:
 
     @cached_property
     def walk(self) -> dict[str, tuple[int, str | None, Step | None]]:
-        """(length, predecessor, step) of the first execution to each cell reached, in the order a
-        breadth-first walk over `moves` first meets the cells, so lengths never fall; (0, None, None) at the start."""
+        """(length, predecessor, step) of the first execution to each cell reached, which `paths.first_path`
+        rebuilds, in breadth-first order over `moves`, so lengths never fall; (0, None, None) at the start."""
         seen, order = {self.initial: (0, None, None)}, [self.initial]
         for c in order:  # grows while it is read: a queue
             for step, z in self.moves.get(c, ()):

@@ -9,8 +9,8 @@ model whose morphisms into a host are exactly the host's paths.
 The steps themselves come from `PHDA.moves`, the one step table of a
 model: executions, path validation, the homotopy chain index, unfolding
 and lifting all read it.  `PHDA.walk` is the one walk over cells, and
-`first_paths` reads its first executions back as paths for the shape
-walk and for the squares lifting reports.  Only `enumerate_paths` (and
+`first_path` rebuilds the first execution to one of its cells, for the
+shape walk and for the squares lifting reports.  Only `enumerate_paths` (and
 so `phda paths`) lists every execution; homotopy classes come from
 `homotopy.explore`, which walks classes.
 """
@@ -128,17 +128,17 @@ def path_to_morphism(p: Path) -> Morphism:
 
 
 def _shape_walk(x: PHDA) -> Path:
-    """The unique maximal chain of a path shape, read from `first_paths`; raises NotAPathShape otherwise."""
-    first = first_paths(x, len(x.cells))
-    for c in first:
+    """The unique maximal chain of a path shape, read from `PHDA.walk`; raises NotAPathShape otherwise."""
+    walk = x.walk
+    for c in walk:
         if len(x.moves.get(c, ())) > 1:
             raise NotAPathShape(f"branching at cell {c}")
-    *_, walk = first.values()  # no cell branches, so the cells met form one chain
-    for _, z in x.moves.get(walk.end, ()):
+    *_, end = walk  # no cell branches, so the cells met form one chain
+    for _, z in x.moves.get(end, ()):
         raise NotAPathShape(f"cycle through cell {z}")
-    if len(first) != len(x.cells):
-        raise NotAPathShape(f"unreachable cells {sorted(set(x.cells) - set(first))}")
-    return walk
+    if len(walk) != len(x.cells):
+        raise NotAPathShape(f"unreachable cells {sorted(set(x.cells) - set(walk))}")
+    return first_path(x, end)
 
 
 def morphism_to_path(f: Morphism) -> Path:
@@ -147,25 +147,21 @@ def morphism_to_path(f: Morphism) -> Path:
     renamed = {str(k): c for k, c in enumerate(walk.cells)}
     if {(renamed[a], w, renamed[b]) for a, w, b in reference.entries()} != set(f.source.entries()):
         raise NotAPathShape("face table is not freely generated by the spine")
-    return Path(f.target, tuple(f.mapping[c] for c in walk.cells), walk.steps)
+    return map_path(f, walk)
 
 
 def map_path(f: Morphism, p: Path) -> Path:
     return Path(f.target, tuple(f.mapping[c] for c in p.cells), p.steps)
 
 
-def first_paths(x: PHDA, max_len: int) -> dict[str, Path]:
-    """The first execution to each cell within max_len steps, read back from `PHDA.walk` in its order.
-    A cell first met at length n + 1 is met only from cells first met at length n, so these are the
-    executions, and the order, in which the breadth-first path stream of `enumerate_paths` meets cells."""
-    if max_len < 0:
-        raise InvalidBound(f"max_len must be >= 0, got {max_len}")
-    first: dict[str, Path] = {}
-    for c, (n, prev, step) in x.walk.items():
-        if n > max_len:
-            break
-        first[c] = empty_path(x) if prev is None else first[prev].extend(step, c)
-    return first
+def first_path(x: PHDA, cell: str) -> Path:
+    """The first execution to a cell of `PHDA.walk`, rebuilt along the walk's predecessors.  It is the
+    execution by which the breadth-first path stream of `enumerate_paths` first meets the cell."""
+    cells, steps = [cell], []
+    while (back := x.walk[cells[-1]])[1] is not None:
+        cells.append(back[1])
+        steps.append(back[2])
+    return Path(x, tuple(reversed(cells)), tuple(reversed(steps)))
 
 
 def enumerate_paths(x: PHDA, max_len: int) -> list[Path]:

@@ -6,8 +6,8 @@ endpoint; `model.run_faces` writes its face table from the classes'
 past steps and runs, as `colimit` does.  A model is a tree exactly when
 it has no shortcuts and a single class of executions to every cell;
 path lengths are then unique per cell, so |cells| bounds every search.  Neither enumerates paths: the
-length of each cell is its level in `PHDA.walk`, the one walk over cells,
-and classes come from `explore`.
+length of each cell is its level in `PHDA.walk`, the one walk over cells
+(whose first executions `paths.first_path` rebuilds), and classes come from `explore`.
 """
 from __future__ import annotations
 
@@ -61,31 +61,19 @@ def unfold(x: PHDA, depth: int) -> UnfoldResult:
     return UnfoldResult(tree=tree, cover=Morphism(tree, x, cover_map), truncated=truncated)
 
 
-def _levels(x: PHDA) -> tuple[dict[str, int], str | None]:
-    """The length of the first execution to each cell, in first-met order, and the first clash.
-
-    Lengths are unique per cell iff every step c -> z goes one level up;
-    the first step that does not, in the order of the walk, is the clash.
-    """
-    level = {c: n for c, (n, _, _) in x.walk.items()}
-    for c, n in level.items():
-        for _, z in x.moves.get(c, ()):
-            if level[z] != n + 1:
-                return level, f"cell {z} is reached at lengths {level[z]} and {n + 1}"
-    return level, None
-
-
 def is_tree(x: PHDA) -> TreeReport:
     """No shortcuts, every cell reachable, one execution class per cell."""
     shortcuts = find_shortcuts(x)
     if shortcuts:
         cid, w = min(shortcuts)
         return TreeReport(False, f"shortcut {w.text()} on cell {cid}")
-    level, clash = _levels(x)
-    if clash:
-        return TreeReport(False, clash)
+    walk = x.walk  # lengths are unique iff each step goes one level up; the walk's first that does not clashes
+    for c, (n, _, _) in walk.items():
+        for _, z in x.moves.get(c, ()):
+            if walk[z][0] != n + 1:
+                return TreeReport(False, f"cell {z} is reached at lengths {walk[z][0]} and {n + 1}")
     for cid in sorted(x.cells):
-        if cid not in level:
+        if cid not in walk:
             return TreeReport(False, f"cell {cid} is not the endpoint of any execution")
     ends: set[str] = set()
     for c in explore(x, len(x.cells)):
@@ -94,11 +82,10 @@ def is_tree(x: PHDA) -> TreeReport:
         ends.add(c.end)
     else:
         return TreeReport(True)
-    for cid in sorted(x.cells):
-        found = sum(c.end == cid for c in explore(x, level[cid], to=cid))
-        if found != 1:
+    for cid in sorted(x.cells):  # stops at c.end at the latest, which has two classes
+        found = sum(e.end == cid for e in explore(x, walk[cid][0], to=cid))
+        if found != 1 or cid == c.end:
             return TreeReport(False, f"cell {cid} has {found} execution classes")
-    raise AssertionError("a cell with two classes was found, then lost")
 
 
 def tree_unit(x: PHDA) -> Morphism:

@@ -7,7 +7,7 @@ replaced: rewrite one path, group an enumerated set of paths by closure
 under elementary rewrites, decide homotopy of two paths by breadth-first
 closure, and check the lifting squares over every enumerated execution.
 `breadth_first_paths` walks paths, not cells, to the first execution to
-each cell, as `paths.first_paths` did before `PHDA.walk`, and
+each cell, which `paths.first_path` rebuilds from `PHDA.walk`, and
 `first_path_lifting` checks the squares over those executions, each lift
 found by rescanning the cell's moves: `lifting` as it was before it
 counted the lifts at a cell once for all of its squares.
@@ -34,10 +34,9 @@ round merges nothing.
 
 `split_moves` splits the single faces of a face table into starting and
 finishing steps, each keyed by the cell the step leaves: the step tables
-the path oracles walk instead of `PHDA.moves`.
-
-`cell_depths` is the length of the executions to each cell of a model
-whose lengths are unique, as tree recognition reads them.
+the path oracles walk instead of `PHDA.moves`.  `oracle_bounded_paths`
+walks them level by level to the first cell reached at two lengths: the
+length check of tree recognition, and the levels of `PHDA.walk`.
 
 `patch_everywhere` swaps a library function for a stub in every module
 that imported it, so a test can show that a path is never taken.
@@ -55,14 +54,13 @@ from typing import Iterator
 
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
 from phda.completion import AbstractFace
-from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid, NotATree
+from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid
 from phda.homotopy import ExecutionClass, _cone
 from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
 from phda.paths import Path, Spine, empty_path, enumerate_paths
 from phda.uf import UnionFind
-from phda.unfolding import _levels
 from phda.words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, enumerate_words, single, star
 
 Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
@@ -239,6 +237,31 @@ def split_moves(x):
     return up, future
 
 
+def oracle_bounded_paths(x):
+    """The executions of x, level by level up to |cells| steps, and the first cell they reach at two lengths."""
+    up, futures = split_moves(x)
+    first_len = {x.initial: 0}
+    paths = [empty_path(x)]
+    frontier = list(paths)
+    for _ in range(len(x.cells)):
+        nxt = []
+        for p in frontier:
+            e = p.end
+            moves = [((i, PAST), z) for i, z in up.get(e, [])]
+            moves += [((i, FUTURE), z) for i, z in futures.get(e, [])]
+            for step, z in moves:
+                q = p.extend(step, z)
+                seen = first_len.setdefault(z, len(q))
+                if seen != len(q):
+                    return paths, f"cell {z} is reached at lengths {seen} and {len(q)}"
+                nxt.append(q)
+        if not nxt:
+            break
+        paths.extend(nxt)
+        frontier = nxt
+    return paths, None
+
+
 def path_stream_lifting(f, max_len, unique):
     """The first failed extension square over every enumerated execution of length <= max_len.
 
@@ -322,14 +345,6 @@ def homotopy_closure(p, chains=None):
                     nxt.append(nb)
         frontier = nxt
     return seen
-
-
-def cell_depths(x):
-    """Length of the executions reaching each cell, from `unfolding._levels`; requires unique lengths."""
-    level, clash = _levels(x)
-    if clash:
-        raise NotATree(clash)
-    return level
 
 
 def late_clash():

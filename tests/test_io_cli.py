@@ -20,6 +20,7 @@ from phda.cli import main
 from phda.colimits import colimit
 from phda.errors import ModelInvalid, ParseError, PhdaError
 from phda.model import Morphism, build
+from phda.paths import enumerate_paths
 from phda.unfolding import unfold
 from phda.words import FUTURE, PAST, single
 
@@ -295,6 +296,12 @@ def test_check_open_and_covering_default_to_the_exact_bound(files):
         assert code == 1 and json.loads(out)[key] is False
         assert square.endswith("v8 | image extends by -(1,0)-> e8") and square in err
         assert cli([command, path, "--max-len", "15"])[0] == 0  # short of the 16 steps to v8
+
+
+def test_paths_to_prints_the_executions_ending_at_the_cell(model_files):
+    code, out, _ = cli(["paths", model_files["glued_square"], "--to", "B:4", "--max-len", "4"])
+    expect = [p for p in enumerate_paths(F.glued_square(), 4) if p.end == "B:4"]
+    assert code == 0 and json.loads(out)["paths"] == [jsonio.path_to_dict(p) for p in expect] and 0 < len(expect) < 7
 
 
 def test_cli_structural_commands(model_files):
@@ -794,6 +801,18 @@ def test_cli_runs_without_the_collector_and_restores_the_callers_state(model_fil
         (gc.enable if was else gc.disable)()
         os.close(broken.fd)
     assert seen == [False] * 4
+
+
+def test_an_unwritable_stdout_leaves_no_descriptor_open(model_files):
+    broken = UnwritableStdout()
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with contextlib.redirect_stdout(broken), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["is-tree", model_files["full_square"]]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(broken.fd)
 
 
 def test_cli_closed_stdout_exits_2_without_traceback(tmp_path):

@@ -201,6 +201,13 @@ def test_identity_and_compose():
         compose(fold, fold)
 
 
+def test_a_morphism_applies_its_map():
+    fold = F.branch_fold(2, 1)
+    assert [fold(c) for c in fold.mapping] == list(fold.mapping.values())
+    with pytest.raises(KeyError):
+        fold("not a cell")
+
+
 def test_compose_of_valid_is_valid():
     s, r = F.section_retraction_pairs()[0]
     assert validate_morphism(s) == [] and validate_morphism(r) == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phda import fixtures as F
-from phda.errors import InvalidBound, InvalidSpine, NotAPathShape, NotATree
+from phda.errors import InvalidBound, InvalidSpine, NotAPathShape
 from phda.homotopy import classes_to
 from phda.lifting import is_covering, is_open
 from phda.model import PHDA, Cell, is_hda, saturate, validate_morphism, validate_phda
@@ -23,15 +23,16 @@ from phda.paths import (
 from phda.unfolding import is_tree, unfold
 from phda.words import FUTURE, PAST, single
 
-from oracles import cell_depths, late_clash, partition_paths, split_moves
+from oracles import late_clash, oracle_bounded_paths, partition_paths, split_moves
 
 
 # Independent oracles for the explorers: the three breadth-first frontier
 # loops that enumeration, unfolding and tree recognition each ran on their
-# own, over split step tables built from the face table rather than from
-# `PHDA.moves`.  Unfolding works in classes and tree recognition in cells
-# and classes; their results are compared with the ones these paths give,
-# grouped by the path-level `partition_paths`.
+# own (the last, `oracle_bounded_paths`, shared in `oracles`), over split
+# step tables built from the face table rather than from `PHDA.moves`.
+# Unfolding works in classes and tree recognition in cells and classes;
+# their results are compared with the ones these paths give, grouped by
+# the path-level `partition_paths`.
 
 
 def oracle_enumerate_paths(x, max_len):
@@ -75,30 +76,6 @@ def oracle_unfold_paths(x, depth):
         if not frontier:
             break
     return paths, truncated
-
-
-def oracle_bounded_paths(x):
-    up, futures = split_moves(x)
-    first_len = {x.initial: 0}
-    paths = [empty_path(x)]
-    frontier = list(paths)
-    for _ in range(len(x.cells)):
-        nxt = []
-        for p in frontier:
-            e = p.end
-            moves = [((i, PAST), z) for i, z in up.get(e, [])]
-            moves += [((i, FUTURE), z) for i, z in futures.get(e, [])]
-            for step, z in moves:
-                q = p.extend(step, z)
-                seen = first_len.setdefault(z, len(q))
-                if seen != len(q):
-                    return paths, f"cell {z} is reached at lengths {seen} and {len(q)}"
-                nxt.append(q)
-        if not nxt:
-            break
-        paths.extend(nxt)
-        frontier = nxt
-    return paths, None
 
 
 def explorer_models():
@@ -167,11 +144,8 @@ def test_bounded_paths_match_oracle(name):
     x = explorer_models()[name]
     expect, clash = oracle_bounded_paths(x)
     if clash is None:
-        assert list(cell_depths(x).items()) == list({p.end: len(p) for p in expect}.items())
+        assert [(c, n) for c, (n, _, _) in x.walk.items()] == list({p.end: len(p) for p in expect}.items())
     else:
-        with pytest.raises(NotATree) as caught:
-            cell_depths(x)
-        assert str(caught.value) == clash
         assert is_tree(x).reason == clash
     clashing = ("self_loop", "loop_unrolling(2).source", "loop_unrolling(2).target", "late_clash")
     assert (clash is not None) == (name in clashing)

@@ -43,7 +43,7 @@ from phda.jsonio import model_from_dict, model_to_dict
 from phda.lifting import ExtensionSquare, is_covering, is_open
 from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
 from phda.model import validate_morphism, validate_phda
-from phda.paths import Path, Spine, empty_path, enumerate_paths, first_paths, spine_of, validate_path
+from phda.paths import Path, Spine, empty_path, enumerate_paths, first_path, spine_of, validate_path
 from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, tree_unit, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
@@ -490,10 +490,13 @@ def test_explorer_tree_and_homotopy_match_oracles_on_fixed_models(name):
 
 
 def check_lifting(f, bounds=None):
-    """`is_open` and `is_covering` against the path-stream and first-path oracles, and `first_paths` against
-    the breadth-first walk over paths, at the given bounds, by default every bound 0..|cells| + 2."""
-    for bound in range(len(f.source.cells) + 3) if bounds is None else bounds:
-        assert list(first_paths(f.source, bound).items()) == list(breadth_first_paths(f.source, bound).items())
+    """`is_open` and `is_covering` against the path-stream and first-path oracles, and `first_path` of
+    each walked cell against the breadth-first walk over paths, at the given bounds, by default every
+    bound 0..|cells| + 2."""
+    x = f.source
+    for bound in range(len(x.cells) + 3) if bounds is None else bounds:
+        walked = [(c, first_path(x, c)) for c, (n, _, _) in x.walk.items() if n <= bound]
+        assert walked == list(breadth_first_paths(x, bound).items())
         for check, unique in ((is_open, False), (is_covering, True)):
             r = check(f, bound)
             for oracle in (path_stream_lifting, first_path_lifting):

@@ -7,10 +7,10 @@ from phda.errors import NotATree
 from phda.homotopy import classes_to
 from phda.jsonio import load_model, model_to_dict, save_json
 from phda.model import _generators, compose, identity, validate_morphism, validate_phda
-from phda.paths import path_shape, spine_of, enumerate_paths
+from phda.paths import first_path, path_shape, spine_of, enumerate_paths
 from phda.unfolding import is_tree, tree_unit, unfold
 
-from oracles import cell_depths, partition_paths, patch_everywhere
+from oracles import oracle_bounded_paths, partition_paths, patch_everywhere
 
 
 def test_unfold_point():
@@ -119,8 +119,9 @@ def test_tree_unit_rejects_non_trees():
 
 def test_tree_depths_well_defined():
     for x in (F.glued_square(), F.branch_tree(3), F.double_square_tree()):
-        depths = cell_depths(x)
-        assert set(depths) == set(x.cells)
+        expect, clash = oracle_bounded_paths(x)
+        depths = {c: n for c, (n, _, _) in x.walk.items()}
+        assert clash is None and depths == {p.end: len(p) for p in expect} and set(depths) == set(x.cells)
         for p in enumerate_paths(x, len(x.cells)):
             assert depths[p.end] == len(p)
 
@@ -150,7 +151,7 @@ def test_classes_are_built_without_enumerating_paths(monkeypatch):
             [(c.representative.key(), len(c)) for c in classes],
             [check(f, n) for check in (is_open, is_covering) for f in (result.cover, fold) for n in (0, 3, 9)],
             construct_lift(result.cover, identity(x)).mapping,
-            cell_depths(tree),
+            [first_path(tree, c) for c in tree.walk],
         )
 
     expect = results()
