@@ -76,8 +76,9 @@ def model_from_dict(doc: dict) -> PHDA:
         raise ParseError(f"malformed model document: {e!r}") from None
     if not isinstance(close, bool):
         raise ParseError(f"saturate must be true or false: {close!r}")
-    # the entries to close must be well formed, so that their closure is finite
-    bad = [v for e in raw_entries if (v := entry_violation(cells, *e))] if close else []
+    # closing needs known cells and words that lower dimensions, or it may not end; the closed table reports the rest
+    found = [entry_violation(cells, *e) for e in raw_entries] if close else []
+    bad = [v for v in found if v and v.kind in ("UnknownCell", "DimensionMismatch")]
     if not bad:
         x = PHDA(alphabet, cells, initial, saturate(raw_entries) if close else face_table(raw_entries))
         bad = validate_phda(x)

@@ -215,22 +215,34 @@ def build(
     return PHDA(alphabet=frozenset(alphabet), cells=cmap, initial=initial, faces=saturate(entries))
 
 
+_DELETED: dict[tuple[Label, FaceWord], Label] = {}  # delete_letters(w, label) by (label, w)
+
+
 def entry_violation(cells: dict[str, Cell], x: str, w: FaceWord, y: str) -> Violation | None:
-    """The UnknownCell or DimensionMismatch of the entry x -w-> y, unless it names known cells and its
-    word, of indices up to x's dimension, lowers the dimension by its length."""
+    """The first law the entry x -w-> y breaks, or None: UnknownCell; for the empty word, NotFunctional unless
+    y is x; DimensionMismatch unless w's indices are at most x's dimension and lower it by w's length; and
+    LabelViolation unless deleting w's letters from x's label, as long as x's dimension, gives y's label."""
     cx, cy = cells.get(x), cells.get(y)
     if cx is None or cy is None:
         return Violation("UnknownCell", (x, w.text(), y))
-    if w and (w[-1][0] > cx.dim or cy.dim != cx.dim - len(w)):
+    if not w:
+        return None if y == x else Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity")
+    if w[-1][0] > cx.dim or cy.dim != cx.dim - len(w):
         return Violation("DimensionMismatch", (x, w.text(), y))
-    return None
+    if len(cx.label) == cx.dim:  # else deleting letters is undefined; the cell's own violation is reported too
+        got = _DELETED.get((cx.label, w))
+        if got is None:
+            got = _DELETED[cx.label, w] = delete_letters(w, cx.label)
+        if got == cy.label:
+            return None
+    return Violation("LabelViolation", (x, w.text(), y))
 
 
 def validate_phda(x: PHDA) -> list[Violation]:
     """Check functionality, dimensions, labelling, closure, and the initial point.
 
-    Entries are checked as stored, a label deletion once per (source label,
-    word), and violations sorted by entry.  A table is closed iff each entry
+    Entries are checked as stored, each by `entry_violation`, and their
+    violations sorted by entry.  A table is closed iff each entry
     composed on the right with each generator (`PHDA.generators`) out of its
     target is defined and agrees, by induction along the right factor's
     generator chain; only a table that fails this is checked pair by pair.
@@ -248,25 +260,8 @@ def validate_phda(x: PHDA) -> list[Violation]:
             if letter not in x.alphabet:
                 out.append(Violation("LabelViolation", (cid,), f"letter {letter!r} not in alphabet"))
     cells, faces = x.cells, x.faces
-    found: list[tuple[tuple[str, FaceWord], Violation]] = []
-    deleted: dict[tuple[Label, FaceWord], Label] = {}
-    for key, y in faces.items():
-        xc, w = key
-        cx, cy = cells.get(xc), cells.get(y)
-        if bad := entry_violation(cells, xc, w, y):
-            found.append((key, bad))
-        elif not w:
-            if y != xc:
-                found.append((key, Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity")))
-        elif len(cx.label) != cx.dim:  # deleting letters is undefined; the cell's own violation is above
-            found.append((key, Violation("LabelViolation", (xc, w.text(), y))))
-        else:
-            got = deleted.get((cx.label, w))
-            if got is None:
-                got = deleted[cx.label, w] = delete_letters(w, cx.label)
-            if got != cy.label:
-                found.append((key, Violation("LabelViolation", (xc, w.text(), y))))
-    out += [v for _, v in sorted(found, key=lambda kv: kv[0])]
+    found = sorted(((xc, w), v) for (xc, w), y in faces.items() if (v := entry_violation(cells, xc, w, y)))
+    out += [v for _, v in found]
     right = _by_source(x.generators)
     if any(faces.get((xc, star(w, j))) != z for (xc, w), y in faces.items() for j, z in right.get(y, ())):
         valid = dict(sorted((key, y) for key, y in faces.items() if key[1] and key[0] in cells and y in cells))

@@ -24,7 +24,8 @@ insertion action on bit vectors, independently of `words.star`.
 The closure oracles are the face-table procedures that `model` replaced:
 saturation composing every new entry with every table entry on both
 sides, shortcuts as the composites that saturating the single faces does
-not produce, and validation that composes every pair of entries.
+not produce, and validation that composes every pair of entries, after
+`pairwise_entry_violations` has checked each entry on its own.
 `broken_tables` gives the face-table breaks that validation must report.
 
 `fixpoint_colimit` is the glueing as `colimits.colimit` computed it
@@ -434,8 +435,27 @@ def pairwise_validate_phda(x):
         for letter in cell.label:
             if letter not in x.alphabet:
                 out.append(Violation("LabelViolation", (cid,), f"letter {letter!r} not in alphabet"))
+    out += pairwise_entry_violations(x)
     entries = x.entries()
-    for xc, w, y in entries:
+    valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
+    by_src = {}
+    for (xc, w), y in valid.items():
+        by_src.setdefault(xc, []).append((w, y))
+    for xc, w, y in sorted((xc, w, y) for (xc, w), y in valid.items()):
+        for j, z in sorted(by_src.get(y, [])):
+            comp = star(w, j)
+            got = valid.get((xc, comp))
+            if got is None:
+                out.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
+            elif got != z:
+                out.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
+    return out
+
+
+def pairwise_entry_violations(x):
+    """The per-entry part of `pairwise_validate_phda`: each entry on its own, in sorted order."""
+    out = []
+    for xc, w, y in x.entries():
         if xc not in x.cells or y not in x.cells:
             out.append(Violation("UnknownCell", (xc, w.text(), y)))
             continue
@@ -449,18 +469,6 @@ def pairwise_validate_phda(x):
             continue
         if len(x.cells[xc].label) != dx or delete_letters(w, x.cells[xc].label) != x.cells[y].label:
             out.append(Violation("LabelViolation", (xc, w.text(), y)))
-    valid = {(xc, w): y for xc, w, y in entries if xc in x.cells and y in x.cells and len(w) >= 1}
-    by_src = {}
-    for (xc, w), y in valid.items():
-        by_src.setdefault(xc, []).append((w, y))
-    for xc, w, y in sorted((xc, w, y) for (xc, w), y in valid.items()):
-        for j, z in sorted(by_src.get(y, [])):
-            comp = star(w, j)
-            got = valid.get((xc, comp))
-            if got is None:
-                out.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
-            elif got != z:
-                out.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
     return out
 
 

@@ -880,6 +880,39 @@ def test_saturate_rejects_unknown_cells_before_closing(files):
     assert error["violations"] == ["UnknownCell(**,[(1,0)],zz)"]
 
 
+def model_invalid(*violations):
+    """The stdout and stderr of a command that fails with these violations, as `json.dumps` writes the document."""
+    detail = "; ".join(violations)
+    doc = {"error": {"type": "ModelInvalid", "detail": detail, "violations": list(violations)}}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", f"error: ModelInvalid: {detail}\n"
+
+
+def test_saturate_reports_a_wrong_label_from_the_closed_table(files):
+    # q's given face s has label ac where deleting q's first letter gives bc; closing adds q's face e through s,
+    # whose label a is not b either.  Only unknown cells and bad dimensions are refused before closing
+    _, write = files
+    doc = {
+        "alphabet": ["a", "b", "c"],
+        "cells": [{"id": "i", "dim": 0, "label": []}, {"id": "e", "dim": 1, "label": ["a"]},
+                  {"id": "s", "dim": 2, "label": ["a", "c"]}, {"id": "q", "dim": 3, "label": ["a", "b", "c"]}],
+        "initial": "i",
+        "faces": [{"from": "q", "word": [[1, 0]], "to": "s"}, {"from": "s", "word": [[2, 0]], "to": "e"},
+                  {"from": "e", "word": [[1, 0]], "to": "i"}],
+        "saturate": True,
+    }
+    code, out, err = cli(["validate", write("wrong_label.json", doc)])
+    assert (code, out, err) == (2, *model_invalid("LabelViolation(q,[(1,0)],s)", "LabelViolation(q,[(1,0),(3,0)],e)"))
+
+
+def test_saturate_reports_an_empty_word_to_another_cell_as_the_table_does(files):
+    _, write = files
+    doc = jsonio.model_to_dict(F.full_square())
+    doc["faces"] = [e for e in doc["faces"] if len(e["word"]) == 1] + [{"from": "0*", "word": [], "to": "00"}]
+    doc["saturate"] = True
+    code, out, err = cli(["validate", write("empty_word.json", doc)])
+    assert (code, out, err) == (2, *model_invalid("NotFunctional(0*,[],00): empty word must be the identity"))
+
+
 def test_loader_reports_repeated_keys_and_non_identity_empty_words_in_entry_order(files):
     _, write = files
     doc = jsonio.model_to_dict(F.full_square())

@@ -4,7 +4,7 @@ from phda import fixtures as F
 from phda.errors import DomainMismatch, ModelInvalid, NotATree, NotOpen
 from phda.lifting import construct_lift, enumerate_morphisms, is_cofibrant, is_covering, is_open
 from phda.colimits import colimit, mediate
-from phda.model import Morphism, build, compose, identity, validate_morphism
+from phda.model import PHDA, Morphism, build, compose, identity, validate_morphism, validate_phda
 from phda.paths import Spine, enumerate_paths, map_path, path_shape
 from phda.unfolding import is_tree, unfold
 from phda.words import FUTURE, PAST, single
@@ -211,6 +211,21 @@ def test_construct_lift_reports_the_lifted_execution_of_a_deep_failure(removed, 
     with pytest.raises(NotOpen) as err:
         construct_lift(unfold(cube, 6).cover, f)
     assert str(err.value) == message
+
+
+def test_construct_lift_rejects_a_stepwise_lift_that_drops_a_face():
+    # without C:3's future face, each cell of the glued square lifts step by step through the identity on cells,
+    # B:4 from B:3, but the lift, the identity again, does not keep that face: f is not open over C:3
+    sq = F.glued_square()
+    y = PHDA(sq.alphabet, sq.cells, sq.initial, {k: z for k, z in sq.faces.items() if k != ("C:3", single(1, FUTURE))})
+    f = Morphism(y, sq, {c: c for c in y.cells})
+    assert validate_phda(y) == [] and validate_morphism(f) == []
+    with pytest.raises(NotOpen) as err:
+        construct_lift(identity(sq), f)
+    assert str(err.value) == "the stepwise lift is not a commuting morphism; the map is not open at this depth"
+    report = is_open(f, 6)
+    assert str(report.square) == "A:0 -(1,0)-> A:1 -(1,0)-> A:2 -(2,1)-> C:3 | image extends by -(1,1)-> B:4"
+    assert (report.ok, report.lifts) == (False, 0)
 
 
 def test_construct_lift_rejects_a_map_that_moves_the_initial_cell():

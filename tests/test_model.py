@@ -9,6 +9,7 @@ from phda.model import (
     Morphism,
     build,
     compose,
+    entry_violation,
     face,
     identity,
     is_hda,
@@ -19,7 +20,7 @@ from phda.model import (
 )
 from phda.words import EPSILON, single, star, word
 
-from oracles import broken_tables, pairwise_validate_phda, saturation_shortcuts
+from oracles import broken_tables, pairwise_entry_violations, pairwise_validate_phda, saturation_shortcuts
 
 
 def kinds(violations):
@@ -96,6 +97,37 @@ def test_validation_matches_the_pairwise_loop_on_fixtures(name):
         got = validate_phda(y)
         assert [str(v) for v in got] == [str(v) for v in pairwise_validate_phda(y)], kind
         assert kind in kinds(got), kind
+
+
+def entry_violations(x):
+    return [str(v) for xc, w, y in x.entries() if (v := entry_violation(x.cells, xc, w, y))]
+
+
+@pytest.mark.parametrize("name", list(F.MODELS))
+def test_entry_violation_is_the_per_entry_part_of_the_pairwise_loop(name):
+    x = F.MODELS[name]()
+    for kind, y in {"valid": x, **broken_tables(x)}.items():
+        assert entry_violations(y) == [str(v) for v in pairwise_entry_violations(y)], kind
+
+
+def test_entry_violation_reports_each_entry_by_its_first_broken_law():
+    # one entry per law, in the rule's order; the 2-cell e has one letter, so a face of it breaks the label law
+    x = PHDA(
+        alphabet=frozenset("ab"),
+        cells={"p": Cell("p", 0, ()), "q": Cell("q", 1, ("a",)), "r": Cell("r", 1, ("b",)), "e": Cell("e", 2, ("a",)),
+               "s": Cell("s", 2, ("a", "b"))},
+        initial="p",
+        faces={("ghost", EPSILON): "p", ("p", EPSILON): "q", ("q", EPSILON): "q", ("s", single(3, 0)): "q",
+               ("s", single(1, 0)): "q", ("s", single(2, 0)): "q", ("e", single(1, 0)): "q"},
+    )
+    expect = [
+        "LabelViolation(e,[(1,0)],q)",
+        "UnknownCell(ghost,[],p)",
+        "NotFunctional(p,[],q): empty word must be the identity",
+        "LabelViolation(s,[(1,0)],q)",
+        "DimensionMismatch(s,[(3,0)],q)",
+    ]
+    assert entry_violations(x) == [str(v) for v in pairwise_entry_violations(x)] == expect
 
 
 def test_generators_do_not_depend_on_entry_order():

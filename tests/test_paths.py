@@ -207,6 +207,14 @@ def test_invalid_spine_rejected():
             Spine(entries, steps)
 
 
+def test_spine_text_names_each_step_and_the_cell_it_reaches():
+    assert {u: s.text() for u, s in F.glued_square_diagram().objects.items()} == {
+        "A": "(0,ε) -(1,0)-> (1,b) -(1,0)-> (2,ab)",
+        "B": "(0,ε) -(1,0)-> (1,b) -(1,0)-> (2,ab) -(1,1)-> (1,b) -(1,1)-> (0,ε)",
+        "C": "(0,ε) -(1,0)-> (1,b) -(1,0)-> (2,ab) -(2,1)-> (1,a) -(1,1)-> (0,ε)",
+    }
+
+
 def test_path_shape_of_canonical_spine():
     shape = path_shape(spine_of(F.notched_square_path()))
     assert validate_phda(shape) == []

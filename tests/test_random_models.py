@@ -26,7 +26,9 @@ and each unfolding is isomorphic, through `mediate`, to the colimit of
 its class-pair diagram, one object per (class, step) pair.  An unfolding
 is a fixed tree: `tree_unit` is an isomorphism on it, and it is again
 the colimit of its own class-pair diagram.  The colimit of all
-executions, in contrast, is pinned as a known difference.
+executions, in contrast, is pinned as a known difference, and on a
+desk-size instance it is checked to be initial among all cocones into
+three small apexes.
 """
 import itertools
 
@@ -40,7 +42,7 @@ from phda.completion import AbstractFace, complete, completion_of, counit
 from phda.errors import InvalidDiagram, ModelInvalid
 from phda.homotopy import are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.jsonio import model_from_dict, model_to_dict
-from phda.lifting import ExtensionSquare, is_covering, is_open
+from phda.lifting import ExtensionSquare, enumerate_morphisms, is_covering, is_open
 from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
 from phda.model import validate_morphism, validate_phda
 from phda.paths import Path, Spine, empty_path, enumerate_paths, first_path, spine_of, validate_path
@@ -822,17 +824,21 @@ def execution_diagram(x, depth):
 
 
 def test_colimit_of_all_executions_differs_from_the_unfolding():
-    """A known difference, recorded until it is settled against the paper's definition of homotopy (arXiv 1804.10894).
+    """A known difference between two trees of executions, settled at desk size by the test below.
 
     This is not a theorem.  The paper builds a tree as the colimit of some
-    diagram of paths, and the class-pair diagram above is one.  The
-    diagram of all 181 executions of `full_cube` of length at most 5,
-    glued by one-step prefix arrows, gives 157 cells where the unfolding
-    has 151; the executions of that unfolding, itself a tree, give 157
-    again.  `explore` makes two past extensions one class once a window
-    of future steps glues their prefixes; the colimit glues only the ends
-    of runs of future steps.  A change to either builder that moves these
-    counts changes `unfold` or `colimit` digests.
+    diagram of paths (arXiv 1804.10894), and the class-pair diagram above
+    is one.  The diagram of all 181 executions of `full_cube` of length at
+    most 5, glued by one-step prefix arrows, gives 157 cells where the
+    unfolding has 151; the executions of that unfolding, itself a tree,
+    give 157 again.  `explore` makes two past extensions one class once a
+    window of future steps glues their prefixes; the colimit glues only the
+    ends of runs of future steps.  On a desk-size instance of the same
+    difference, the glueing is initial among all cocones into the
+    unfolding, the model and itself: there `colimit` is the colimit in
+    pHDA, and the difference lies in the diagram of all executions, which
+    is not the one the paper's theorem uses.  A change to either builder
+    that moves these counts changes `unfold` or `colimit` digests.
     """
     x = F.full_cube()
     d = execution_diagram(x, 5)
@@ -840,3 +846,49 @@ def test_colimit_of_all_executions_differs_from_the_unfolding():
     assert (len(d.objects), len(colimit(d).model.cells), len(tree.cells)) == (181, 157, 151)
     assert is_tree(tree)
     assert len(colimit(execution_diagram(tree, 5)).model.cells) == 157
+
+
+def cocones(d, apex, depth):
+    """Every cocone from a diagram of executions with prefix arrows into apex: each object's leg is an
+    execution of apex with that object's spine, and each arrow's target leg extends its source leg."""
+    by_spine = {}
+    for p in enumerate_paths(apex, depth):
+        by_spine.setdefault(spine_of(p), []).append(p.cells)
+    parent = {a.dst: a.src for a in d.arrows}
+    order = sorted(d.objects, key=lambda u: len(d.objects[u]))
+    found = []
+
+    def extend(k, legs):
+        if k == len(order):
+            found.append({u: Morphism(d.shape(u), apex, {str(i): c for i, c in enumerate(cells)})
+                          for u, cells in legs.items()})
+            return
+        u = order[k]
+        for cells in by_spine.get(d.objects[u], ()):
+            if u not in parent or cells[:-1] == legs[parent[u]]:
+                extend(k + 1, {**legs, u: cells})
+
+    extend(0, {})
+    return found
+
+
+def test_colimit_of_all_executions_is_initial_among_desk_size_cocones():
+    # the 3-cube without some finishing orders: 9 executions of length at most 5 glue to 8 cells, the unfolding has 7
+    keep = {"000", "0*0", "**0", "*10", "*11", "011", "1*0", "1*1", "11*", "110", "111"}
+    x = F.cube(3, F.cube(3).cells.keys() - keep)
+    d = execution_diagram(x, 5)
+    res = colimit(d)
+    tree = unfold(x, 5).tree
+    assert validate_phda(x) == [] and (len(d.objects), len(res.model.cells), len(tree.cells)) == (9, 8, 7)
+    assert is_tree(res.model) and is_tree(tree)
+    counts = {}
+    for name, apex in (("tree", tree), ("x", x), ("colimit", res.model)):
+        maps = enumerate_morphisms(res.model, apex)
+        found = cocones(d, apex, 5)
+        for legs in found:
+            assert check_cocone(d, apex, legs), name
+            commuting = [m for m in maps if all(m.mapping[c] == legs[u].mapping[k]
+                                                for u, inj in res.injections.items() for k, c in inj.mapping.items())]
+            assert commuting == [mediate(d, res, legs)], name
+        counts[name] = len(found)
+    assert counts == {"tree": 1, "x": 1, "colimit": 4}
