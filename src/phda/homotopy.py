@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainMismatch, InvalidBound, UnknownCell
 from .model import PHDA, Move, Step
-from .uf import UnionFind
 from .words import EPSILON, FUTURE, FaceWord, single, star
 
 if TYPE_CHECKING:  # only `classes_to` builds executions, so tree recognition and unfolding load no `paths`
@@ -77,6 +76,13 @@ def _cone(x: PHDA, to: str) -> set[str]:
     return cone
 
 
+def _root(parent: list[int], i: int) -> int:
+    """The root of i in the union-find `parent`, halving its path (Tarjan & van Leeuwen, 1984)."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
 def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionClass]:
     """The classes of executions of length <= max_len, level by level, in first-seen order.
 
@@ -102,34 +108,35 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
     cone = x.cells if to is None else _cone(x, to)
     if x.initial not in cone:
         return
-    moves = {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
+    moves = x.moves if to is None else {c: tuple(m for m in ms if m[1] in cone) for c, ms in x.moves.items() if c in cone}
+    singles: dict[int, FaceWord] = {}  # the single word of each future index
     level = [ExecutionClass(0, x.initial, 0, 1, None, None, {}, [])]
     yield level[0]
     for n in range(max_len):
-        pairs, keys, uf, by_root = [], {}, UnionFind(), {}
+        pairs, keys, parent, by_root = [], {}, [], {}  # pair i's parent in the union-find is parent[i]
         for c in level:
             mine, c.runs = c.runs, []
             for m in moves.get(c.end, ()):
-                i = uf.find(len(pairs))  # a new member, its own root
+                parent.append(i := len(pairs))  # a new member, its own root
                 pairs.append((c, m))
                 (j, a), z = m
                 if a == FUTURE:
-                    s = single(j, a)
+                    s = singles.get(j) or singles.setdefault(j, single(j, a))
                     for o, w, _ in [(c.ordinal, EPSILON, c.end), *mine]:
                         first = keys.setdefault((o, star(w, s), z), i)
-                        if first != i:
-                            uf.union(first, i)
+                        if first != i:  # the root of i's group goes under the root of first's
+                            parent[_root(parent, i)] = _root(parent, first)
         if not pairs:
             return
         ordinal, level = level[-1].ordinal + 1, []
         for i, (c, m) in enumerate(pairs):
-            new = by_root.get(root := uf.find(i))
+            new = by_root.get(root := _root(parent, i))
             if new is None:
                 new = by_root[root] = ExecutionClass(ordinal + len(level), m[1], n + 1, 0, m[0], c.ordinal, {}, [])
                 level.append(new)
             new.size += c.size
             c.successors[m] = new.ordinal
-        del uf, by_root  # freed before the runs are filed; the successor maps lead to each class
+        del parent, by_root  # freed before the runs are filed; the successor maps lead to each class
         for key, first in keys.items():
             c, m = pairs[first]
             level[c.successors[m] - ordinal].runs.append(key)

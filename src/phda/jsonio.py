@@ -88,14 +88,18 @@ def model_from_dict(doc: dict) -> PHDA:
 
 
 def model_to_dict(x: PHDA) -> dict:
+    """The document of x.  Records share lists, one per distinct label and one per distinct face word, so a
+    caller who edits one of them in place changes every record that holds it."""
+    labels = {l: list(l) for l in {c.label for c in x.cells.values()}}
+    words = {w: [list(p) for p in w] for w in {w for _, w in x.faces}}
     return {
         "alphabet": sorted(x.alphabet),
         "cells": [
-            {"id": c.id, "dim": c.dim, "label": list(c.label)}
+            {"id": c.id, "dim": c.dim, "label": labels[c.label]}
             for c in sorted(x.cells.values(), key=lambda c: (c.dim, c.id))
         ],
         "initial": x.initial,
-        "faces": [{"from": a, "word": [list(p) for p in w], "to": b} for a, w, b in x.entries()],
+        "faces": [{"from": a, "word": words[w], "to": b} for a, w, b in x.entries()],
         "saturate": False,
     }
 
@@ -224,58 +228,70 @@ def _is_record(value: Any) -> bool:
 def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
     """Write the text of `json.dump(doc, fh, indent=2, sort_keys=True)`; `ind` indents a nested value.
 
-    A record, a non-empty dict whose keys are all strings, is written key by
-    key; a list whose first item is a record, `_CHUNK` items a write from
-    one template of that record's layout.  An item the template does not
-    fit, and every other value, is `json.dumps`, re-indented.
+    A record, a non-empty dict whose keys are all strings, is written key by key; a list whose first item
+    is a record, `_CHUNK` items a write from one template of that record's layout, and an item the template
+    does not fit is `json.dumps`, re-indented.  Other values are written by one `_value_text` per indent.
     """
-    i = ind + "  "
-    if _is_record(doc):
-        text, sep = _value_text(i), "{"
-        for k in sorted(doc):
-            fh.write(f"{sep}\n{i}{encode_basestring_ascii(k)}: ")
-            if type(doc[k]) in (dict, list):
-                write_json(fh, doc[k], i)
-            else:
-                fh.write(text(doc[k]))
-            sep = ","
-        fh.write(f"\n{ind}}}")
-    elif type(doc) is list and doc and _is_record(doc[0]):
-        record, out, sep = _record_text(doc[0], i), [], "["
-        for e in doc:
-            try:
-                out.append(f"{sep}\n{i}{record(e)}")
-            except (KeyError, TypeError):
-                out.append(f"{sep}\n{i}{_dumps(e, i)}")
-            sep = ","
-            if len(out) == _CHUNK:
-                fh.write("".join(out))
-                out.clear()
-        out.append(f"\n{ind}]")
-        fh.write("".join(out))
-    else:
-        fh.write(_dumps(doc, ind))
+    texts: dict[str, Callable[[Any], str]] = {}
+
+    def write(doc: Any, ind: str) -> None:
+        i = ind + "  "
+        if _is_record(doc):
+            text, sep = texts.get(i) or texts.setdefault(i, _value_text(i)), "{"
+            for k in sorted(doc):
+                fh.write(f"{sep}\n{i}{encode_basestring_ascii(k)}: ")
+                if type(doc[k]) in (dict, list):
+                    write(doc[k], i)
+                else:
+                    fh.write(text(doc[k]))
+                sep = ","
+            fh.write(f"\n{ind}}}")
+        elif type(doc) is list and doc and _is_record(doc[0]):
+            record, sep, lead = _record_text(doc[0], i), ",\n" + i, "[\n" + i
+
+            def fit(e: Any) -> str:
+                try:
+                    return record(e)
+                except (KeyError, TypeError):
+                    return _dumps(e, i)
+
+            for k in range(0, len(doc), _CHUNK):
+                try:
+                    fh.write(lead + sep.join(map(record, doc[k : k + _CHUNK])))
+                except (KeyError, TypeError):  # an item the template does not fit: the chunk again, item by item
+                    fh.write(lead + sep.join(map(fit, doc[k : k + _CHUNK])))
+                lead = sep
+            fh.write(f"\n{ind}]")
+        else:
+            fh.write((texts.get(ind) or texts.setdefault(ind, _value_text(ind)))(doc))
+
+    write(doc, ind)
 
 
 def _value_text(ind: str) -> Callable[[Any], str]:
-    """The JSON text of a value at indent `ind`, memoised by repr (equal reprs, equal text); a non-empty
-    list is written an item a line, its items memoised in turn."""
-    memo: dict[str, str] = {}
-    items, sep = None, ",\n" + ind + "  "  # the text of list items is made for the first list
+    """The JSON text of a value at indent `ind`.  A non-empty list is written an item a line, its items by
+    a `_value_text` of their own.  Lists are memoised by identity (the memo holds each list, so no other
+    list takes its id); once `_CHUNK` lists have gone in and none came back, by repr, and after `_CHUNK`
+    more such misses not at all.  Other values are memoised by repr (equal reprs, equal text)."""
+    memo, lists = {}, {}  # text by repr; (list, text) by `key`
+    key, items, sep, hit = id, None, ",\n" + ind + "  ", False
 
     def text(v: Any) -> str:
-        nonlocal items
+        nonlocal items, lists, key, hit
         if type(v) is str:
             return encode_basestring_ascii(v)
-        r = repr(v)
-        t = memo.get(r)
-        if t is None:
-            if type(v) is list and v:
-                items = items or _value_text(ind + "  ")
-                t = "[" + sep[1:] + sep.join(map(items, v)) + "\n" + ind + "]"
-            else:
-                t = _dumps(v, ind)
-            memo[r] = t
+        if type(v) is not list or not v:
+            t = memo.get(r := repr(v))
+            return t if t is not None else memo.setdefault(r, _dumps(v, ind))
+        if seen := key and lists.get(k := key(v)):
+            hit = True
+            return seen[1]
+        items = items or _value_text(ind + "  ")
+        t = "[" + sep[1:] + sep.join(map(items, v)) + "\n" + ind + "]"
+        if key:
+            lists[k] = v, t
+            if len(lists) == _CHUNK and not hit:  # each record has lists of its own
+                lists, key = {}, repr if key is id else None
         return t
 
     return text
@@ -283,10 +299,11 @@ def _value_text(ind: str) -> Callable[[Any], str]:
 
 def _record_text(first: dict, i: str) -> Callable[[Any], str]:
     """The text at indent `i` of a dict with the keys of `first`, nested records by templates of their own;
-    an item of another layout raises KeyError or TypeError."""
+    an item of another layout raises KeyError or TypeError, and so does a value that is not a string where
+    `first` has one."""
     keys = sorted(first)
-    text = _value_text(i + "  ")
-    fields = [_record_text(first[k], i + "  ") if _is_record(first[k]) else text for k in keys]
+    fields = [_record_text(first[k], i + "  ") if _is_record(first[k]) else encode_basestring_ascii
+              if type(first[k]) is str else _value_text(i + "  ") for k in keys]
     template = "{" + ",".join(f"\n{i}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys) + f"\n{i}}}"
 
     def record(e: Any) -> str:

@@ -1,6 +1,8 @@
 """`jsonio.write_json` writes exactly the bytes of `json.dump(doc, fh, indent=2, sort_keys=True)`."""
+import copy
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from phda.cli import main
 from phda.homotopy import classes_to
 from phda.paths import enumerate_paths
 from phda.unfolding import unfold
+
+from oracles import finish_order_diagram
 
 
 def written(doc):
@@ -43,6 +47,38 @@ def test_fixture_morphism_documents(name):
 
 def test_fixture_diagram_document():
     assert_same(jsonio.diagram_to_dict(F.glued_square_diagram()))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_finish_order_diagram_documents(n):
+    assert_same(jsonio.diagram_to_dict(finish_order_diagram(n)))
+
+
+def unshared_model_dict(x):
+    """`model_to_dict` as it was before records shared lists: fresh lists for every record."""
+    return {
+        "alphabet": sorted(x.alphabet),
+        "cells": [{"id": c.id, "dim": c.dim, "label": list(c.label)} for c in sorted(x.cells.values(),
+                                                                                  key=lambda c: (c.dim, c.id))],
+        "initial": x.initial,
+        "faces": [{"from": a, "word": [list(p) for p in w], "to": b} for a, w, b in x.entries()],
+        "saturate": False,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(F.MODELS))
+def test_model_documents_share_one_list_per_word_and_label(name):
+    x = F.MODELS[name]()
+    doc = jsonio.model_to_dict(x)
+    assert doc == copy.deepcopy(doc) == unshared_model_dict(x)
+    assert written(doc) == written(unshared_model_dict(x))
+    words, labels = {}, {}
+    for e in doc["faces"]:
+        assert words.setdefault(json.dumps(e["word"]), e["word"]) is e["word"]
+    for c in doc["cells"]:
+        assert labels.setdefault(json.dumps(c["label"]), c["label"]) is c["label"]
+    if name == "full_cube":  # each single face word is listed once per cell that has it
+        assert len(words) < len(doc["faces"]) and len(labels) < len(doc["cells"])
 
 
 def test_documents_with_keys_that_are_not_strings():
@@ -187,3 +223,41 @@ CLASS_DOCS = st.dictionaries(TEXT, st.lists(CLASSES | ODD_CLASSES | VALUES, min_
 @given(CLASS_DOCS)
 def test_random_class_documents(doc):
     assert_same(doc)
+
+
+SHARED = st.lists(VALUES, min_size=1, max_size=3)
+
+
+@st.composite
+def shared_documents(draw):
+    """One list object in several records, as a top-level record value and inside a nested record and list,
+    so that it is written at several depths; and records with lists of their own among them."""
+    shared, records = draw(SHARED), []
+    for k in range(draw(st.integers(1, 5))):
+        own = draw(SHARED)
+        records.append({"shared": shared, "own": own, "k": k} if draw(st.booleans())
+                       else {"shared": own, "own": shared, "k": k})
+    deep = [{"at": {"shared": shared, "list": [shared, own]}}]
+    return {"records": records, "deep": deep, "top": shared, "lists": [shared, [shared]], "at": {"shared": shared}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_documents(), st.sampled_from([1, 2, 100]))
+def test_documents_that_share_lists(doc, chunk):
+    # a chunk of 1 or 2 drops a field's memo of lists by identity, then by repr, within a few records
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        assert_same(doc)
+
+
+NOT_STR = VALUES.filter(lambda v: type(v) is not str)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TEXT, st.lists(NOT_STR, min_size=1, max_size=4), st.integers(1, 3))
+def test_string_fields_that_turn_into_other_values(first, later, width):
+    # a field whose first value is a string is escaped directly; a later value of another type fits no template
+    keys = ["id", "dim", "label"][:width]
+    records = [{k: (first if k == "id" else 0) for k in keys}]
+    records += [{k: (v if k == "id" else k) for k in keys} for v in later]
+    assert_same({"cells": records})
+    assert_same({"cells": [{"nested": r} for r in records]})

@@ -11,6 +11,9 @@ import pytest
 
 import phda
 from phda.cli import main
+from phda.fixtures import cube
+from phda.jsonio import model_to_dict
+from phda.unfolding import unfold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,5 +105,17 @@ def test_time_load_reports_each_phase(exported):
     assert re.fullmatch(
         rf"{re.escape(str(path))}: {entries} entries, \d+ distinct words; "
         r"json\.load [\d.]+ ms, model_from_dict [\d.]+ ms, is_tree [\d.]+ ms \(median of 2\)\n",
+        proc.stdout,
+    ), proc.stdout
+
+
+def test_time_unfold_reports_each_phase():
+    proc = run_script("time_unfold.py", "--repeat", "2", "--dim", "3", "--depth", "4")
+    assert proc.returncode == 0, proc.stderr
+    tree = unfold(cube(3), 4).tree
+    text = json.dumps(model_to_dict(tree), indent=2, sort_keys=True)
+    assert re.fullmatch(
+        rf"cube-3 depth 4: {len(tree.cells)} classes, {len(tree.faces)} entries, {len(text)} bytes; "
+        r"explore [\d.]+ ms, unfold [\d.]+ ms, model_to_dict [\d.]+ ms, write_json [\d.]+ ms \(median of 2\)\n",
         proc.stdout,
     ), proc.stdout
