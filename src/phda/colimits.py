@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InvalidDiagram, NotACocone
 from .model import PHDA, Cell, Morphism, run_faces, validate_morphism
 from .paths import Spine, path_shape
-from .uf import UnionFind
+from .uf import groups, root, union
 from .words import EPSILON, FUTURE, PAST, single, star
 
 
@@ -66,12 +66,14 @@ def colimit(d: Diagram) -> ColimitResult:
     if not spines:
         return ColimitResult(PHDA(alphabet=frozenset(), cells={"*": Cell("*", 0, ())}, initial="*", faces={}), {})
     names = sorted(spines)
-    uf = UnionFind((u, k) for u in names for k in range(len(spines[u]) + 1))
-    for u in names:
-        uf.union((names[0], 0), (u, 0))
+    nodes = [(u, k) for u in names for k in range(len(spines[u]) + 1)]  # in (u, k) order
+    start = {u: i for i, (u, k) in enumerate(nodes) if not k}  # node (u, k) is nodes[start[u] + k]
+    parent = list(range(len(nodes)))
+    for i in start.values():
+        union(parent, 0, i)
     for arrow in d.arrows:
         for k in arrow.cell_map:
-            uf.union((arrow.src, k), (arrow.dst, k))
+            union(parent, start[arrow.src] + k, start[arrow.dst] + k)
 
     # runs[c]: (start class, word) of each future run into class c; future[c]: (word, end class)
     # of each run out of c.  Classes below position t are final once the runs ending at t are glued
@@ -80,28 +82,28 @@ def colimit(d: Diagram) -> ColimitResult:
         ends: dict = {}
         for u in names:
             if t <= len(spines[u]) and spines[u].steps[t - 1][1] == FUTURE:
-                step, p = single(spines[u].steps[t - 1][0], FUTURE), uf.find((u, t - 1))
+                step, p = single(spines[u].steps[t - 1][0], FUTURE), root(parent, start[u] + t - 1)
                 for c, w in [(p, EPSILON), *runs.get(p, ())]:
-                    ends.setdefault((c, star(w, step)), []).append((u, t))
+                    ends.setdefault((c, star(w, step)), []).append(start[u] + t)
         for first, *rest in ends.values():
             for other in rest:
-                uf.union(first, other)
+                union(parent, first, other)
         for (c, w), (first, *_) in ends.items():
-            runs.setdefault(end := uf.find(first), []).append((c, w))
+            runs.setdefault(end := root(parent, first), []).append((c, w))
             future.setdefault(c, []).append((w, end))
 
-    members = uf.groups()
-    ids = {root: "%s:%d" % min(group) for root, group in members.items()}
+    members = groups(parent)  # a group's least index is its least node
+    ids = {r: "%s:%d" % nodes[group[0]] for r, group in members.items()}
     cells, past = {}, {}
-    for root, group in sorted(members.items(), key=lambda kv: ids[kv[0]]):
-        u, k = min(group)  # arrows and run ends glue only nodes of one dimension and label
-        cells[ids[root]] = Cell(ids[root], *spines[u].entries[k])
+    for r, group in sorted(members.items(), key=lambda kv: ids[kv[0]]):
+        u, k = nodes[group[0]]  # arrows and run ends glue only nodes of one dimension and label
+        cells[ids[r]] = Cell(ids[r], *spines[u].entries[k])
         if k and spines[u].steps[k - 1][1] == PAST:
-            past[root] = (single(spines[u].steps[k - 1][0], PAST), uf.find((u, k - 1)))
+            past[r] = (single(spines[u].steps[k - 1][0], PAST), root(parent, group[0] - 1))
 
     alphabet = frozenset(l for s in spines.values() for _, w in s.entries for l in w)
-    model = PHDA(alphabet, cells, ids[uf.find((names[0], 0))], run_faces(ids, past, future))
-    at = {u: {str(k): ids[uf.find((u, k))] for k in range(len(s) + 1)} for u, s in spines.items()}
+    model = PHDA(alphabet, cells, ids[root(parent, 0)], run_faces(ids, past, future))
+    at = {u: {str(k): ids[root(parent, start[u] + k)] for k in range(len(s) + 1)} for u, s in spines.items()}
     return ColimitResult(model, {u: Morphism(d.shape(u, alphabet), model, at[u]) for u in spines})
 
 

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 from .errors import NotTotalHDA
 from .model import PHDA, Cell, Morphism, is_hda
-from .uf import UnionFind
+from .uf import groups, union
 from .words import EPSILON, FaceWord, delete_letters, enumerate_words, star
 
 
@@ -84,20 +84,23 @@ def completion_of(x: PHDA) -> Completion:
     missing = [(cid, w) for cid in gaps for w in words(cells[cid].dim)[1:] if (cid, w) not in faces]
     # the congruence: each missing (t, v) meets (c, u*v) for each defined (c, u) -> t
     node = faces | {key: key for key in missing}  # a defined face is its target, a missing one itself
-    uf = UnionFind()
+    keys = [*cells, *missing]  # the union-find's members by index: each cell's defined class, each missing face
+    index = {key: i for i, key in enumerate(keys)}
+    parent = list(range(len(keys)))
     into: dict[str, list[tuple[str, FaceWord]]] = {t: [] for t in gaps}  # defined faces onto each gap
     for key, t in faces.items():
         if t in into:
             into[t].append(key)
     for t, v in missing:
         for c, u in into[t]:
-            uf.union(node[(c, star(u, v))], (t, v))
+            union(parent, index[node[(c, star(u, v))]], index[(t, v)])
 
     classes = {cid: AbstractFace(w, c) for cid, (c, w) in least.items()}
     classes.update((key, AbstractFace(key[1], key[0])) for key in missing)
-    for members in uf.groups().values():
-        rep = min((classes[m] for m in members), key=AbstractFace.sort_key)
-        classes.update(dict.fromkeys(members, rep))
+    for members in groups(parent).values():
+        if len(members) > 1:
+            rep = min((classes[keys[m]] for m in members), key=AbstractFace.sort_key)
+            classes.update((keys[m], rep) for m in members)
     reps = sorted(set(classes.values()), key=AbstractFace.sort_key)
     name = {rep: rep.id() for rep in reps}
     ids = {key: name[rep] for key, rep in classes.items()}

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainMismatch, InvalidBound, UnknownCell
 from .model import PHDA, Move, Step
+from .uf import root, union
 from .words import EPSILON, FUTURE, FaceWord, single, star
 
 if TYPE_CHECKING:  # only `classes_to` builds executions, so tree recognition and unfolding load no `paths`
@@ -76,13 +77,6 @@ def _cone(x: PHDA, to: str) -> set[str]:
     return cone
 
 
-def _root(parent: list[int], i: int) -> int:
-    """The root of i in the union-find `parent`, halving its path (Tarjan & van Leeuwen, 1984)."""
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
-
-
 def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionClass]:
     """The classes of executions of length <= max_len, level by level, in first-seen order.
 
@@ -125,14 +119,14 @@ def explore(x: PHDA, max_len: int, to: str | None = None) -> Iterator[ExecutionC
                     for o, w, _ in [(c.ordinal, EPSILON, c.end), *mine]:
                         first = keys.setdefault((o, star(w, s), z), i)
                         if first != i:  # the root of i's group goes under the root of first's
-                            parent[_root(parent, i)] = _root(parent, first)
+                            union(parent, first, i)
         if not pairs:
             return
         ordinal, level = level[-1].ordinal + 1, []
         for i, (c, m) in enumerate(pairs):
-            new = by_root.get(root := _root(parent, i))
+            new = by_root.get(r := root(parent, i))
             if new is None:
-                new = by_root[root] = ExecutionClass(ordinal + len(level), m[1], n + 1, 0, m[0], c.ordinal, {}, [])
+                new = by_root[r] = ExecutionClass(ordinal + len(level), m[1], n + 1, 0, m[0], c.ordinal, {}, [])
                 level.append(new)
             new.size += c.size
             c.successors[m] = new.ordinal

@@ -228,9 +228,9 @@ def _is_record(value: Any) -> bool:
 def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
     """Write the text of `json.dump(doc, fh, indent=2, sort_keys=True)`; `ind` indents a nested value.
 
-    A record, a non-empty dict whose keys are all strings, is written key by key; a list whose first item
-    is a record, `_CHUNK` items a write from one template of that record's layout, and an item the template
-    does not fit is `json.dumps`, re-indented.  Other values are written by one `_value_text` per indent.
+    A record, a non-empty dict whose keys are all strings, is written a key (and scalar value) a write; a list
+    whose first item is a record, `_CHUNK` items a write from one template of that record's layout, and an item
+    the template does not fit is `json.dumps`, re-indented.  Other values, by one `_value_text` per indent.
     """
     texts: dict[str, Callable[[Any], str]] = {}
 
@@ -239,11 +239,12 @@ def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
         if _is_record(doc):
             text, sep = texts.get(i) or texts.setdefault(i, _value_text(i)), "{"
             for k in sorted(doc):
-                fh.write(f"{sep}\n{i}{encode_basestring_ascii(k)}: ")
-                if type(doc[k]) in (dict, list):
-                    write(doc[k], i)
+                head, v = f"{sep}\n{i}{encode_basestring_ascii(k)}: ", doc[k]
+                if type(v) in (dict, list):
+                    fh.write(head)
+                    write(v, i)
                 else:
-                    fh.write(text(doc[k]))
+                    fh.write(head + text(v))
                 sep = ","
             fh.write(f"\n{ind}}}")
         elif type(doc) is list and doc and _is_record(doc[0]):

@@ -129,6 +129,13 @@ class Violation:
         return f"{self.kind}({parts})" + (f": {self.detail}" if self.detail else "")
 
 
+def _not_functional(x: str, w: FaceWord, old: str, new: str) -> Violation:
+    """The key (x, w) given a second target `new` besides `old`; the empty word's own target is x."""
+    if not w:
+        return Violation("NotFunctional", (x, w.text(), new), "empty word must be the identity")
+    return Violation("NotFunctional", (x, w.text()), f"targets {old} and {new}")
+
+
 def face(x: PHDA, cid: str, w: FaceWord) -> str | None:
     """Look up the w-face of a cell; the empty word is the identity."""
     if cid not in x.cells:
@@ -144,11 +151,8 @@ def face_table(entries: Iterable[FaceEntry]) -> FaceTable:
     table: FaceTable = {}
     bad: list[Violation] = []
     for x, w, y in entries:
-        if not w:
-            if y != x:
-                bad.append(Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity"))
-        elif table.setdefault((x, w), y) != y:
-            bad.append(Violation("NotFunctional", (x, w.text()), f"targets {table[x, w]} and {y}"))
+        if (old := table.setdefault((x, w), y) if w else x) != y:
+            bad.append(_not_functional(x, w, old, y))
     if bad:
         raise ModelInvalid(bad)
     return table
@@ -175,7 +179,7 @@ def saturate(entries: Iterable[FaceEntry]) -> FaceTable:
                 table[key] = z
                 queue.append((key, z))
             elif old != z:
-                raise ModelInvalid([Violation("NotFunctional", (x, key[1].text()), f"targets {old} and {z}")])
+                raise ModelInvalid([_not_functional(x, key[1], old, z)])
     return table
 
 
@@ -194,8 +198,8 @@ def run_faces(names: dict, past: dict, future: dict) -> FaceTable:
         while True:
             for f, z in future.get(c, ()):
                 key, y = (x, star(w, f)), names[z]
-                if table.setdefault(key, y) != y:
-                    raise ModelInvalid([Violation("NotFunctional", (x, key[1].text()), f"targets {table[key]} and {y}")])
+                if (old := table.setdefault(key, y)) != y:
+                    raise ModelInvalid([_not_functional(x, key[1], old, y)])
             if c not in past:
                 break
             p, c = past[c]
@@ -226,7 +230,7 @@ def entry_violation(cells: dict[str, Cell], x: str, w: FaceWord, y: str) -> Viol
     if cx is None or cy is None:
         return Violation("UnknownCell", (x, w.text(), y))
     if not w:
-        return None if y == x else Violation("NotFunctional", (x, w.text(), y), "empty word must be the identity")
+        return None if y == x else _not_functional(x, w, x, y)
     if w[-1][0] > cx.dim or cy.dim != cx.dim - len(w):
         return Violation("DimensionMismatch", (x, w.text(), y))
     if len(cx.label) == cx.dim:  # else deleting letters is undefined; the cell's own violation is reported too
@@ -273,7 +277,7 @@ def validate_phda(x: PHDA) -> list[Violation]:
                 if got is None:
                     out.append(Violation("LaxLawViolation", (xc, w.text(), j.text()), f"missing composite {comp.text()}"))
                 elif got != z:
-                    out.append(Violation("NotFunctional", (xc, comp.text()), f"targets {got} and {z}"))
+                    out.append(_not_functional(xc, comp, got, z))
     return out
 
 

@@ -1,36 +1,29 @@
-"""Union-find over hashable keys, with path halving."""
+"""Union-find over the indices 0..n-1, as a list of parents with path halving (Tarjan & van Leeuwen, 1984).
+
+`parent[i]` is i's parent, and a root is its own; `list(range(n))` is n groups of one.
+"""
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+
+def root(parent: list[int], i: int) -> int:
+    """The root of i's group, halving its path."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
-class UnionFind:
-    def __init__(self, keys: Iterable[Hashable] = ()) -> None:
-        self.parent: dict = {}
-        for k in keys:
-            self.find(k)
+def union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the groups of a and b, the root of b's under a's; False if they were one group."""
+    ra, rb = root(parent, a), root(parent, b)
+    if ra == rb:
+        return False
+    parent[rb] = ra
+    return True
 
-    def find(self, x: Hashable) -> Hashable:
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        while p[x] is not x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a: Hashable, b: Hashable) -> bool:
-        """Merge the groups of a and b, the root of b's under a's; False if they were one group."""
-        ra, rb = self.find(a), self.find(b)
-        if ra is rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-    def groups(self) -> dict:
-        """Members by root, in order of each group's first key; members in key order."""
-        out: dict = {}
-        for k in self.parent:
-            out.setdefault(self.find(k), []).append(k)
-        return out
+def groups(parent: list[int]) -> dict[int, list[int]]:
+    """Members by root, groups in order of least member, members ascending."""
+    out: dict[int, list[int]] = {}
+    for i in range(len(parent)):
+        out.setdefault(root(parent, i), []).append(i)
+    return out

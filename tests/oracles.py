@@ -47,11 +47,15 @@ computed it before it closed over the missing faces only: a union-find
 over every abstract face, each merge queueing the merges of the two
 sides' single-letter faces.
 `face_child` is the single-letter face of an abstract face.
+
+`UnionFind` is the union-find these oracles and the random-model checks
+group by, keyed by hashable nodes and independent of `phda.uf`'s list of
+parents over indices.
 """
 import itertools
 import sys
 from collections import deque
-from typing import Iterator
+from typing import Hashable, Iterable, Iterator
 
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
 from phda.completion import AbstractFace
@@ -61,10 +65,43 @@ from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
 from phda.paths import Path, Spine, empty_path, enumerate_paths
-from phda.uf import UnionFind
 from phda.words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, enumerate_words, single, star
 
 Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
+
+
+class UnionFind:
+    """Union-find over hashable keys, with path halving."""
+
+    def __init__(self, keys: Iterable[Hashable] = ()) -> None:
+        self.parent: dict = {}
+        for k in keys:
+            self.find(k)
+
+    def find(self, x: Hashable) -> Hashable:
+        p = self.parent
+        if x not in p:
+            p[x] = x
+            return x
+        while p[x] is not x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: Hashable, b: Hashable) -> bool:
+        """Merge the groups of a and b, the root of b's under a's; False if they were one group."""
+        ra, rb = self.find(a), self.find(b)
+        if ra is rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+    def groups(self) -> dict:
+        """Members by root, in order of each group's first key; members in key order."""
+        out: dict = {}
+        for k in self.parent:
+            out.setdefault(self.find(k), []).append(k)
+        return out
 
 
 def star_fold(singles):

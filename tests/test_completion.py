@@ -3,15 +3,15 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
-from phda import completion, fixtures as F
+from phda import completion, fixtures as F, uf
 from phda.completion import AbstractFace, complete, complete_morphism, completion_of, counit
 from phda.errors import NotTotalHDA
 from phda.model import build, compose, identity, is_hda, validate_morphism, validate_phda
-from phda.uf import UnionFind
 from phda.words import enumerate_words, single, star, word
 
-from oracles import union_find_completion
+from oracles import UnionFind, union_find_completion
 
 
 def test_completion_outputs_are_total_and_valid():
@@ -147,6 +147,20 @@ def test_union_find_on_equal_keys_that_are_distinct_objects():
     assert list(uf.groups().values()) == [[("a", big), ("b", big + 1)]]
 
 
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * 2)))))
+def test_union_find_partitions_as_the_oracle(case):
+    # the library's list of parents against the oracle's dict: one partition, groups by least member, sorted
+    n, merges = case
+    parent, oracle = list(range(n)), UnionFind(range(n))
+    for a, b in merges:
+        one_group = oracle.find(a) == oracle.find(b)
+        assert uf.union(parent, a, b) is not one_group
+        oracle.union(a, b)
+    found = uf.groups(parent)
+    assert list(found.values()) == sorted(sorted(g) for g in oracle.groups().values())
+    assert all(uf.root(parent, r) == r and r in g for r, g in found.items())
+
+
 def test_completion_builds_one_word_list_per_dimension(monkeypatch):
     expected = {name: completion_of(mk()) for name, mk in F.MODELS.items()}
     calls = []
@@ -188,15 +202,14 @@ def test_missing_face_glues_to_the_target_of_a_defined_shortcut():
     assert (c.model, c.unit.mapping, c.reps) == (model, unit.mapping, reps)
 
 
-def count_unions(monkeypatch):
+def count_unions(monkeypatch, owner, union):
     calls = []
-    union = UnionFind.union
-    monkeypatch.setattr(UnionFind, "union", lambda uf, a, b: calls.append((a, b)) or union(uf, a, b))
+    monkeypatch.setattr(owner, "union", lambda *args: calls.append(args) or union(*args))
     return calls
 
 
 def test_completion_unions_only_missing_faces(monkeypatch):
-    calls = count_unions(monkeypatch)
+    calls = count_unions(monkeypatch, completion, completion.union)
     for name in F.TOTAL_MODELS:
         completion_of(F.MODELS[name]())
         assert calls == [], name
@@ -204,6 +217,6 @@ def test_completion_unions_only_missing_faces(monkeypatch):
     # times, its edge 11*: two unions, against 86 over all 113 abstract faces
     completion_of(F.punctured_cube())
     assert len(calls) == 2
-    calls.clear()
+    oracle_calls = count_unions(monkeypatch, UnionFind, UnionFind.union)
     union_find_completion(F.punctured_cube())
-    assert len(calls) == 86 > 2
+    assert len(oracle_calls) == 86 > 2 and len(calls) == 2

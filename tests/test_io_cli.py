@@ -685,7 +685,7 @@ def run_loaded(argv):
     [
         (["complete", "split_segment"], ["completion", "uf"]),
         # a positive verdict builds no execution
-        (["is-tree", "glued_square"], ["homotopy", "unfolding"]),
+        (["is-tree", "glued_square"], ["homotopy", "uf", "unfolding"]),
         (["check-open", "fold"], ["lifting"]),
         (["check-covering", "cover", "--max-len", "3"], ["lifting"]),
     ],

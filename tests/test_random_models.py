@@ -46,12 +46,12 @@ from phda.lifting import ExtensionSquare, enumerate_morphisms, is_covering, is_o
 from phda.model import PHDA, Cell, Morphism, build, compose, identity, is_hda, saturate
 from phda.model import validate_morphism, validate_phda
 from phda.paths import Path, Spine, empty_path, enumerate_paths, first_path, spine_of, validate_path
-from phda.uf import UnionFind
 from phda.unfolding import TreeReport, is_tree, tree_unit, unfold
 from phda.words import EPSILON, FUTURE, PAST, enumerate_words, single
 
 from oracles import (
     ChainIndex,
+    UnionFind,
     breadth_first_paths,
     broken_tables,
     chain_walk_explore,
