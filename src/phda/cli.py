@@ -11,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from typing import NoReturn
 
 from . import jsonio
 from .errors import PhdaError, UnknownCell
@@ -99,7 +100,8 @@ def cmd_check_covering(args):
 
 def cmd_lift(args):
     from .lifting import construct_lift
-    h = construct_lift(jsonio.load_morphism(args.g_morphism), jsonio.load_morphism(args.f_morphism))
+    models = {}  # a model file that both maps name is loaded once, and their codomains are then one object
+    h = construct_lift(jsonio.load_morphism(args.g_morphism, models), jsonio.load_morphism(args.f_morphism, models))
     return {"map": jsonio.map_to_dict(h)}, f"lift found on {len(h.mapping)} cells", 0
 
 
@@ -133,10 +135,14 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one: the one a command line runs."""
     ap = argparse.ArgumentParser(prog="phda", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (run, text, arguments) in COMMANDS.items():
+    alone = command in COMMANDS
+    # alone, the metavar keeps every command in the usage that an unrecognised argument prints
+    sub = ap.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if alone else None)
+    for name in [command] if alone else COMMANDS:
+        run, text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=text)
         for arg, options in arguments:
             p.add_argument(arg, **options)
@@ -163,7 +169,8 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     collecting = gc.isenabled()  # the caller's policy, restored on every exit below
     gc.disable()  # what a command builds lives until it returns: a collection would rescan it and free nothing
     try:
@@ -183,5 +190,21 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def console_main() -> NoReturn:
+    """`python -m phda` and the `phda` script: run `main`, flush stdout and stderr, and end the process with
+    `os._exit`, which skips the interpreter's teardown of modules and its last collection, as mypy's entry point
+    does.  `main` returns, for callers that run it in process.  A failed flush takes the interpreter's own exit."""
+    try:
+        code = main()
+    except SystemExit as e:  # argparse: --help (0), or a command line it rejects (2)
+        code = e.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

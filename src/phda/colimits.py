@@ -10,34 +10,33 @@ from the runs' keys and the spines' past steps, as `unfold` does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidDiagram, NotACocone
+from .errors import InvalidDiagram, NotACocone, Record
 from .model import PHDA, Cell, Morphism, run_faces, validate_morphism
 from .paths import Spine, path_shape
 from .uf import groups, root, union
 from .words import EPSILON, FUTURE, PAST, single, star
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
+    __slots__ = ("name", "src", "dst", "cell_map")
     name: str
     src: str
     dst: str
     cell_map: dict[int, int]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
+    __slots__ = ("objects", "arrows")
+    _defaults = {"arrows": ()}
     objects: dict[str, Spine]
-    arrows: tuple[Arrow, ...] = ()
+    arrows: tuple[Arrow, ...]
 
     def shape(self, u: str, alphabet: frozenset[str] | None = None) -> PHDA:
         return path_shape(self.objects[u], alphabet)
 
 
-@dataclass(frozen=True)
-class ColimitResult:
+class ColimitResult(Record):
+    __slots__ = ("model", "injections")
     model: PHDA
     injections: dict[str, Morphism]
 

@@ -16,21 +16,30 @@ closure runs over missing faces only; a total model just renames cells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .errors import NotTotalHDA
+from .errors import NotTotalHDA, Record, set_field
 from .model import PHDA, Cell, Morphism, is_hda
 from .uf import groups, union
 from .words import EPSILON, FaceWord, delete_letters, enumerate_words, star
 
 
-@dataclass(frozen=True)
-class AbstractFace:
+class AbstractFace(Record):
     """One way of describing a (possibly missing) face: take `word` of `cell`."""
 
-    word: FaceWord
-    cell: str
+    __slots__ = ("word", "cell")
+
+    def __init__(self, word: FaceWord, cell: str) -> None:
+        set_field(self, "word", word)
+        set_field(self, "cell", cell)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is AbstractFace:
+            return (self.word, self.cell) == (other.word, other.cell)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.cell))
 
     def sort_key(self) -> tuple:
         return (self.cell, self.word)
@@ -39,11 +48,11 @@ class AbstractFace:
         return f"{self.cell}#{self.word.text()}"
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(Record):
     """A completion with its unit.  `classes` maps each cell (its defined class) and each
     missing (cell, word) to its representative; `==` compares these four fields, which fix `reps`."""
 
+    __slots__ = ("source", "model", "unit", "classes", "__dict__")  # the dict holds `reps`
     source: PHDA
     model: PHDA
     unit: Morphism

@@ -18,10 +18,9 @@ the chain-walking explorer that came before the run rule are test oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DomainMismatch, InvalidBound, UnknownCell
+from .errors import DomainMismatch, InvalidBound, Record, UnknownCell
 from .model import PHDA, Move, Step
 from .uf import root, union
 from .words import EPSILON, FUTURE, FaceWord, single, star
@@ -30,8 +29,8 @@ if TYPE_CHECKING:  # only `classes_to` builds executions, so tree recognition an
     from .paths import Path
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
+class HomotopyClass(Record):
+    __slots__ = ("representative", "size")
     representative: Path  # the least execution of the class by `Path.key`
     size: int
 
@@ -39,7 +38,6 @@ class HomotopyClass:
         return self.size
 
 
-@dataclass(eq=False, slots=True)
 class ExecutionClass:
     """One class of executions, as `explore` yields it.
 
@@ -50,17 +48,23 @@ class ExecutionClass:
     walking back to class 0 rebuilds that member; `successors` maps each
     step out of `end` to the class of the extended executions.  `runs`
     holds the keys of the runs into the class (see `explore`), filled
-    before the class is yielded and emptied once it is expanded.
+    before the class is yielded and emptied once it is expanded.  Its
+    fields can be set, and `==` is identity.
     """
 
-    ordinal: int
-    end: str
-    level: int
-    size: int
-    step: Step | None
-    prefix: int | None
-    successors: dict[Move, int]
-    runs: list[tuple[int, FaceWord, str]]
+    __slots__ = _fields = ("ordinal", "end", "level", "size", "step", "prefix", "successors", "runs")
+    __repr__ = Record.__repr__
+
+    def __init__(self, ordinal: int, end: str, level: int, size: int, step: Step | None, prefix: int | None,
+                 successors: dict[Move, int], runs: list[tuple[int, FaceWord, str]]) -> None:
+        self.ordinal = ordinal
+        self.end = end
+        self.level = level
+        self.size = size
+        self.step = step
+        self.prefix = prefix
+        self.successors = successors
+        self.runs = runs
 
 
 def _cone(x: PHDA, to: str) -> set[str]:

@@ -108,10 +108,17 @@ def load_model(path: str) -> PHDA:
     return model_from_dict(_read_json(path))
 
 
-def morphism_from_dict(doc: dict, base_dir: str = ".") -> Morphism:
+def morphism_from_dict(doc: dict, base_dir: str = ".", models: dict[str, PHDA] | None = None) -> Morphism:
+    """The morphism of `doc`, its models inline or by paths relative to `base_dir`.  `models` holds the models
+    loaded so far by path: a file named twice, in one document or in the maps read with one `models`, loads once."""
+    models = {} if models is None else models
+
     def resolve(ref: Any) -> PHDA:
         if isinstance(ref, str):
-            return load_model(os.path.join(base_dir, ref))
+            path = os.path.join(base_dir, ref)
+            if path not in models:
+                models[path] = load_model(path)
+            return models[path]
         if isinstance(ref, dict):
             return model_from_dict(ref)
         raise ParseError(f"model reference must be a path or an inline object: {ref!r}")
@@ -140,8 +147,8 @@ def map_to_dict(f: Morphism) -> dict[str, str]:
     return dict(sorted(f.mapping.items()))
 
 
-def load_morphism(path: str) -> Morphism:
-    return morphism_from_dict(_read_json(path), os.path.dirname(os.path.abspath(path)))
+def load_morphism(path: str, models: dict[str, PHDA] | None = None) -> Morphism:
+    return morphism_from_dict(_read_json(path), os.path.dirname(os.path.abspath(path)), models)
 
 
 def spine_from_dict(doc: dict) -> Spine:

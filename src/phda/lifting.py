@@ -14,20 +14,19 @@ square per cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainMismatch, InvalidBound, ModelInvalid, NotATree, NotOpen
+from .errors import DomainMismatch, InvalidBound, ModelInvalid, NotATree, NotOpen, Record
 from .model import PHDA, Morphism, validate_morphism
 
 if TYPE_CHECKING:  # a positive verdict builds no execution, so `paths` is imported only to report a square
     from .paths import Path
 
 
-@dataclass(frozen=True)
-class ExtensionSquare:
+class ExtensionSquare(Record):
     """A lifting problem: an execution of the domain and a one-step extension of its image."""
 
+    __slots__ = ("base", "step", "target")
     base: Path
     step: tuple[int, int]
     target: str
@@ -37,11 +36,12 @@ class ExtensionSquare:
         return f"{self.base.text()} | image extends by -({j},{a})-> {self.target}"
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(Record):
+    __slots__ = ("ok", "square", "lifts")
+    _defaults = {"square": None, "lifts": None}
     ok: bool
-    square: ExtensionSquare | None = None
-    lifts: int | None = None
+    square: ExtensionSquare | None
+    lifts: int | None
 
     def __bool__(self) -> bool:
         return self.ok

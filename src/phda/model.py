@@ -13,7 +13,7 @@ Models and morphisms are immutable after construction; every operation
 here is pure, so they can be shared freely.  `PHDA.moves`, the model's
 one table of single steps, and `PHDA.generators`, its one peeling pass,
 are computed once per instance on first use and cached outside the
-dataclass fields.  `==` is structural: it compares alphabet, cells,
+record's fields.  `==` is structural: it compares alphabet, cells,
 initial point and face table (and for morphisms the two models and the
 map), never the caches.  It is not identity, because two files may each
 load their own copy of one model, as two morphisms into one target do.
@@ -22,11 +22,10 @@ Models and morphisms hold dicts, so hashing them raises TypeError.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DomainMismatch, ModelInvalid, UnknownCell
+from .errors import DomainMismatch, ModelInvalid, Record, UnknownCell, set_field
 from .words import EPSILON, FUTURE, PAST, FaceWord, Label, delete_letters, single, star
 
 FaceTable = dict[tuple[str, FaceWord], str]
@@ -35,19 +34,31 @@ Step = tuple[int, int]
 Move = tuple[Step, str]
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: str
-    dim: int
-    label: Label
+class Cell(Record):
+    __slots__ = ("id", "dim", "label")
+
+    def __init__(self, id: str, dim: int, label: Label) -> None:
+        set_field(self, "id", id)
+        set_field(self, "dim", dim)
+        set_field(self, "label", label)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Cell:
+            return (self.id, self.dim, self.label) == (other.id, other.dim, other.label)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.dim, self.label))
 
 
-@dataclass(frozen=True)
-class PHDA:
-    alphabet: frozenset[str]
-    cells: dict[str, Cell]
-    initial: str
-    faces: FaceTable
+class PHDA(Record):
+    __slots__ = ("alphabet", "cells", "initial", "faces", "__dict__")  # the dict holds the cached properties
+
+    def __init__(self, alphabet: frozenset[str], cells: dict[str, Cell], initial: str, faces: FaceTable) -> None:
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "cells", cells)
+        set_field(self, "initial", initial)
+        set_field(self, "faces", faces)
 
     def dim(self, cid: str) -> int:
         return self._cell(cid).dim
@@ -106,23 +117,27 @@ class PHDA:
         return _generators(self.faces, self.cells)
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """A total, dimension- and label-preserving cell map between models."""
 
-    source: PHDA
-    target: PHDA
-    mapping: dict[str, str]
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source: PHDA, target: PHDA, mapping: dict[str, str]) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "mapping", mapping)
 
     def __call__(self, cid: str) -> str:
         return self.mapping[cid]
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    subject: tuple
-    detail: str = ""
+class Violation(Record):
+    __slots__ = ("kind", "subject", "detail")
+
+    def __init__(self, kind: str, subject: tuple, detail: str = "") -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "subject", subject)
+        set_field(self, "detail", detail)
 
     def __str__(self) -> str:
         parts = ",".join(str(s) for s in self.subject)

@@ -16,18 +16,25 @@ so `phda paths`) lists every execution; homotopy classes come from
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidBound, InvalidSpine, NotAPathShape
+from .errors import InvalidBound, InvalidSpine, NotAPathShape, Record, set_field
 from .model import PHDA, Morphism, Step, build
 from .words import FUTURE, PAST, Label, single
 
 
-@dataclass(frozen=True)
-class Path:
-    host: PHDA
-    cells: tuple[str, ...]
-    steps: tuple[Step, ...]
+class Path(Record):
+    __slots__ = ("host", "cells", "steps")
+
+    def __init__(self, host: PHDA, cells: tuple[str, ...], steps: tuple[Step, ...]) -> None:
+        set_field(self, "host", host)
+        set_field(self, "cells", cells)
+        set_field(self, "steps", steps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Path:
+            return (self.host, self.cells, self.steps) == (other.host, other.cells, other.steps)
+        return NotImplemented
+
+    __hash__ = Record.__hash__  # a TypeError: the host holds dicts
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -54,12 +61,12 @@ def _upper_lower(k: int, direction: int) -> tuple[int, int]:
     return (k, k - 1) if direction == PAST else (k - 1, k)
 
 
-@dataclass(frozen=True)
-class Spine:
-    entries: tuple[tuple[int, Label], ...]
-    steps: tuple[Step, ...]
+class Spine(Record):
+    __slots__ = ("entries", "steps")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, Label], ...], steps: tuple[Step, ...]) -> None:
+        set_field(self, "entries", entries)
+        set_field(self, "steps", steps)
         if len(self.entries) != len(self.steps) + 1:
             raise InvalidSpine("entry/step count mismatch")
         if self.entries[0] != (0, ()):
@@ -82,10 +89,11 @@ class Spine:
         return " ".join(out)
 
 
-@dataclass(frozen=True)
-class PathIssue:
+class PathIssue(Record):
+    __slots__ = ("kind", "step")
+    _defaults = {"step": None}
     kind: str
-    step: int | None = None
+    step: int | None
 
     def __str__(self) -> str:
         return self.kind if self.step is None else f"{self.kind}({self.step})"

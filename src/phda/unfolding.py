@@ -11,16 +11,14 @@ length of each cell is its level in `PHDA.walk`, the one walk over cells
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidBound, NotATree
+from .errors import InvalidBound, NotATree, Record
 from .homotopy import explore, find_shortcuts
 from .model import PHDA, Cell, Morphism, run_faces
 from .words import PAST, single
 
 
-@dataclass(frozen=True)
-class UnfoldResult:
+class UnfoldResult(Record):
+    __slots__ = ("tree", "cover", "truncated")
     tree: PHDA
     cover: Morphism
     truncated: bool
@@ -29,10 +27,11 @@ class UnfoldResult:
         return iter((self.tree, self.cover, self.truncated))
 
 
-@dataclass(frozen=True)
-class TreeReport:
+class TreeReport(Record):
+    __slots__ = ("is_tree", "reason")
+    _defaults = {"reason": None}
     is_tree: bool
-    reason: str | None = None
+    reason: str | None
 
     def __bool__(self) -> bool:
         return self.is_tree

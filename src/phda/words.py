@@ -8,9 +8,8 @@ the dual insertion action on bit vectors, implemented independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError
 
-from .errors import IndexOutOfRange
+from .errors import FrozenInstanceError, IndexOutOfRange
 
 PAST = 0
 FUTURE = 1

@@ -51,20 +51,26 @@ sides' single-letter faces.
 `UnionFind` is the union-find these oracles and the random-model checks
 group by, keyed by hashable nodes and independent of `phda.uf`'s list of
 parents over indices.
+
+`dataclass_twin` is the frozen dataclass that each frozen record of the
+library was declared as, from the fields and defaults in `RECORD_FIELDS`:
+the records keep its value semantics.
 """
 import itertools
 import sys
 from collections import deque
+from dataclasses import field, make_dataclass
 from typing import Hashable, Iterable, Iterator
 
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
-from phda.completion import AbstractFace
+from phda.completion import AbstractFace, Completion
 from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid
-from phda.homotopy import ExecutionClass, _cone
+from phda.homotopy import ExecutionClass, HomotopyClass, _cone
 from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
 from phda.model import PHDA, Cell, Morphism, Violation, build, saturate
-from phda.paths import Path, Spine, empty_path, enumerate_paths
+from phda.paths import Path, PathIssue, Spine, empty_path, enumerate_paths
+from phda.unfolding import TreeReport, UnfoldResult
 from phda.words import EPSILON, FUTURE, PAST, FaceWord, delete_letters, enumerate_words, single, star
 
 Chains = dict[tuple[FaceWord, str], list[tuple[tuple[str, ...], tuple]]]
@@ -102,6 +108,34 @@ class UnionFind:
         for k in self.parent:
             out.setdefault(self.find(k), []).append(k)
         return out
+
+
+# each frozen record's fields in order, a field with a default as (name, default)
+RECORD_FIELDS = {
+    Cell: ["id", "dim", "label"],
+    PHDA: ["alphabet", "cells", "initial", "faces"],
+    Morphism: ["source", "target", "mapping"],
+    Violation: ["kind", "subject", ("detail", "")],
+    Path: ["host", "cells", "steps"],
+    Spine: ["entries", "steps"],
+    PathIssue: ["kind", ("step", None)],
+    Arrow: ["name", "src", "dst", "cell_map"],
+    Diagram: ["objects", ("arrows", ())],
+    ColimitResult: ["model", "injections"],
+    ExtensionSquare: ["base", "step", "target"],
+    LiftReport: ["ok", ("square", None), ("lifts", None)],
+    UnfoldResult: ["tree", "cover", "truncated"],
+    TreeReport: ["is_tree", ("reason", None)],
+    AbstractFace: ["word", "cell"],
+    Completion: ["source", "model", "unit", "classes"],
+    HomotopyClass: ["representative", "size"],
+}
+
+
+def dataclass_twin(cls):
+    """A frozen dataclass with the record's name, fields and defaults."""
+    spec = [f if isinstance(f, str) else (f[0], object, field(default=f[1])) for f in RECORD_FIELDS[cls]]
+    return make_dataclass(cls.__name__, spec, frozen=True)
 
 
 def star_fold(singles):

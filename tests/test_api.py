@@ -1,12 +1,29 @@
-"""The public names of `phda` and the CLI's subcommands, pinned so that a change is deliberate; lazy name resolution."""
+"""The public names of `phda` and the CLI's subcommands, pinned so that a change is deliberate; lazy name resolution;
+the value semantics of the records."""
 import argparse
+import copy
+import dataclasses
 import importlib
 import importlib.util
+import itertools
+import pickle
 
 import pytest
 
 import phda
-from phda.cli import build_parser
+from phda import fixtures as F
+from phda.cli import COMMANDS, build_parser
+from phda.colimits import colimit
+from phda.completion import completion_of
+from phda.errors import FrozenInstanceError
+from phda.homotopy import ExecutionClass, classes_to
+from phda.lifting import is_covering
+from phda.model import identity
+from phda.paths import PathIssue, enumerate_paths, spine_of
+from phda.unfolding import TreeReport, is_tree, unfold
+from phda.words import EPSILON, single
+
+from oracles import RECORD_FIELDS, dataclass_twin
 
 PUBLIC = [
     "Arrow", "Cell", "ColimitResult", "Completion", "Diagram", "EPSILON", "ExtensionSquare",
@@ -75,8 +92,13 @@ CLI = [
 ]
 
 
+def subcommands(parser):
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
 def test_cli_subcommands_and_arguments_are_pinned():
-    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    sub = subcommands(build_parser())
     helps = {a.dest: a.help for a in sub._choices_actions}
     got = [
         (name, helps[name], [
@@ -86,3 +108,80 @@ def test_cli_subcommands_and_arguments_are_pinned():
         for name, p in sub.choices.items()
     ]
     assert got == CLI
+
+
+def test_a_command_line_builds_the_parser_of_its_command_alone():
+    full = subcommands(build_parser())
+    for name in COMMANDS:
+        sub = subcommands(build_parser(name))
+        assert list(sub.choices) == [name] and sub.metavar == "{%s}" % ",".join(COMMANDS)
+        assert sub.choices[name].format_help() == full.choices[name].format_help()
+    assert subcommands(build_parser("no-such-command")).choices.keys() == COMMANDS.keys()
+
+
+def record_pairs():
+    """Two records of each frozen record class, with different values."""
+    square, glued = F.full_square(), F.glued_square()
+    p, q = enumerate_paths(square, 2)[1:3]
+    unfolded = unfold(square, 2)
+    fold = F.branch_fold(2, 1)
+    diagram = F.glued_square_diagram()
+    return {
+        "Cell": list(square.cells.values())[:2],
+        "PHDA": [square, glued],
+        "Morphism": [identity(square), unfolded.cover],
+        "Violation": [phda.Violation("NotTotal", ("a",), "maps to None"), phda.Violation("BadInitial", ("b", 1))],
+        "Path": [p, q],
+        "Spine": [spine_of(p), spine_of(q)],
+        "PathIssue": [PathIssue("BadStep", 2), PathIssue("BadStart")],
+        "Arrow": list(diagram.arrows[:2]),
+        "Diagram": [diagram, phda.Diagram({"A": diagram.objects["A"]})],
+        "ColimitResult": [colimit(diagram), colimit(phda.Diagram({}))],
+        "ExtensionSquare": [is_covering(fold, 4).square, phda.ExtensionSquare(p, (1, 1), "11")],
+        "LiftReport": [is_covering(fold, 4), is_covering(identity(square), 4)],
+        "UnfoldResult": [unfolded, unfold(square, 3)],
+        "TreeReport": [is_tree(square), TreeReport(True)],
+        "AbstractFace": [phda.completion.AbstractFace(single(1, 0), "1*"), phda.completion.AbstractFace(EPSILON, "00")],
+        "Completion": [completion_of(F.split_segment()), completion_of(F.notched_square())],
+        "HomotopyClass": classes_to(square, "11", 4)[:1] + [phda.HomotopyClass(q, 2)],
+    }
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_keep_the_value_semantics_of_frozen_dataclasses(cls):
+    twin = dataclass_twin(cls)
+    names = [f.name for f in dataclasses.fields(twin)]
+    assert cls._fields == tuple(names)
+    values = [tuple(getattr(r, name) for name in names) for r in record_pairs()[cls.__name__]]
+    assert values[0] != values[1]
+    records = [cls(*v) for v in values] + [cls(**dict(zip(names, v))) for v in values]
+    twins = [twin(*v) for v in values] * 2
+    for r, t in zip(records, twins):
+        assert repr(r) == repr(t)
+        try:
+            assert hash(r) == hash(t)
+        except TypeError:  # the record holds a dict
+            with pytest.raises(TypeError):
+                hash(t)
+        for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(again) is cls and again == r and repr(again) == repr(r)
+        for name in names + ["other"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(r, name)
+        assert r != t and r != values[0]
+    for (r, t), (s, u) in itertools.product(zip(records, twins), repeat=2):
+        assert (r == s, r != s) == (t == u, t != u)
+    required = [f.name for f in dataclasses.fields(twin) if f.default is dataclasses.MISSING]
+    given = dict(zip(names, values[0]))
+    assert repr(cls(*(given[n] for n in required))) == repr(twin(*(given[n] for n in required)))
+    assert repr(cls(**{n: given[n] for n in required})) == repr(twin(**{n: given[n] for n in required}))
+
+
+def test_execution_classes_can_be_set_and_compare_by_identity():
+    a, b = (ExecutionClass(0, "00", 0, 1, None, None, {}, []) for _ in range(2))
+    assert a == a and a != b and len({a, b}) == 2
+    a.size, a.prefix = 2, 0
+    assert repr(a) == ("ExecutionClass(ordinal=0, end='00', level=0, size=2, step=None, prefix=0, "
+                       "successors={}, runs=[])")

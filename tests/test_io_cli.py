@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import phda
 from phda import fixtures as F
 from phda import jsonio
-from phda.cli import main
+from phda.cli import COMMANDS, build_parser, main
 from phda.colimits import colimit
 from phda.errors import ModelInvalid, ParseError, PhdaError
 from phda.model import Morphism, build
@@ -318,6 +318,26 @@ def test_cli_structural_commands(model_files):
     assert code == 0 and len(json.loads(out)["model"]["cells"]) == 6
     code, out, _ = cli(["dot", model_files["glued_square"]])
     assert code == 0 and out.startswith("digraph")
+
+
+def test_lift_loads_a_model_file_that_both_maps_name_once(tmp_path, monkeypatch):
+    square = F.full_square()
+    jsonio.save_json(str(tmp_path / "square.json"), jsonio.model_to_dict(square))
+    argv, inline = ["lift"], ["lift"]
+    for depth in (3, 5):  # the cover of the depth-3 unfolding lifts through that of the depth-5 one
+        cover = unfold(square, depth).cover
+        jsonio.save_json(str(tmp_path / f"tree{depth}.json"), jsonio.model_to_dict(cover.source))
+        doc = {"source": f"tree{depth}.json", "target": "square.json", "map": cover.mapping}
+        jsonio.save_json(str(tmp_path / f"cover{depth}.json"), doc)
+        jsonio.save_json(str(tmp_path / f"inline{depth}.json"), jsonio.morphism_to_dict(cover))
+        argv.append(str(tmp_path / f"cover{depth}.json"))
+        inline.append(str(tmp_path / f"inline{depth}.json"))
+    loaded = []
+    load = jsonio.load_model
+    monkeypatch.setattr(jsonio, "load_model", lambda path: loaded.append(os.path.basename(path)) or load(path))
+    out = cli(argv)
+    assert sorted(loaded) == ["square.json", "tree3.json", "tree5.json"]
+    assert out[0] == 0 and out == cli(inline)
 
 
 def test_cli_lift(model_files, tmp_path):
@@ -658,8 +678,9 @@ def test_cli_subprocess_entry():
 
 _LOADED = """
 import contextlib, io, json, sys
-def loaded():
-    return sorted(m.removeprefix("phda.") for m in sys.modules if m.startswith("phda."))
+def loaded():  # the package's modules, and those of the standard library that dataclasses import
+    return sorted([m.removeprefix("phda.") for m in sys.modules if m.startswith("phda.")]
+                  + [m for m in ("ast", "dataclasses", "inspect", "tokenize") if m in sys.modules])
 import phda
 package = loaded()
 import phda.cli
@@ -683,17 +704,23 @@ def run_loaded(argv):
 @pytest.mark.parametrize(
     "args, extra",
     [
+        (["validate", "full_square"], []),
         (["complete", "split_segment"], ["completion", "uf"]),
         # a positive verdict builds no execution
         (["is-tree", "glued_square"], ["homotopy", "uf", "unfolding"]),
+        (["unfold", "glued_square", "--depth", "4"], ["homotopy", "uf", "unfolding"]),
+        (["colimit", "diagram"], ["colimits", "paths", "uf"]),
         (["check-open", "fold"], ["lifting"]),
         (["check-covering", "cover", "--max-len", "3"], ["lifting"]),
+        # the cover lifts through itself
+        (["lift", "cover", "cover"], ["homotopy", "lifting", "uf", "unfolding"]),
     ],
-    ids=["complete", "is-tree", "check-open", "check-covering"],
+    ids=["validate", "complete", "is-tree", "unfold", "colimit", "check-open", "check-covering", "lift"],
 )
 def test_each_command_imports_only_the_modules_it_runs(model_files, args, extra):
     # a fresh interpreter per command: what it imports, it compiles at every start when bytecode is not cached
-    package, cli, code, command, _ = run_loaded([args[0], model_files[args[1]], *args[2:]])
+    argv = [model_files.get(a, a) for a in args]
+    package, cli, code, command, _ = run_loaded(argv)
     assert (package, cli, code) == ([], BASE_MODULES, 0)
     assert command == sorted(BASE_MODULES + extra)
 
@@ -839,6 +866,57 @@ def test_cli_full_stdout_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def chain_morphism(tmp_path, n):
+    """The chain of n edges into the chain of n + 1: not open, at the square over the whole source chain."""
+    path, src = tmp_path / f"chain{n}.json", chain(n)
+    jsonio.save_json(str(path), jsonio.morphism_to_dict(Morphism(src, chain(n + 1), {c: c for c in src.cells})))
+    return str(path)
+
+
+def invalid_labels(tmp_path, n):
+    """n points labelled by one letter each: n violations."""
+    path = tmp_path / f"labels{n}.json"
+    cells = [{"id": f"c{i}", "dim": 0, "label": ["a"]} for i in range(n)]
+    jsonio.save_json(str(path), {"alphabet": ["a"], "cells": cells, "initial": "c0", "faces": []})
+    return str(path)
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_the_entry_point_writes_what_main_writes(model_files, tmp_path, code):
+    """A document longer than a pipe holds, written to a pipe and to a file, with its summary and exit code."""
+    argv = {
+        0: ["unfold", model_files["self_loop"], "--depth", "1000"],
+        1: ["check-open", chain_morphism(tmp_path, 3000)],
+        2: ["validate", invalid_labels(tmp_path, 3000)],
+    }[code]
+    expected = cli(argv)
+    assert expected[0] == code and len(expected[1]) > 1 << 16
+    command, env = [sys.executable, "-m", "phda", *argv], child_env(PYTHONUNBUFFERED="")  # buffered, as by default
+    piped = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert (piped.returncode, piped.stdout, piped.stderr) == expected
+    with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
+        returncode = subprocess.run(command, stdout=out, stderr=err, env=env, timeout=60).returncode
+        out.seek(0)
+        err.seek(0)
+        assert (returncode, out.read(), err.read()) == expected
+
+
+PARSER_LINES = [
+    ["--help"], ["unfold", "x.json"], ["validate"], ["no-such-command"], ["validate", "x.json", "--depth", "2"], [],
+    *([name, "--help"] for name in COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES, ids=" ".join)
+def test_the_entry_point_prints_the_help_and_usage_of_the_full_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit:
+        build_parser().parse_args(argv)
+    proc = run_module(argv, COLUMNS="80", PYTHONUNBUFFERED="")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (exit.value.code, out.getvalue(), err.getvalue())
 
 
 def _cap_memory():

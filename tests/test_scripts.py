@@ -109,6 +109,18 @@ def test_time_load_reports_each_phase(exported):
     ), proc.stdout
 
 
+def test_time_startup_reports_each_phase(exported):
+    proc = run_script("time_startup.py", "--repeat", "2", "--", "is-tree", "fixtures/full_square.json", cwd=exported)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(
+        r"is-tree fixtures/full_square\.json: interpreter [\d.]+ ms, imports [\d.]+ ms, parser [\d.]+ ms, "
+        r"run [\d.]+ ms, exit [\d.]+ ms; cpu [\d.]+ ms; exit 1 \(median of 2\)\n",
+        proc.stdout,
+    ), proc.stdout
+    proc = run_script("time_startup.py", "--repeat", "1", "--", "no-such-command", cwd=exported)
+    assert proc.returncode == 1 and "did not parse" in proc.stderr
+
+
 def test_time_unfold_reports_each_phase():
     proc = run_script("time_unfold.py", "--repeat", "2", "--dim", "3", "--depth", "4")
     assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,11 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from phda import words as W
-from phda.errors import IndexOutOfRange
+from phda.errors import FrozenInstanceError, IndexOutOfRange
 from phda.words import EPSILON, FaceWord, delete_letters, enumerate_words, single, star, word
 
 from oracles import canonical_chain, eval_coface, star_fold
@@ -178,9 +177,9 @@ def test_copies_are_the_interned_word():
 
 def test_words_are_frozen():
     w = single(2, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         w.pairs = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         del w.pairs
     assert w.pairs == ((2, 1),)
 
