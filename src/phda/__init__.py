@@ -22,7 +22,7 @@ _PUBLIC = {  # submodule -> the public names it defines
         "is_open",
     ),
     "model": (
-        "PHDA", "Cell", "Morphism", "Violation", "build", "compose", "face", "identity", "is_hda", "saturate",
+        "PHDA", "Cell", "Morphism", "Violation", "build", "compose", "identity", "is_hda", "saturate",
         "validate_morphism", "validate_phda",
     ),
     "paths": (

@@ -164,6 +164,7 @@ def _run(args) -> int:
     else:
         jsonio.write_json(sys.stdout, doc)
         sys.stdout.write("\n")
+    sys.stdout.flush()  # a reader that closed stdout early shows here at the latest, before any summary
     print(summary, file=sys.stderr)
     return code
 
@@ -175,7 +176,6 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # what a command builds lives until it returns: a collection would rescan it and free nothing
     try:
         code = _run(args)
-        sys.stdout.flush()  # a reader that closed stdout early shows here at the latest
     except OSError as e:
         # exit 2 with no traceback; stdout now discards, so the flush at exit stays quiet
         if not isinstance(e, BrokenPipeError):

@@ -11,7 +11,7 @@ import string
 
 from .colimits import Arrow, Diagram
 from .model import PHDA, Morphism, build
-from .paths import Path, Spine
+from .paths import Spine
 from .words import FUTURE, PAST, single
 
 
@@ -76,12 +76,6 @@ def punctured_cube() -> PHDA:
 def notched_square() -> PHDA:
     """The full square minus its top edge and top-left vertex."""
     return cube(2, {"*1", "01"})
-
-
-def notched_square_path() -> Path:
-    """Start a, start b, finish a: ends on the right edge of the notched square."""
-    x = notched_square()
-    return Path(x, ("00", "*0", "**", "1*"), ((1, PAST), (2, PAST), (1, FUTURE)))
 
 
 def _spine(labels: list[tuple[str, ...]], steps: list[tuple[int, int]]) -> Spine:
@@ -176,24 +170,6 @@ def double_square_fold() -> Morphism:
         [("e0", single(1, PAST), "r"), ("q0", single(1, PAST), "e0")],
     )
     return Morphism(src, tgt, {"r": "r", "e0": "e0", "q0": "q0", "e1": "e0", "q1": "q0"})
-
-
-def section_retraction_pairs() -> list[tuple[Morphism, Morphism]]:
-    """Sections and retractions exhibiting smaller trees as retracts of larger ones."""
-    pairs = []
-    # two branches fold onto one
-    two, one = branch_tree(2), branch_tree(1)
-    s1 = Morphism(one, two, {"r": "r", "e0": "e0", "v0": "v0"})
-    pairs.append((s1, branch_fold(2, 1)))
-    # three branches fold onto two
-    three, two = branch_tree(3), branch_tree(2)
-    s2 = Morphism(two, three, {"r": "r", "e0": "e0", "v0": "v0", "e1": "e1", "v1": "v1"})
-    pairs.append((s2, branch_fold(3, 2)))
-    # the doubled square folds onto a single branch
-    fold = double_square_fold()
-    s3 = Morphism(fold.target, fold.source, {"r": "r", "e0": "e0", "q0": "q0"})
-    pairs.append((s3, fold))
-    return pairs
 
 
 MODELS = {

@@ -232,8 +232,8 @@ def _is_record(value: Any) -> bool:
     return type(value) is dict and bool(value) and all(type(k) is str for k in value)
 
 
-def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
-    """Write the text of `json.dump(doc, fh, indent=2, sort_keys=True)`; `ind` indents a nested value.
+def write_json(fh: TextIO, doc: Any) -> None:
+    """Write the text of `json.dump(doc, fh, indent=2, sort_keys=True)`.
 
     A record, a non-empty dict whose keys are all strings, is written a key (and scalar value) a write; a list
     whose first item is a record, `_CHUNK` items a write from one template of that record's layout, and an item
@@ -273,7 +273,7 @@ def write_json(fh: TextIO, doc: Any, ind: str = "") -> None:
         else:
             fh.write((texts.get(ind) or texts.setdefault(ind, _value_text(ind)))(doc))
 
-    write(doc, ind)
+    write(doc, "")
 
 
 def _value_text(ind: str) -> Callable[[Any], str]:

@@ -25,7 +25,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DomainMismatch, ModelInvalid, Record, UnknownCell, set_field
+from .errors import DomainMismatch, ModelInvalid, Record, set_field
 from .words import EPSILON, FUTURE, PAST, FaceWord, Label, delete_letters, single, star
 
 FaceTable = dict[tuple[str, FaceWord], str]
@@ -59,18 +59,6 @@ class PHDA(Record):
         set_field(self, "cells", cells)
         set_field(self, "initial", initial)
         set_field(self, "faces", faces)
-
-    def dim(self, cid: str) -> int:
-        return self._cell(cid).dim
-
-    def label(self, cid: str) -> Label:
-        return self._cell(cid).label
-
-    def _cell(self, cid: str) -> Cell:
-        try:
-            return self.cells[cid]
-        except KeyError:
-            raise UnknownCell(cid) from None
 
     def cells_of_dim(self, n: int) -> list[str]:
         return sorted(c.id for c in self.cells.values() if c.dim == n)
@@ -149,15 +137,6 @@ def _not_functional(x: str, w: FaceWord, old: str, new: str) -> Violation:
     if not w:
         return Violation("NotFunctional", (x, w.text(), new), "empty word must be the identity")
     return Violation("NotFunctional", (x, w.text()), f"targets {old} and {new}")
-
-
-def face(x: PHDA, cid: str, w: FaceWord) -> str | None:
-    """Look up the w-face of a cell; the empty word is the identity."""
-    if cid not in x.cells:
-        raise UnknownCell(cid)
-    if len(w) == 0:
-        return cid
-    return x.faces.get((cid, w))
 
 
 def face_table(entries: Iterable[FaceEntry]) -> FaceTable:

@@ -16,7 +16,7 @@ so `phda paths`) lists every execution; homotopy classes come from
 """
 from __future__ import annotations
 
-from .errors import InvalidBound, InvalidSpine, NotAPathShape, Record, set_field
+from .errors import InvalidBound, InvalidSpine, NotAPathShape, Record, UnknownCell, set_field
 from .model import PHDA, Morphism, Step, build
 from .words import FUTURE, PAST, Label, single
 
@@ -118,8 +118,11 @@ def validate_path(p: Path) -> PathIssue | None:
 
 
 def spine_of(p: Path) -> Spine:
-    entries = tuple((p.host.dim(c), p.host.label(c)) for c in p.cells)
-    return Spine(entries, p.steps)
+    try:
+        cells = [p.host.cells[c] for c in p.cells]
+    except KeyError as e:
+        raise UnknownCell(e.args[0]) from None
+    return Spine(tuple((c.dim, c.label) for c in cells), p.steps)
 
 
 def path_shape(s: Spine, alphabet: frozenset[str] | None = None) -> PHDA:

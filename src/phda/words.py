@@ -63,25 +63,8 @@ class FaceWord(tuple):
 
     pairs = property(tuple, doc="The pairs as a plain tuple.")
 
-    @property
-    def max_index(self) -> int:
-        return self[-1][0] if self else 0
-
     def text(self) -> str:
         return "[" + ",".join(f"({i},{a})" for i, a in self) + "]"
-
-    @classmethod
-    def parse(cls, s: str) -> "FaceWord":
-        s = s.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"not a face word: {s!r}")
-        body = s[1:-1].replace(" ", "")
-        if not body:
-            return EPSILON
-        items = [item.partition(",") for item in body[1:-1].split("),(")]
-        if not (body[0] + body[-1] == "()" and all(i.isdecimal() and a.isdecimal() for i, _, a in items)):
-            raise ValueError(f"not a face word: {s!r}")
-        return cls(tuple((int(i), int(a)) for i, _, a in items))
 
 
 EPSILON = FaceWord()

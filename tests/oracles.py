@@ -52,6 +52,11 @@ sides' single-letter faces.
 group by, keyed by hashable nodes and independent of `phda.uf`'s list of
 parents over indices.
 
+`notched_square_path` and `section_retraction_pairs` are test models
+built on `phda.fixtures`: an execution of the notched square, and
+sections and retractions that show smaller trees as retracts of larger
+ones.
+
 `dataclass_twin` is the frozen dataclass that each frozen record of the
 library was declared as, from the fields and defaults in `RECORD_FIELDS`:
 the records keep its value semantics.
@@ -65,6 +70,7 @@ from typing import Hashable, Iterable, Iterator
 from phda.colimits import Arrow, ColimitResult, Diagram, validate_diagram
 from phda.completion import AbstractFace, Completion
 from phda.errors import IndexOutOfRange, InvalidBound, InvalidDiagram, ModelInvalid
+from phda.fixtures import branch_fold, branch_tree, double_square_fold, notched_square
 from phda.homotopy import ExecutionClass, HomotopyClass, _cone
 from phda.jsonio import model_to_dict
 from phda.lifting import ExtensionSquare, LiftReport, enumerate_morphisms
@@ -434,6 +440,29 @@ def late_clash():
     )
 
 
+def notched_square_path():
+    """Start a, start b, finish a: ends on the right edge of the notched square."""
+    return Path(notched_square(), ("00", "*0", "**", "1*"), ((1, PAST), (2, PAST), (1, FUTURE)))
+
+
+def section_retraction_pairs():
+    """Sections and retractions exhibiting smaller trees as retracts of larger ones."""
+    pairs = []
+    # two branches fold onto one
+    two, one = branch_tree(2), branch_tree(1)
+    s1 = Morphism(one, two, {"r": "r", "e0": "e0", "v0": "v0"})
+    pairs.append((s1, branch_fold(2, 1)))
+    # three branches fold onto two
+    three, two = branch_tree(3), branch_tree(2)
+    s2 = Morphism(two, three, {"r": "r", "e0": "e0", "v0": "v0", "e1": "e1", "v1": "v1"})
+    pairs.append((s2, branch_fold(3, 2)))
+    # the doubled square folds onto a single branch
+    fold = double_square_fold()
+    s3 = Morphism(fold.target, fold.source, {"r": "r", "e0": "e0", "q0": "q0"})
+    pairs.append((s3, fold))
+    return pairs
+
+
 def spine(labels, steps):
     return Spine(tuple((len(w), tuple(w)) for w in labels), tuple(steps))
 
@@ -535,7 +564,7 @@ def pairwise_entry_violations(x):
                 out.append(Violation("NotFunctional", (xc, w.text(), y), "empty word must be the identity"))
             continue
         dx, dy = x.cells[xc].dim, x.cells[y].dim
-        if w.max_index > dx or dy != dx - len(w):
+        if max(dict(w), default=0) > dx or dy != dx - len(w):
             out.append(Violation("DimensionMismatch", (xc, w.text(), y)))
             continue
         if len(x.cells[xc].label) != dx or delete_letters(w, x.cells[xc].label) != x.cells[y].label:

@@ -14,7 +14,7 @@ from phda.paths import enumerate_paths, map_path, morphism_to_path, path_to_morp
 from phda.unfolding import is_tree, tree_unit, unfold
 from phda.words import enumerate_words, single, star, word
 
-from oracles import class_key, enumerate_lifts, eval_coface, partition_paths
+from oracles import class_key, enumerate_lifts, eval_coface, partition_paths, section_retraction_pairs
 
 
 def report(tag, text):
@@ -64,7 +64,7 @@ def _morphism_corpus():
     corpus.append(mediate(d, res, square_legs(d, F.full_square())))
     corpus.extend([F.branch_fold(2, 1), F.branch_fold(3, 2), F.double_square_fold()])
     corpus.extend([F.loop_unrolling(2), F.loop_unrolling(3)])
-    for s, r in F.section_retraction_pairs():
+    for s, r in section_retraction_pairs():
         corpus.extend([s, r])
     return corpus
 
@@ -183,7 +183,7 @@ def test_a7_trees_lift_through_open_maps():
 
 
 def test_a8_retracts_of_trees_are_trees():
-    pairs = F.section_retraction_pairs()
+    pairs = section_retraction_pairs()
     assert len(pairs) >= 3
     for s, r in pairs:
         assert compose(r, s).mapping == identity(s.source).mapping

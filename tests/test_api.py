@@ -17,7 +17,7 @@ from phda.colimits import colimit
 from phda.completion import completion_of
 from phda.errors import FrozenInstanceError
 from phda.homotopy import ExecutionClass, classes_to
-from phda.lifting import is_covering
+from phda.lifting import LiftReport, is_covering
 from phda.model import identity
 from phda.paths import PathIssue, enumerate_paths, spine_of
 from phda.unfolding import TreeReport, is_tree, unfold
@@ -31,7 +31,7 @@ PUBLIC = [
     "Spine", "TreeReport", "UnfoldResult", "Violation", "are_confluently_homotopic", "build",
     "check_cocone", "classes_to", "colimit", "colimits", "complete", "complete_morphism",
     "completion", "completion_of", "compose", "construct_lift", "counit", "delete_letters",
-    "empty_path", "enumerate_morphisms", "enumerate_paths", "errors", "face",
+    "empty_path", "enumerate_morphisms", "enumerate_paths", "errors",
     "find_shortcuts", "homotopy", "identity", "is_cofibrant", "is_covering", "is_hda", "is_open",
     "is_tree", "lifting", "map_path", "mediate", "model", "morphism_to_path", "path_shape",
     "path_to_morphism", "paths", "saturate", "single", "spine_of", "star", "tree_unit", "uf",
@@ -177,6 +177,18 @@ def test_records_keep_the_value_semantics_of_frozen_dataclasses(cls):
     given = dict(zip(names, values[0]))
     assert repr(cls(*(given[n] for n in required))) == repr(twin(*(given[n] for n in required)))
     assert repr(cls(**{n: given[n] for n in required})) == repr(twin(**{n: given[n] for n in required}))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((True, None, None, None), {}),  # too many positional arguments
+    ((True,), {"other": 1}),  # an unknown keyword
+    ((True,), {"ok": False}),  # a field given twice
+    ((), {"square": None}),  # a field without a default left out
+], ids=["extra", "unknown", "twice", "missing"])
+def test_record_init_rejects_the_arguments_a_dataclass_rejects(args, kwargs):
+    for cls in (LiftReport, dataclass_twin(LiftReport)):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 def test_execution_classes_can_be_set_and_compare_by_identity():

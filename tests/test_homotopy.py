@@ -8,7 +8,15 @@ from phda.paths import Path, empty_path, enumerate_paths
 from phda.unfolding import unfold
 from phda.words import EPSILON, FUTURE, PAST, single, star, word
 
-from oracles import ChainIndex, class_key, elementary_neighbors, partition_paths, saturation_shortcuts, star_fold
+from oracles import (
+    ChainIndex,
+    class_key,
+    elementary_neighbors,
+    notched_square_path,
+    partition_paths,
+    saturation_shortcuts,
+    star_fold,
+)
 
 
 # Independent oracles for the chain index and the peeling shortcut test:
@@ -225,7 +233,7 @@ def test_class_key_consistent_with_closure():
 def test_path_shapes_have_no_shortcuts():
     from phda.paths import path_shape, spine_of
 
-    shape = path_shape(spine_of(F.notched_square_path()))
+    shape = path_shape(spine_of(notched_square_path()))
     assert find_shortcuts(shape) == set()
 
 

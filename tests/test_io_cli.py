@@ -842,30 +842,37 @@ def test_an_unwritable_stdout_leaves_no_descriptor_open(model_files):
         os.close(broken.fd)
 
 
+UNBUFFERED = ("1", "")  # PYTHONUNBUFFERED of the child: unbuffered streams, and the buffered ones a user's `phda` has
+
+
 def test_cli_closed_stdout_exits_2_without_traceback(tmp_path):
     path = tmp_path / "loop.json"
     jsonio.save_json(str(path), jsonio.model_to_dict(F.self_loop()))
-    # about 200 kB of output, more than a pipe holds, so the reader closes it mid-write
-    proc = subprocess.Popen([sys.executable, "-m", "phda", "unfold", str(path), "--depth", "1000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
-    assert proc.stdout.read(10) == b'{\n  "cover'
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 2
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert "Traceback" not in err and "Exception ignored" not in err
+    for unbuffered in UNBUFFERED:
+        # about 200 kB of output, more than a pipe holds, so the reader closes it mid-write
+        proc = subprocess.Popen([sys.executable, "-m", "phda", "unfold", str(path), "--depth", "1000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env(PYTHONUNBUFFERED=unbuffered))
+        assert proc.stdout.read(10) == b'{\n  "cover'
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2, unbuffered
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert "Traceback" not in err and "Exception ignored" not in err, (unbuffered, err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_cli_full_stdout_exits_2_without_traceback(tmp_path):
     path = tmp_path / "cube.json"
     jsonio.save_json(str(path), jsonio.model_to_dict(F.full_cube()))
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "phda", "is-tree", str(path)], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    for unbuffered in UNBUFFERED:  # buffered, the write fails only at the flush, which comes before the summary
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "phda", "is-tree", str(path)], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED=unbuffered),
+                                  timeout=60)
+        assert proc.returncode == 2, unbuffered
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, unbuffered
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (unbuffered, proc.stderr)
 
 
 def chain_morphism(tmp_path, n):

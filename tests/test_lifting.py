@@ -9,7 +9,7 @@ from phda.paths import Spine, enumerate_paths, map_path, path_shape
 from phda.unfolding import is_tree, unfold
 from phda.words import FUTURE, PAST, single
 
-from oracles import enumerate_lifts
+from oracles import enumerate_lifts, section_retraction_pairs
 
 
 def square_cover():
@@ -264,7 +264,7 @@ def test_factor_universal_self():
 
 
 def test_retracts_of_trees_are_trees():
-    pairs = F.section_retraction_pairs()
+    pairs = section_retraction_pairs()
     assert len(pairs) >= 3
     for s, r in pairs:
         assert validate_morphism(s) == [] and validate_morphism(r) == []

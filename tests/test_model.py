@@ -1,7 +1,7 @@
 import pytest
 
 from phda import fixtures as F
-from phda.errors import DomainMismatch, ModelInvalid, UnknownCell
+from phda.errors import DomainMismatch, ModelInvalid
 from phda.homotopy import find_shortcuts
 from phda.model import (
     PHDA,
@@ -10,7 +10,6 @@ from phda.model import (
     build,
     compose,
     entry_violation,
-    face,
     identity,
     is_hda,
     run_faces,
@@ -20,7 +19,13 @@ from phda.model import (
 )
 from phda.words import EPSILON, single, star, word
 
-from oracles import broken_tables, pairwise_entry_violations, pairwise_validate_phda, saturation_shortcuts
+from oracles import (
+    broken_tables,
+    pairwise_entry_violations,
+    pairwise_validate_phda,
+    saturation_shortcuts,
+    section_retraction_pairs,
+)
 
 
 def kinds(violations):
@@ -192,23 +197,6 @@ def test_empty_word_to_another_cell_is_not_functional():
     assert [str(v) for v in validate_phda(x)] == ["NotFunctional(p0,[],p1): empty word must be the identity"]
 
 
-def test_cell_accessors_reject_unknown_cells():
-    x = F.full_square()
-    assert (x.dim("**"), x.label("**")) == (2, ("a", "b"))
-    for accessor in (x.dim, x.label):
-        with pytest.raises(UnknownCell):
-            accessor("zz")
-
-
-def test_face_lookup():
-    sq = F.full_square()
-    assert face(sq, "**", word((1, 0), (2, 0))) == "00"
-    assert face(sq, "**", EPSILON) == "**"
-    assert face(F.split_segment(), "e", single(1, 0)) is None
-    with pytest.raises(UnknownCell):
-        face(sq, "nope", EPSILON)
-
-
 def test_composite_decompositions_agree():
     # every two single-step chains with the same composite word reach the same cell
     for name in ("full_cube", "punctured_cube", "full_square", "notched_square"):
@@ -241,7 +229,7 @@ def test_a_morphism_applies_its_map():
 
 
 def test_compose_of_valid_is_valid():
-    s, r = F.section_retraction_pairs()[0]
+    s, r = section_retraction_pairs()[0]
     assert validate_morphism(s) == [] and validate_morphism(r) == []
     assert validate_morphism(compose(r, s)) == []
     assert compose(r, s).mapping == identity(s.source).mapping

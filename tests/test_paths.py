@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phda import fixtures as F
-from phda.errors import InvalidBound, InvalidSpine, NotAPathShape
+from phda.errors import InvalidBound, InvalidSpine, NotAPathShape, UnknownCell
 from phda.homotopy import classes_to
 from phda.lifting import is_covering, is_open
 from phda.model import PHDA, Cell, is_hda, saturate, validate_morphism, validate_phda
@@ -23,7 +23,7 @@ from phda.paths import (
 from phda.unfolding import is_tree, unfold
 from phda.words import FUTURE, PAST, single
 
-from oracles import late_clash, oracle_bounded_paths, partition_paths, split_moves
+from oracles import late_clash, notched_square_path, oracle_bounded_paths, partition_paths, split_moves
 
 
 # Independent oracles for the explorers: the three breadth-first frontier
@@ -119,7 +119,7 @@ def oracle_unfold(x, depth):
     cells, entries, cover = {}, [], {}
     for ordinal, rep in enumerate(reps):
         sid = f"u{ordinal}"
-        cells[sid] = Cell(sid, x.dim(rep.end), x.label(rep.end))
+        cells[sid] = Cell(sid, x.cells[rep.end].dim, x.cells[rep.end].label)
         cover[sid] = rep.end
         if rep.steps and rep.steps[-1][1] == PAST:
             entries.append((sid, single(rep.steps[-1][0], PAST), state_of[(rep.cells[:-1], rep.steps[:-1])]))
@@ -161,7 +161,7 @@ def test_unbounded_exploration_stops_on_acyclic_models():
 
 
 def test_canonical_path_validates():
-    p = F.notched_square_path()
+    p = notched_square_path()
     assert validate_path(p) is None
 
 
@@ -182,7 +182,7 @@ def test_bad_final_step_reported():
 
 
 def test_spine_of_canonical_path():
-    s = spine_of(F.notched_square_path())
+    s = spine_of(notched_square_path())
     assert s.entries == ((0, ()), (1, ("a",)), (2, ("a", "b")), (1, ("b",)))
     assert s.steps == ((1, PAST), (2, PAST), (1, FUTURE))
 
@@ -190,6 +190,12 @@ def test_spine_of_canonical_path():
 def test_spine_of_empty_path():
     s = spine_of(empty_path(F.point()))
     assert s.entries == ((0, ()),) and s.steps == ()
+
+
+def test_spine_of_rejects_a_cell_its_host_lacks():
+    p = notched_square_path()
+    with pytest.raises(UnknownCell, match="01"):
+        spine_of(Path(p.host, p.cells[:1] + ("01",), p.steps[:1]))
 
 
 def test_invalid_spine_rejected():
@@ -216,7 +222,7 @@ def test_spine_text_names_each_step_and_the_cell_it_reaches():
 
 
 def test_path_shape_of_canonical_spine():
-    shape = path_shape(spine_of(F.notched_square_path()))
+    shape = path_shape(spine_of(notched_square_path()))
     assert validate_phda(shape) == []
     assert not is_hda(shape)
     assert shape.initial == "0"
@@ -264,7 +270,7 @@ def test_morphism_to_path_rejects_non_shapes():
     stray = PHDA(seg.alphabet, seg.cells | {"q": Cell("q", 0, ())}, seg.initial, seg.faces)
     with pytest.raises(NotAPathShape, match=r"unreachable cells \['q'\]"):
         morphism_to_path(identity(stray))
-    shape = path_shape(spine_of(F.notched_square_path()))
+    shape = path_shape(spine_of(notched_square_path()))
     unclosed = PHDA(shape.alphabet, shape.cells, shape.initial, {k: v for k, v in shape.faces.items() if len(k[1]) == 1})
     with pytest.raises(NotAPathShape, match="face table is not freely generated by the spine"):
         morphism_to_path(identity(unclosed))
@@ -318,7 +324,7 @@ def test_negative_bounds_rejected():
 
 
 def test_enumerate_contains_canonical_path():
-    p = F.notched_square_path()
+    p = notched_square_path()
     assert p.key() in {q.key() for q in enumerate_paths(p.host, 3)}
 
 

@@ -66,6 +66,7 @@ from oracles import (
     partition_paths,
     path_stream_lifting,
     saturation_shortcuts,
+    section_retraction_pairs,
     split_moves,
     two_sided_saturate,
     union_find_completion,
@@ -516,7 +517,7 @@ def fixture_lifting_maps():
         "loop_unrolling(2)": F.loop_unrolling(2),
         "loop_unrolling(3)": F.loop_unrolling(3),
     }
-    for k, (section, retraction) in enumerate(F.section_retraction_pairs()):
+    for k, (section, retraction) in enumerate(section_retraction_pairs()):
         maps |= {f"section {k}": section, f"retraction {k}": retraction}
     return maps
 

@@ -75,7 +75,7 @@ def test_readme_cli_line(exported, monkeypatch, capsys, argv, code):
 def test_readme_library_tour(capsys):
     """Each printed line starts with its comment's text, up to a `...` or `:`."""
     block = (ROOT / "README.md").read_text().split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    stated = [re.split(r"\.\.\.|:", line.partition("#")[2], 1)[0].strip()
+    stated = [re.split(r"\.\.\.|:", line.partition("#")[2], maxsplit=1)[0].strip()
               for line in block.splitlines() if line.startswith("print(")]
     exec(block, {})
     printed = capsys.readouterr().out.splitlines()
@@ -131,3 +131,13 @@ def test_time_unfold_reports_each_phase():
         r"explore [\d.]+ ms, unfold [\d.]+ ms, model_to_dict [\d.]+ ms, write_json [\d.]+ ms \(median of 2\)\n",
         proc.stdout,
     ), proc.stdout
+
+
+def test_reach_lists_the_functions_no_catalogue_command_enters():
+    proc = run_script("reach.py", "--self-test")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *listed, total = proc.stdout.splitlines()
+    assert re.fullmatch(rf"{len(listed)} of \d+ functions never entered by \d+ catalogue commands", total), total
+    names = {re.fullmatch(r"\w+:\d+ ([\w.<>]+)", line).group(1) for line in listed}
+    assert {"mediate", "check_cocone", "tree_unit"} <= names  # constructions of the paper that no command runs
+    assert not {"main", "is_tree", "unfold", "completion_of", "write_json"} & names

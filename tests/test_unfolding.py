@@ -10,7 +10,7 @@ from phda.model import _generators, compose, identity, validate_morphism, valida
 from phda.paths import first_path, path_shape, spine_of, enumerate_paths
 from phda.unfolding import is_tree, tree_unit, unfold
 
-from oracles import oracle_bounded_paths, partition_paths, patch_everywhere
+from oracles import notched_square_path, oracle_bounded_paths, partition_paths, patch_everywhere
 
 
 def test_unfold_point():
@@ -20,7 +20,7 @@ def test_unfold_point():
 
 
 def test_unfold_fixes_path_shapes():
-    shape = path_shape(spine_of(F.notched_square_path()))
+    shape = path_shape(spine_of(notched_square_path()))
     tree, cover, truncated = unfold(shape, len(shape.cells))
     assert not truncated
     assert len(tree.cells) == len(shape.cells)
