@@ -8,12 +8,13 @@ the code the theorems predict, print the predicted cell count where one is
 fixed, and print the stdout whose sha256 is pinned in
 `perfbench/digests.json`.  Nothing under `perfbench/` is written.
 
-Usage: python3 scripts/check_digests.py [--hash-seed N] [--python PATH]
+Usage: python3 scripts/check_digests.py [--hash-seed N]
 Each command runs with PYTHONHASHSEED=N (default 0): its bytes must not
-depend on the seed.  With --python, the commands run under that
-interpreter, so their bytes can be checked under any Python the host has,
-without pytest; the input files are still written by this one.  Prints
-each mismatch and a total; exits 1 when any command mismatches.
+depend on the seed.  The script imports only the standard library and
+`src/phda`, so running it under another interpreter, as in
+`python3.13 scripts/check_digests.py`, checks the bytes under that Python
+without pytest.  Prints each mismatch and a total; exits 1 when any
+command mismatches.
 """
 from __future__ import annotations
 
@@ -32,9 +33,7 @@ from workloads import WORKLOADS
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--hash-seed", type=int, default=0, metavar="N", help="PYTHONHASHSEED of every command (default 0)")
-    ap.add_argument("--python", default=sys.executable, metavar="PATH", help="interpreter of every command")
     args = ap.parse_args()
-    sys.executable = args.python  # the interpreter that `harness.run_subprocess` starts
     digests = harness.load_digests()
     runs, keys, bad = 0, set(), 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -52,7 +51,7 @@ def main() -> int:
                     runs += 1
                     keys.add(cmd.key)
     print(f"{runs} catalogue commands ({len(keys)} distinct) checked against {len(digests)} pinned digests"
-          f" with PYTHONHASHSEED={args.hash_seed} under {args.python}: {bad} mismatches")
+          f" with PYTHONHASHSEED={args.hash_seed} under {sys.executable}: {bad} mismatches")
     return 1 if bad else 0
 
 

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """List the `phda` functions that no benchmark catalogue command enters.
 
-Writes each workload's input files, then runs its whole catalogue, at full
-size and at the self-test size, in process through `phda.cli.main` under a
-`sys.settrace` hook that records every function call.  Only the commands are
-traced, not the writing of their inputs.  Each command is checked as
-`scripts/check_digests.py` checks it, so a failing command cannot hide code.
-Prints every named function and method of `src/phda` that was never entered
-(lambdas and comprehensions are left out), one `module:line name` a line.
+Writes each workload's input files, at full size and at the self-test size,
+then drops `phda` from `sys.modules` and, under a `sys.settrace` hook that
+records every function call, imports `phda.cli` afresh and runs the whole
+catalogues in process through `phda.cli.main`.  So what a CLI process runs
+while it imports the library (class hooks such as `__init_subclass__`, the
+modules a command imports on first use) is traced, and the writing of the
+inputs is not.  Each command is checked as `scripts/check_digests.py`
+checks it, so a failing command cannot hide code.  Prints every named
+function and method of `src/phda` that was never entered (lambdas and
+comprehensions are left out), one `module:line name` a line.
 
 Usage: python3 scripts/reach.py [--self-test]
 With --self-test only the self-test size runs.  Exits 1 when a command
@@ -55,21 +58,29 @@ def main() -> int:
         entered.add((code.co_filename, code.co_firstlineno, code.co_name))
 
     with tempfile.TemporaryDirectory() as tmp:
+        runs_of = []
         for name, build in WORKLOADS.items():
             for top in (3,) if args.self_test else (None, 3):
                 plan = build(0, every=True) if top is None else build(0, top=top, every=True)
-                workdir = Path(tmp) / name
+                workdir = Path(tmp) / f"{name}-{top or 'full'}"
                 harness.setup(plan, workdir)
-                for cmd in plan.commands:
-                    sys.settrace(trace)
-                    try:
-                        rc, out, _ = harness.run_inprocess(cmd, workdir)
-                    finally:
-                        sys.settrace(None)
+                runs_of.append((name, top, plan.commands, workdir))
+        for module in [m for m in sys.modules if m.partition(".")[0] == "phda"]:
+            del sys.modules[module]
+        sys.settrace(trace)
+        try:
+            import phda.cli  # as a CLI process does, now under the trace
+
+            harness.phda = phda  # the package whose `cli.main` `run_inprocess` calls
+            for name, top, commands, workdir in runs_of:
+                for cmd in commands:
+                    rc, out, _ = harness.run_inprocess(cmd, workdir)
                     if why := harness.problem(cmd, rc, out, digests):
                         print(f"failed: {name} top={top or 'full'}: {cmd.key}: {why}")
                         bad += 1
                     runs += 1
+        finally:
+            sys.settrace(None)
     everything = functions()
     unreached = sorted(key for key in everything if key not in entered)
     for key in unreached:

@@ -141,3 +141,4 @@ def test_reach_lists_the_functions_no_catalogue_command_enters():
     names = {re.fullmatch(r"\w+:\d+ ([\w.<>]+)", line).group(1) for line in listed}
     assert {"mediate", "check_cocone", "tree_unit"} <= names  # constructions of the paper that no command runs
     assert not {"main", "is_tree", "unfold", "completion_of", "write_json"} & names
+    assert not {"__getattr__", "Record.__init_subclass__"} & names  # run while a CLI process imports the library
