@@ -33,14 +33,6 @@ class AbstractFace(Record):
         set_field(self, "word", word)
         set_field(self, "cell", cell)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is AbstractFace:
-            return (self.word, self.cell) == (other.word, other.cell)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.cell))
-
     def sort_key(self) -> tuple:
         return (self.cell, self.word)
 

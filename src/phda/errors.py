@@ -16,7 +16,7 @@ class Record:
     Within one class, records compare, hash and print by their fields as
     frozen dataclasses do; `copy`, `deepcopy` and `pickle` rebuild them with
     the constructor.  This `__init__` takes the fields by position or keyword,
-    with the defaults of `_defaults`; records made in bulk define their own.
+    with the defaults of `_defaults`; records made in bulk, or that validate, define their own.
     """
 
     __slots__ = ()

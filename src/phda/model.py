@@ -42,23 +42,13 @@ class Cell(Record):
         set_field(self, "dim", dim)
         set_field(self, "label", label)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Cell:
-            return (self.id, self.dim, self.label) == (other.id, other.dim, other.label)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.dim, self.label))
-
 
 class PHDA(Record):
     __slots__ = ("alphabet", "cells", "initial", "faces", "__dict__")  # the dict holds the cached properties
-
-    def __init__(self, alphabet: frozenset[str], cells: dict[str, Cell], initial: str, faces: FaceTable) -> None:
-        set_field(self, "alphabet", alphabet)
-        set_field(self, "cells", cells)
-        set_field(self, "initial", initial)
-        set_field(self, "faces", faces)
+    alphabet: frozenset[str]
+    cells: dict[str, Cell]
+    initial: str
+    faces: FaceTable
 
     def cells_of_dim(self, n: int) -> list[str]:
         return sorted(c.id for c in self.cells.values() if c.dim == n)
@@ -109,11 +99,9 @@ class Morphism(Record):
     """A total, dimension- and label-preserving cell map between models."""
 
     __slots__ = ("source", "target", "mapping")
-
-    def __init__(self, source: PHDA, target: PHDA, mapping: dict[str, str]) -> None:
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "mapping", mapping)
+    source: PHDA
+    target: PHDA
+    mapping: dict[str, str]
 
     def __call__(self, cid: str) -> str:
         return self.mapping[cid]
@@ -121,11 +109,10 @@ class Morphism(Record):
 
 class Violation(Record):
     __slots__ = ("kind", "subject", "detail")
-
-    def __init__(self, kind: str, subject: tuple, detail: str = "") -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "subject", subject)
-        set_field(self, "detail", detail)
+    _defaults = {"detail": ""}
+    kind: str
+    subject: tuple
+    detail: str
 
     def __str__(self) -> str:
         parts = ",".join(str(s) for s in self.subject)

@@ -164,7 +164,9 @@ def test_records_keep_the_value_semantics_of_frozen_dataclasses(cls):
             with pytest.raises(TypeError):
                 hash(t)
         for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-            assert type(again) is cls and again == r and repr(again) == repr(r)
+            # a copied frozenset may iterate in another order, so the copy's repr is its own twin's
+            assert type(again) is cls and again == r
+            assert repr(again) == repr(twin(*(getattr(again, name) for name in names)))
         for name in names + ["other"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(r, name, None)

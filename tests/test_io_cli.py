@@ -320,6 +320,68 @@ def test_cli_structural_commands(model_files):
     assert code == 0 and out.startswith("digraph")
 
 
+GLUED_SQUARE_PATHS = [  # `paths glued_square --max-len 4`, each execution in the order and layout it is written
+    {"cells": ["A:0"], "steps": [], "text": "A:0"},
+    {"cells": ["A:0", "A:1"], "steps": [[1, 0]], "text": "A:0 -(1,0)-> A:1"},
+    {"cells": ["A:0", "A:1", "A:2"], "steps": [[1, 0], [1, 0]], "text": "A:0 -(1,0)-> A:1 -(1,0)-> A:2"},
+    {"cells": ["A:0", "A:1", "A:2", "B:3"], "steps": [[1, 0], [1, 0], [1, 1]],
+     "text": "A:0 -(1,0)-> A:1 -(1,0)-> A:2 -(1,1)-> B:3"},
+    {"cells": ["A:0", "A:1", "A:2", "C:3"], "steps": [[1, 0], [1, 0], [2, 1]],
+     "text": "A:0 -(1,0)-> A:1 -(1,0)-> A:2 -(2,1)-> C:3"},
+    {"cells": ["A:0", "A:1", "A:2", "B:3", "B:4"], "steps": [[1, 0], [1, 0], [1, 1], [1, 1]],
+     "text": "A:0 -(1,0)-> A:1 -(1,0)-> A:2 -(1,1)-> B:3 -(1,1)-> B:4"},
+    {"cells": ["A:0", "A:1", "A:2", "C:3", "B:4"], "steps": [[1, 0], [1, 0], [2, 1], [1, 1]],
+     "text": "A:0 -(1,0)-> A:1 -(1,0)-> A:2 -(2,1)-> C:3 -(1,1)-> B:4"},
+]
+
+DOT = {
+    "full_square": """digraph model {
+  rankdir=LR;
+  // cell ** dim=2 label=ab faces: [(1,0)]->0* [(1,1)]->1* [(2,0)]->*0 [(2,1)]->*1
+  "00" [shape=doublecircle];
+  "01" [shape=circle];
+  "10" [shape=circle];
+  "11" [shape=circle];
+  "00" -> "10" [label="a (*0)"];
+  "01" -> "11" [label="a (*1)"];
+  "00" -> "01" [label="b (0*)"];
+  "10" -> "11" [label="b (1*)"];
+}
+""",
+    "split_segment": """digraph model {
+  rankdir=LR;
+  "p0" [shape=doublecircle];
+  "p1" [shape=circle];
+  "e.src" [shape=point, style=dashed, label=""];
+  "e.tgt" [shape=point, style=dashed, label=""];
+  "e.src" -> "e.tgt" [label="a (e)"];
+}
+""",
+    "glued_square": """digraph model {
+  rankdir=LR;
+  // cell A:2 dim=2 label=ab faces: [(1,0)]->A:1 [(1,1)]->B:3 [(2,1)]->C:3
+  "A:0" [shape=doublecircle];
+  "B:4" [shape=circle];
+  "A:1.tgt" [shape=point, style=dashed, label=""];
+  "B:3.src" [shape=point, style=dashed, label=""];
+  "C:3.src" [shape=point, style=dashed, label=""];
+  "A:0" -> "A:1.tgt" [label="b (A:1)"];
+  "B:3.src" -> "B:4" [label="b (B:3)"];
+  "C:3.src" -> "B:4" [label="a (C:3)"];
+}
+""",
+}
+
+
+def test_paths_and_dot_print_these_bytes(model_files):
+    # no benchmark command runs `paths` or `dot`, so their whole output is pinned here
+    paths = json.dumps({"paths": GLUED_SQUARE_PATHS}, indent=2) + "\n"
+    assert cli(["paths", model_files["glued_square"], "--max-len", "4"]) == (0, paths, "7 paths (max length 4)\n")
+    for name, dot in DOT.items():
+        cells = len(F.MODELS[name]().cells)
+        assert cli(["dot", model_files[name]]) == (0, dot, f"dot export of {cells} cells\n"), name
+
+
 def test_lift_loads_a_model_file_that_both_maps_name_once(tmp_path, monkeypatch):
     square = F.full_square()
     jsonio.save_json(str(tmp_path / "square.json"), jsonio.model_to_dict(square))
@@ -661,9 +723,11 @@ def test_cli_negative_bound_is_an_error(model_files, args):
 
 
 def child_env(**env):
-    # the child imports the same package as this process, also when only pytest's pythonpath finds it
+    # the child imports the same package as this process, also when only pytest's pythonpath finds it; its
+    # streams are buffered, as a user's `phda` has them, unless `env` sets PYTHONUNBUFFERED
     src = os.path.dirname(os.path.dirname(phda.__file__))
-    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONUNBUFFERED": "", **env, "PYTHONPATH": path}
 
 
 def run_module(args, **env):
@@ -677,10 +741,12 @@ def test_cli_subprocess_entry():
 
 
 _LOADED = """
-import contextlib, io, json, sys
-def loaded():  # the package's modules, and those of the standard library that dataclasses import
+import sys
+before = set(sys.modules)  # what the interpreter's start-up loaded: some `site` hooks import `inspect`
+import contextlib, io, json
+def loaded():  # the package's modules, and those of the standard library that dataclasses import, unless loaded before
     return sorted([m.removeprefix("phda.") for m in sys.modules if m.startswith("phda.")]
-                  + [m for m in ("ast", "dataclasses", "inspect", "tokenize") if m in sys.modules])
+                  + [m for m in ("ast", "dataclasses", "inspect", "tokenize") if m in sys.modules and m not in before])
 import phda
 package = loaded()
 import phda.cli

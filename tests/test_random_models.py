@@ -12,7 +12,10 @@ also checked against the path stream: every enumerated execution, not
 only the first to each cell.  The face closure is checked against the
 two-sided saturation, shortcuts against saturating the single faces, and
 validation against the loop that composes every pair of entries, on
-valid models, on models with a shortcut and on broken tables.  Colimits
+valid models, on models with a shortcut and on broken tables.  At scope
+2 every model is checked, each face-closed cell set of the square with
+each subset of its single faces: tree recognition against the unfolding,
+unfoldings as trees covering the model, and total completions.  Colimits
 of executions glued along shared prefixes are checked against the
 glueing that rescans the future-run rule until nothing merges.  The
 class explorer's record stream is checked against the explorer that
@@ -126,6 +129,20 @@ def models(draw, dense=False, shortcut=False):
     )
     assert validate_phda(x) == []
     return x
+
+
+def square_models():
+    """Every model at scope 2: each face-closed set of the square's cells that holds 00, with each subset of its
+    single faces, closed by `build`."""
+    cells = sorted("".join(c) for c in itertools.product("01*", repeat=2))
+    for keep in itertools.product((False, True), repeat=len(cells)):
+        chosen = [c for c, k in zip(cells, keep) if k]
+        if "00" not in chosen or any(tgt not in chosen for c in chosen for _, _, tgt in cube_faces(c)):
+            continue
+        labelled = [(cid, cid.count("*"), tuple(LETTERS[p] for p, c in enumerate(cid) if c == "*")) for cid in chosen]
+        singles = [e for cid in chosen for e in cube_faces(cid)]
+        for mask in itertools.product((False, True), repeat=len(singles)):
+            yield build(LETTERS[:2], labelled, "00", itertools.compress(singles, mask))
 
 
 RANDOM_MODELS = st.one_of(models(), models(dense=True))
@@ -476,6 +493,19 @@ def test_is_tree_matches_path_level_oracle(x):
     for depth in (2, 4):
         tree = unfold(x, depth).tree
         assert is_tree(tree) == path_level_is_tree(tree) == TreeReport(True)
+
+
+def test_every_model_of_the_square_unfolds_to_a_tree_and_completes():
+    verdicts = []
+    for x in square_models():
+        tree, cover, _ = unfold(x, len(x.cells))
+        # a tree is its own unfolding: the cover is a bijection on cells and keeps the number of faces
+        unique = sorted(cover.mapping.values()) == sorted(x.cells) and len(tree.faces) == len(x.faces)
+        assert bool(is_tree(x)) == unique, model_to_dict(x)
+        assert is_tree(tree) and is_covering(cover, len(tree.cells)), model_to_dict(x)
+        assert is_hda(completion_of(x).model), model_to_dict(x)
+        verdicts.append(unique)
+    assert (len(verdicts), sum(verdicts)) == (4808, 28)
 
 
 @settings(max_examples=20, deadline=None)
