@@ -135,9 +135,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a write that fails, and `--help` must then exit 2
+        (file or sys.stdout).write(self.format_help())
+        (file or sys.stdout).flush()
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of `command` alone when it names one: the one a command line runs."""
-    ap = argparse.ArgumentParser(prog="phda", description=__doc__)
+    ap = _Parser(prog="phda", description=__doc__)
     alone = command in COMMANDS
     # alone, the metavar keeps every command in the usage that an unrecognised argument prints
     sub = ap.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if alone else None)
@@ -150,8 +156,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-def _run(args) -> int:
-    """Run the command; write its document (a string as is, else as JSON) and summary, or those of its error."""
+def _run(args) -> tuple[str, int]:
+    """Run the command and write its document (a string as is, else as JSON), or that of its error; return the
+    summary and the exit code."""
     try:
         doc, summary, code = args.run(args)
     except PhdaError as e:
@@ -165,44 +172,47 @@ def _run(args) -> int:
         jsonio.write_json(sys.stdout, doc)
         sys.stdout.write("\n")
     sys.stdout.flush()  # a reader that closed stdout early shows here at the latest, before any summary
-    print(summary, file=sys.stderr)
-    return code
+    return summary, code
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     collecting = gc.isenabled()  # the caller's policy, restored on every exit below
-    gc.disable()  # what a command builds lives until it returns: a collection would rescan it and free nothing
     try:
-        code = _run(args)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        gc.disable()  # what a command builds lives until it returns: a collection would rescan it and free nothing
+        summary, code = _run(args)
     except OSError as e:
         # exit 2 with no traceback; stdout now discards, so the flush at exit stays quiet
-        if not isinstance(e, BrokenPipeError):
-            print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        summary, code = (None if isinstance(e, BrokenPipeError) else f"error: cannot write stdout: {e}"), 2
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 2
     finally:
         if collecting:
             gc.enable()
+    try:  # the verdict is the document on stdout: a stderr that fails, or is closed (None), changes no exit code
+        sys.stderr.write(f"{summary}\n" if summary else "")
+    except (AttributeError, OSError, ValueError):
+        pass
     return code
 
 
 def console_main() -> NoReturn:
-    """`python -m phda` and the `phda` script: run `main`, flush stdout and stderr, and end the process with
+    """`python -m phda` and the `phda` script: run `main`, flush stdout, and end the process with
     `os._exit`, which skips the interpreter's teardown of modules and its last collection, as mypy's entry point
-    does.  `main` returns, for callers that run it in process.  A failed flush takes the interpreter's own exit."""
+    does.  `main` returns, for callers that run it in process.  A stdout that fails its flush exits 2."""
+    if sys.stdout is None:  # descriptor 1 closed at start-up: no document, nor help, can be written
+        os._exit(2)
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # closed at start-up (None): argparse would print to stdout
     try:
         code = main()
     except SystemExit as e:  # argparse: --help (0), or a command line it rejects (2)
         code = e.code
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        sys.stdout.flush()  # stderr is line-buffered: it holds only what failed to write
     except (OSError, ValueError):
-        sys.exit(code)
+        code = 2
     os._exit(code)
 
 

@@ -927,6 +927,80 @@ def test_cli_closed_stdout_exits_2_without_traceback(tmp_path):
         assert "Traceback" not in err and "Exception ignored" not in err, (unbuffered, err)
 
 
+def test_a_stdout_closed_at_start_exits_2_without_traceback(model_files):
+    for argv in (["is-tree", model_files["glued_square"]], ["--help"]):
+        for unbuffered in UNBUFFERED:
+            proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "phda", *argv],
+                                  stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED=unbuffered),
+                                  timeout=60)
+            assert (proc.returncode, proc.stderr) == (2, ""), (argv, unbuffered)
+
+
+STDERR_CASES = {  # name -> (command line, exit code)
+    "tree": (lambda files, tmp: ["is-tree", files["glued_square"]], 0),
+    "non-tree": (lambda files, tmp: ["is-tree", files["full_square"]], 1),
+    "invalid model": (lambda files, tmp: ["validate", invalid_labels(tmp, 3)], 2),
+    "usage error": (lambda files, tmp: ["validate"], 2),
+    "--help": (lambda files, tmp: ["--help"], 0),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("case", list(STDERR_CASES))
+def test_an_unwritable_stderr_changes_neither_exit_code_nor_stdout(model_files, tmp_path, case):
+    """With stderr closed or on a full device, the exit code and the stdout bytes are those of a run whose
+    stderr can be written: the summary is lost, and never lands on stdout."""
+    argv, code = STDERR_CASES[case]
+    command = [sys.executable, "-m", "phda", *argv(model_files, tmp_path)]
+    with open("/dev/full", "w") as full:
+        ways = {"pipe": (command, subprocess.PIPE), "closed": (["sh", "-c", 'exec "$@" 2>&-', "sh", *command], None),
+                "full": (command, full)}
+        runs = {(unbuffered, way): subprocess.Popen(args, stdout=subprocess.PIPE, stderr=stderr,
+                                                    env=child_env(PYTHONUNBUFFERED=unbuffered))
+                for unbuffered in UNBUFFERED for way, (args, stderr) in ways.items()}  # run side by side
+        done = {}
+        for key, proc in runs.items():
+            out, err = proc.communicate(timeout=60)
+            done[key] = proc.returncode, out, err
+    for unbuffered in UNBUFFERED:
+        expected, out, err = done[unbuffered, "pipe"]
+        assert expected == code and b"Traceback" not in err, (unbuffered, err)
+        assert out if case != "usage error" else not out
+        assert done[unbuffered, "closed"][:2] == done[unbuffered, "full"][:2] == (expected, out), unbuffered
+
+
+@pytest.mark.parametrize("case", ["tree", "non-tree", "invalid model"])
+@pytest.mark.parametrize("stderr", [None, UnwritableStdout], ids=["closed", "unwritable"])
+def test_main_returns_the_verdict_when_stderr_fails(model_files, tmp_path, case, stderr):
+    argv, code = STDERR_CASES[case]
+    argv = argv(model_files, tmp_path)
+    expected = cli(argv)
+    out, err = io.StringIO(), stderr and stderr()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == code == expected[0]
+    finally:
+        if err:
+            os.close(err.fd)
+    assert out.getvalue() == expected[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_help_into_a_full_stdout_exits_2_without_traceback():
+    for unbuffered in UNBUFFERED:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "phda", "--help"], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=child_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
+        assert proc.returncode == 2, unbuffered
+        assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1, proc.stderr
+    broken = UnwritableStdout()
+    try:
+        with contextlib.redirect_stdout(broken), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--help"]) == 2
+    finally:
+        os.close(broken.fd)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_cli_full_stdout_exits_2_without_traceback(tmp_path):
     path = tmp_path / "cube.json"

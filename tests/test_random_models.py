@@ -42,7 +42,7 @@ import pytest
 from phda import fixtures as F
 from phda.colimits import Arrow, Diagram, check_cocone, colimit, mediate
 from phda.completion import AbstractFace, complete, completion_of, counit
-from phda.errors import InvalidDiagram, ModelInvalid
+from phda.errors import InvalidDiagram, ModelInvalid, NotTotalHDA
 from phda.homotopy import are_confluently_homotopic, classes_to, explore, find_shortcuts
 from phda.jsonio import model_from_dict, model_to_dict
 from phda.lifting import ExtensionSquare, enumerate_morphisms, is_covering, is_open
@@ -496,16 +496,40 @@ def test_is_tree_matches_path_level_oracle(x):
 
 
 def test_every_model_of_the_square_unfolds_to_a_tree_and_completes():
-    verdicts = []
+    verdicts, totals = [], 0
     for x in square_models():
         tree, cover, _ = unfold(x, len(x.cells))
         # a tree is its own unfolding: the cover is a bijection on cells and keeps the number of faces
         unique = sorted(cover.mapping.values()) == sorted(x.cells) and len(tree.faces) == len(x.faces)
         assert bool(is_tree(x)) == unique, model_to_dict(x)
         assert is_tree(tree) and is_covering(cover, len(tree.cells)), model_to_dict(x)
-        assert is_hda(completion_of(x).model), model_to_dict(x)
+        completed = completion_of(x)
+        assert is_hda(completed.model), model_to_dict(x)
+        if is_hda(x):  # the unit and the counit are inverse maps
+            back = counit(x)
+            assert compose(back, completed.unit).mapping == identity(x).mapping, model_to_dict(x)
+            assert compose(completed.unit, back).mapping == identity(completed.model).mapping, model_to_dict(x)
+            totals += 1
+        else:
+            with pytest.raises(NotTotalHDA):
+                counit(x)
         verdicts.append(unique)
-    assert (len(verdicts), sum(verdicts)) == (4808, 28)
+    assert (len(verdicts), sum(verdicts), totals) == (4808, 28, 35)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_loop_unrollings_cover_the_loop_and_unfold_to_trees_at_every_depth(k):
+    f = F.loop_unrolling(k)
+    x = f.source
+    assert is_covering(f, 2 * k) and not is_tree(x)
+    for d in range(11):
+        tree, cover, truncated = unfold(x, d)
+        assert is_tree(tree) and len(tree.cells) == d + 1 and truncated, d
+        assert d == 0 or is_covering(cover, d - 1), d
+        unit = tree_unit(tree)
+        assert unit.source == tree and validate_morphism(unit) == [], d
+        assert sorted(unit.mapping) == sorted(tree.cells), d
+        assert sorted(unit.mapping.values()) == sorted(unit.target.cells), d  # onto, each cell once
 
 
 @settings(max_examples=20, deadline=None)

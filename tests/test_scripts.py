@@ -99,7 +99,7 @@ def test_glued_square_demo():
 
 def test_time_load_reports_each_phase(exported):
     path = exported / "fixtures" / "full_square.json"
-    proc = run_script("time_load.py", "--repeat", "2", str(path))
+    proc = run_script("time_phases.py", "load", "--repeat", "2", str(path))
     assert proc.returncode == 0, proc.stderr
     entries = len(json.loads(path.read_text())["faces"])
     assert re.fullmatch(
@@ -110,19 +110,19 @@ def test_time_load_reports_each_phase(exported):
 
 
 def test_time_startup_reports_each_phase(exported):
-    proc = run_script("time_startup.py", "--repeat", "2", "--", "is-tree", "fixtures/full_square.json", cwd=exported)
+    proc = run_script("time_phases.py", "startup", "--repeat", "2", "--", "is-tree", "fixtures/full_square.json", cwd=exported)
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(
         r"is-tree fixtures/full_square\.json: interpreter [\d.]+ ms, imports [\d.]+ ms, parser [\d.]+ ms, "
         r"run [\d.]+ ms, exit [\d.]+ ms; cpu [\d.]+ ms; exit 1 \(median of 2\)\n",
         proc.stdout,
     ), proc.stdout
-    proc = run_script("time_startup.py", "--repeat", "1", "--", "no-such-command", cwd=exported)
+    proc = run_script("time_phases.py", "startup", "--repeat", "1", "--", "no-such-command", cwd=exported)
     assert proc.returncode == 1 and "did not parse" in proc.stderr
 
 
 def test_time_unfold_reports_each_phase():
-    proc = run_script("time_unfold.py", "--repeat", "2", "--dim", "3", "--depth", "4")
+    proc = run_script("time_phases.py", "unfold", "--repeat", "2", "--dim", "3", "--depth", "4")
     assert proc.returncode == 0, proc.stderr
     tree = unfold(cube(3), 4).tree
     text = json.dumps(model_to_dict(tree), indent=2, sort_keys=True)
