@@ -40,6 +40,13 @@ def _int(raw: Any, what: str) -> int:
     raise ParseError(f"{what} must be an integer: {raw!r}")
 
 
+def _list(raw: Any, what: str, items: str) -> list:
+    """`raw` if it is a JSON array: an object in its place would be read by its keys."""
+    if type(raw) is list:
+        return raw
+    raise ParseError(f"{what} must be a list of {items}: {raw!r}")
+
+
 def _position(raw: str) -> int:
     if str(int(raw)) != raw:
         raise ParseError(f"arrow map key must be a canonical decimal: {raw!r}")
@@ -48,6 +55,8 @@ def _position(raw: str) -> int:
 
 def _word(raw: Any, words: dict[tuple, FaceWord]) -> FaceWord:
     """The word of a list of [index, direction] pairs, memoised in `words` by its pairs."""
+    if type(raw) is not list:
+        raise ParseError(f"face word must be a list of [index, direction] pairs: {raw!r}")
     try:
         pairs = tuple([(i, a) for i, a in raw if type(i) is int and type(a) is int])
         if len(pairs) != len(raw):  # `true` and `1.0` equal 1, so types are checked before the memo
@@ -60,17 +69,16 @@ def _word(raw: Any, words: dict[tuple, FaceWord]) -> FaceWord:
 
 def model_from_dict(doc: dict) -> PHDA:
     try:
-        if type(doc["alphabet"]) is not list:
-            raise ParseError(f"alphabet must be a list of letters: {doc['alphabet']!r}")
-        alphabet = frozenset(_str(l, "letter") for l in doc["alphabet"])
+        alphabet = frozenset(_str(l, "letter") for l in _list(doc["alphabet"], "alphabet", "letters"))
         cells: dict[str, Cell] = {}
-        for c in doc["cells"]:
+        for c in _list(doc["cells"], "cells", "cell records"):
             cell = Cell(_str(c["id"]), _int(c["dim"], "dim"), _label(c["label"]))
             if cells.setdefault(cell.id, cell) is not cell:
                 raise ParseError(f"repeated cell id: {cell.id!r}")
         initial = _str(doc["initial"])
         words: dict[tuple, FaceWord] = {}
-        raw_entries = [(_str(e["from"]), _word(e["word"], words), _str(e["to"])) for e in doc.get("faces", [])]
+        faces = _list(doc.get("faces", []), "faces", "face entries")
+        raw_entries = [(_str(e["from"]), _word(e["word"], words), _str(e["to"])) for e in faces]
         close = doc.get("saturate", False)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed model document: {e!r}") from None
@@ -154,8 +162,9 @@ def load_morphism(path: str, models: dict[str, PHDA] | None = None) -> Morphism:
 def spine_from_dict(doc: dict) -> Spine:
     from .paths import Spine
     try:
-        labels = [_label(w) for w in doc["labels"]]
-        steps = tuple((_int(j, "step index"), _int(a, "step direction")) for j, a in doc["steps"])
+        labels = [_label(w) for w in _list(doc["labels"], "labels", "labels")]
+        steps = _list(doc["steps"], "steps", "[index, direction] pairs")
+        steps = tuple((_int(j, "step index"), _int(a, "step direction")) for j, a in steps)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed spine: {e!r}") from None
     return Spine(tuple((len(w), w) for w in labels), steps)
@@ -181,7 +190,7 @@ def diagram_from_dict(doc: dict) -> Diagram:
         arrows = tuple(
             Arrow(_str(a["name"], "arrow name"), _str(a["src"], "arrow source"), _str(a["dst"], "arrow target"),
                   {_position(k): _int(v, "arrow map value") for k, v in a["map"].items()})
-            for a in doc.get("arrows", [])
+            for a in _list(doc.get("arrows", []), "arrows", "arrows")
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed diagram document: {e!r}") from None

@@ -509,6 +509,13 @@ MALFORMED_MODELS = {
     "alphabet is an object": _set(("alphabet",), {"a": 1}),
     "cell id is listed twice": lambda doc: doc["cells"].append(dict(doc["cells"][0])),
     "cell label is a string": lambda doc: next(c for c in doc["cells"] if c["dim"] == 2).update(label="ab"),
+    # an object where an array belongs is refused, not read by its keys (or, when empty, as an empty list)
+    "cells is an empty object": _set(("cells",), {}),
+    "cells is an object": _set(("cells",), {"00": {"id": "00", "dim": 0, "label": []}}),
+    "faces is an empty object": _set(("faces",), {}),
+    "faces is an object": _set(("faces",), {"*0": {"word": [[1, 0]], "to": "00"}}),
+    "face word is an empty object": _set(("faces", 0, "word"), {}),
+    "face word is an object": _set(("faces", 0, "word"), {"1": 0}),
 }
 
 
@@ -520,6 +527,13 @@ def test_cli_malformed_model_is_parse_error(files, case):
     code, out, _ = cli(["validate", write("malformed.json", doc)])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+    _assert_object_quoted_whole(case, json.loads(out)["error"]["detail"])
+
+
+def _assert_object_quoted_whole(case, detail):
+    """An object in place of a field's value is quoted whole, not read by its keys."""
+    if case.endswith("an object"):
+        assert re.search(r": \{.*\}\Z", detail), detail
 
 
 def _retype(faces, pair, k):
@@ -566,6 +580,12 @@ MALFORMED_DIAGRAMS = {
     "arrow map key has an underscore": _rekey("2", "0_2"),
     "arrow map key repeats a position": _set(("arrows", 0, "map", "01"), 1),
     "spine label is a string": _set(("objects", "A", "labels", 2), "ab"),
+    "arrows is an empty object": _set(("arrows",), {}),
+    "arrows is an object": lambda doc: doc.update(arrows={a["name"]: a for a in doc["arrows"]}),
+    "spine labels is an empty object": _set(("objects", "A", "labels"), {}),
+    "spine labels is an object": _set(("objects", "A", "labels"), {"x": 1}),
+    "spine steps is an empty object": _set(("objects", "A", "steps"), {}),
+    "spine steps is an object": _set(("objects", "A", "steps"), {"1": 0}),
 }
 
 
@@ -577,6 +597,7 @@ def test_cli_malformed_diagram_is_parse_error(files, case):
     code, out, _ = cli(["colimit", write("malformed.json", doc)])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+    _assert_object_quoted_whole(case, json.loads(out)["error"]["detail"])
 
 
 def test_cli_undecodable_file_is_parse_error(tmp_path):

@@ -134,7 +134,7 @@ def test_time_unfold_reports_each_phase():
 
 
 def test_reach_lists_the_functions_no_catalogue_command_enters():
-    proc = run_script("reach.py", "--self-test")
+    proc = run_script("catalogue.py", "reach", "--self-test")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *listed, total = proc.stdout.splitlines()
     assert re.fullmatch(rf"{len(listed)} of \d+ functions never entered by \d+ catalogue commands", total), total
@@ -142,3 +142,10 @@ def test_reach_lists_the_functions_no_catalogue_command_enters():
     assert {"mediate", "check_cocone", "tree_unit"} <= names  # constructions of the paper that no command runs
     assert not {"main", "is_tree", "unfold", "completion_of", "write_json"} & names
     assert not {"__getattr__", "Record.__init_subclass__"} & names  # run while a CLI process imports the library
+
+
+@pytest.mark.parametrize("args", [(), ("digests", "--hash-seed", "1")])
+def test_catalogue_needs_a_subcommand_and_digests_takes_no_option(args):
+    proc = run_script("catalogue.py", *args)
+    assert proc.returncode == 2 and proc.stderr.startswith("usage: catalogue.py"), proc.stderr
+    assert not proc.stdout
