@@ -126,12 +126,11 @@ def complete(x: PHDA) -> tuple[PHDA, Morphism]:
 
 
 def counit(x: PHDA) -> Morphism:
-    """Evaluate abstract faces in a total model; inverse to the unit there."""
+    """Evaluate abstract faces in a total model: the inverse of the unit, which there only renames cells."""
     if not is_hda(x):
         raise NotTotalHDA("counit requires every single face to be defined")
-    c = completion_of(x)
-    evaluate = {rep.id(): x.faces[(rep.cell, rep.word)] if len(rep.word) else rep.cell for rep in c.representatives()}
-    return Morphism(c.model, x, evaluate)
+    unit = completion_of(x).unit
+    return Morphism(unit.target, x, {yid: cid for cid, yid in unit.mapping.items()})
 
 
 def complete_morphism(f: Morphism) -> Morphism:

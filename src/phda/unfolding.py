@@ -71,9 +71,8 @@ def is_tree(x: PHDA) -> TreeReport:
         for _, z in x.moves.get(c, ()):
             if walk[z][0] != n + 1:
                 return TreeReport(False, f"cell {z} is reached at lengths {walk[z][0]} and {n + 1}")
-    for cid in sorted(x.cells):
-        if cid not in walk:
-            return TreeReport(False, f"cell {cid} is not the endpoint of any execution")
+    if missing := x.cells.keys() - walk:
+        return TreeReport(False, f"cell {min(missing)} is not the endpoint of any execution")
     ends: set[str] = set()
     for c in explore(x, len(x.cells)):
         if c.end in ends:
@@ -81,9 +80,14 @@ def is_tree(x: PHDA) -> TreeReport:
         ends.add(c.end)
     else:
         return TreeReport(True)
-    for cid in sorted(x.cells):  # stops at c.end at the latest, which has two classes
+    # below c's level, explored with no repeat, each cell has one class, and so has a cell that one step enters
+    may: dict[str, bool] = {}  # from a one-class cell, as extension keeps homotopy; may marks the rest, c.end among them
+    for cid in walk:  # a level's cells are settled before the next level's
+        for _, z in x.moves.get(cid, ()):
+            may[z] = walk[z][0] >= c.level and (z in may or may.get(cid, False))
+    for cid in sorted(z for z, m in may.items() if m):
         found = sum(e.end == cid for e in explore(x, walk[cid][0], to=cid))
-        if found != 1 or cid == c.end:
+        if found != 1:
             return TreeReport(False, f"cell {cid} has {found} execution classes")
 
 
@@ -93,9 +97,6 @@ def tree_unit(x: PHDA) -> Morphism:
     if not report:
         raise NotATree(report.reason)
     result = unfold(x, len(x.cells))
-    assert not result.truncated
-    inverse: dict[str, str] = {}
-    for sid, cid in result.cover.mapping.items():
-        assert cid not in inverse, "cover of a tree must be injective"
-        inverse[cid] = sid
+    inverse = {cid: sid for sid, cid in result.cover.mapping.items()}
+    assert len(inverse) == len(result.cover.mapping) == len(x.cells), "the cover of a tree must be a bijection"
     return Morphism(x, result.tree, inverse)

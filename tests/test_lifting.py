@@ -238,6 +238,18 @@ def test_construct_lift_rejects_a_map_that_moves_the_initial_cell():
     assert err.value.violations == validate_morphism(g)
 
 
+def test_construct_lift_rejects_an_open_map_that_moves_the_initial_cell():
+    # f sends its one point to the segment's far end, where no step leaves, so f is open; g is a morphism,
+    # and the lift of the point through f is f's point, which f does not send to g's image of the point
+    s = F.segment()
+    g = Morphism(F.point(), s, {"p": "p0"})
+    f = Morphism(build((), [("o", 0, ())], "o"), s, {"o": "p1"})
+    assert validate_morphism(g) == [] and is_open(f, 1).ok
+    with pytest.raises(NotOpen) as err:
+        construct_lift(g, f)
+    assert str(err.value) == "the stepwise lift is not a commuting morphism; the map is not open at this depth"
+
+
 def test_construct_lift_requires_tree():
     cover = square_cover()
     with pytest.raises(NotATree):

@@ -4,11 +4,12 @@ import pytest
 
 from phda import fixtures as F
 from phda.errors import NotATree
-from phda.homotopy import classes_to
+from phda.homotopy import classes_to, explore
 from phda.jsonio import load_model, model_to_dict, save_json
-from phda.model import _generators, compose, identity, validate_morphism, validate_phda
+from phda.model import _generators, build, compose, identity, validate_morphism, validate_phda
 from phda.paths import first_path, path_shape, spine_of, enumerate_paths
-from phda.unfolding import is_tree, tree_unit, unfold
+from phda.unfolding import TreeReport, is_tree, tree_unit, unfold
+from phda.words import FUTURE, PAST, single
 
 from oracles import notched_square_path, oracle_bounded_paths, partition_paths, patch_everywhere
 
@@ -71,6 +72,57 @@ def test_is_tree_examples():
     assert not is_tree(F.split_segment())
     assert not is_tree(F.self_loop())
     assert not is_tree(F.punctured_cube())
+
+
+def edge(e, u, w):
+    return [(e, single(1, PAST), u), (e, single(1, FUTURE), w)]
+
+
+def two_paths_into(start, end):
+    """The cells and entries of two two-edge paths from `start` into a new vertex `end`."""
+    cells = [(end, 0, ()), ("p", 0, ()), ("q", 0, ())] + [(e, 1, "a") for e in ("b0", "b1", "c0", "c1")]
+    return cells, edge("b0", start, "p") + edge("b1", "p", end) + edge("c0", start, "q") + edge("c1", "q", end)
+
+
+def chain_into_merge(n):
+    """Vertices v0..vn joined by a-edges, then two paths from vn into z, which sorts after every other cell."""
+    cells, entries = two_paths_into(f"v{n}", "z")
+    cells += [(f"v{i}", 0, ()) for i in range(n + 1)] + [(f"e{i}", 1, "a") for i in range(n)]
+    entries += [entry for i in range(n) for entry in edge(f"e{i}", f"v{i}", f"v{i + 1}")]
+    return build("a", cells, "v0", entries)
+
+
+def fan_with_merge(arms, length):
+    """A root r with `arms` chains of `length` edges, and two paths from r into zz."""
+    cells, entries = two_paths_into("r", "zz")
+    cells.append(("r", 0, ()))
+    for i in range(arms):
+        for j in range(length):
+            cells += [(f"w{i}_{j}", 0, ()), (f"f{i}_{j}", 1, "a")]
+            entries += edge(f"f{i}_{j}", f"w{i}_{j - 1}" if j else "r", f"w{i}_{j}")
+    return build("a", cells, "r", entries)
+
+
+@pytest.mark.parametrize("make, size, reason", [
+    (lambda: chain_into_merge(200), 408, "cell z has 2 execution classes"),
+    (lambda: fan_with_merge(10, 20), 408, "cell zz has 2 execution classes"),
+], ids=["chain", "fan"])
+def test_is_tree_counts_the_classes_of_cells_that_may_have_two_only(monkeypatch, make, size, reason):
+    # below the first repeated end every cell has one class, and a cell entered by one step from such a cell too;
+    # here only the merge cell, which sorts last, may have more, so one exploration counts its classes
+    from phda import unfolding
+
+    x = make()
+    assert validate_phda(x) == [] and len(x.cells) == size
+    counted = []
+
+    def spy(*args, **kwargs):
+        counted.append(kwargs.get("to"))
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(unfolding, "explore", spy)
+    assert is_tree(x) == TreeReport(False, reason)
+    assert [to for to in counted if to is not None] == [reason.split()[1]]
 
 
 def test_is_tree_shortcut_certificate():
